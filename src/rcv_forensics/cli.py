@@ -139,7 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma list of condorcet,spoiler,monotonicity,noshow,compromise (default: all)",
     )
-    audit_cmd.add_argument("--spoiler-max-size", type=int, default=1)
+    audit_cmd.add_argument(
+        "--spoiler-max-size",
+        type=int,
+        default=1,
+        help="largest subset of losing candidates to remove (at least 1; default: 1)",
+    )
     audit_cmd.add_argument(
         "--fail-on-findings",
         action="store_true",
@@ -285,11 +290,7 @@ def cmd_tabulate(args) -> int:
         doc.update(reports.tabulation_to_dict(result))
         lines = [f"method: {doc['method']}"]
         if args.method == "rcv":
-            doc["options"] = {
-                "writein_policy": options.writein_policy.value,
-                "tie_policy": options.tie_policy.value,
-                "buggy_first_round": options.buggy_first_round,
-            }
+            doc["options"] = reports.to_jsonable(options)
             lines.append(
                 f"tie policy: {options.tie_policy.value} "
                 "(tool decision, no jurisdiction rule implied)"
@@ -403,6 +404,9 @@ def cmd_audit(args) -> int:
         unknown = checks - set(_ALL_CHECKS)
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(sorted(unknown))}")
+    # also guards values from --config, which bypass argparse's type check
+    if not isinstance(args.spoiler_max_size, int) or args.spoiler_max_size < 1:
+        raise UsageError("audit: --spoiler-max-size must be a positive integer")
     profile = _load_profile(args)
     roster = profile.roster
     options = _options_from_args(args)
@@ -410,11 +414,7 @@ def cmd_audit(args) -> int:
     doc: dict = {
         "schema_version": 1,
         "command": "audit",
-        "options": {
-            "writein_policy": options.writein_policy.value,
-            "tie_policy": options.tie_policy.value,
-            "buggy_first_round": options.buggy_first_round,
-        },
+        "options": reports.to_jsonable(options),
         "checks": {},
         "discrepancies": [],
     }
@@ -449,7 +449,7 @@ def cmd_audit(args) -> int:
 
     if "spoiler" in checks:
         scan = find_spoilers(profile, options, args.spoiler_max_size)
-        body = reports.spoiler_scan_to_dict(scan)
+        body = reports.scan_to_dict(scan)
         doc["checks"]["spoiler"] = body
         section("spoiler", body, "no spoiler subsets found")
 
@@ -457,21 +457,21 @@ def cmd_audit(args) -> int:
     if "monotonicity" in checks:
         downward_scan = search_monotonicity(profile, options, Direction.DOWNWARD)
         upward_scan = search_monotonicity(profile, options, Direction.UPWARD)
-        down_body = reports.monotonicity_scan_to_dict(downward_scan)
-        up_body = reports.monotonicity_scan_to_dict(upward_scan)
+        down_body = reports.scan_to_dict(downward_scan)
+        up_body = reports.scan_to_dict(upward_scan)
         doc["checks"]["monotonicity"] = {"downward": down_body, "upward": up_body}
         section("monotonicity (downward)", down_body, "no downward paradox found")
         section("monotonicity (upward)", up_body, "no upward paradox found")
 
     if "noshow" in checks:
         scan = search_noshow(profile, options)
-        body = reports.noshow_scan_to_dict(scan)
+        body = reports.scan_to_dict(scan)
         doc["checks"]["noshow"] = body
         section("no-show", body, "no no-show paradox found")
 
     if "compromise" in checks:
         scan = search_compromise(profile, options)
-        body = reports.compromise_scan_to_dict(scan)
+        body = reports.scan_to_dict(scan)
         doc["checks"]["compromise"] = body
         section("compromise", body, "no compromise failure found")
 

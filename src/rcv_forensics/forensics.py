@@ -2,12 +2,15 @@
 witness: spoiler effects, downward and upward monotonicity paradoxes, no-show
 paradoxes, and compromise-vote failures.
 
-Searches scan only ballot types already present in the profile and only
-single-position (adjacent) shifts. The t-scan is linear because the winner as
-a function of t need not be monotone across elimination-order changes.
-Consecutive t values with the same new winner merge into one witness; a t
-whose re-tabulation hits an elimination tie is never a witness and is
-reported separately as a boundary.
+The monotonicity, no-show and compromise searches only build their edits
+(move t ballots of one existing type to a modified type, or delete them) and
+hand them to one engine, ``_scan``, which re-tabulates every t and cuts the
+outcomes into witness runs and tie boundaries. Searches scan only ballot types
+already present in the profile and only single-position (adjacent) shifts.
+The t-scan is linear because the winner as a function of t need not be
+monotone across elimination-order changes. Consecutive t values with the same
+new winner merge into one witness; a t whose re-tabulation hits an
+elimination tie is never a witness and is reported separately as a boundary.
 
 ``brute_force_oracle`` re-derives every report by plain enumeration over the
 public profile edits and full tabulation, for small instances only; it exists
@@ -18,13 +21,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cvr import CandidateRoster, ValidationError
-from .methods import Entry, RcvOptions, TieError, rcv_tabulate, rcv_winner
+from .cvr import ValidationError
+from .methods import RcvOptions, TieError, _entries_of, rcv_tabulate, rcv_winner
 from .profiles import PreferenceProfile, Ranking
 
 
@@ -139,98 +140,62 @@ def prefers(ranking: Sequence[str], a: str, b: str) -> bool:
     return ranking.index(a) < ranking.index(b)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RCV_FORENSICS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+Edit = tuple  # (ballot_type, raw_first_invalid, candidate, modified_type | None)
 
 
-def _run_tasks(fn: Callable, tasks: list) -> list:
-    workers = _thread_count()
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _entries_of(profile: PreferenceProfile) -> list[Entry]:
-    return sorted((r, f, c) for (r, f), c in profile.entries.items())
-
-
-Outcome = tuple  # ("win", winner) or ("tie", tied tuple)
-
-
-def _outcomes_for_move(
-    roster: CandidateRoster,
-    entries: list[Entry],
-    from_key: tuple[Ranking, bool],
-    to_key: tuple[Ranking, bool] | None,
+def _scan(
+    profile: PreferenceProfile,
     options: RcvOptions,
-) -> list[tuple[int, Outcome]]:
-    """Re-tabulate for every t in 1..count(from_key), moving t ballots to
-    to_key (or deleting them when to_key is None)."""
-    work = [[r, f, c] for r, f, c in entries]
-    src = next(row for row in work if (row[0], row[1]) == from_key)
-    if to_key is None:
+    edit_name: str,
+    edits: list[Edit],
+    qualifies: Callable[[Edit, str], bool],
+) -> tuple[list[list[list]], tuple[TieBoundary, ...]]:
+    """The t-scan behind every edit search. For each edit and every t in
+    1..count(ballot_type), move t ballots of the type to modified_type (or
+    delete them when it is None) and re-tabulate. Returns, per edit, the
+    maximal runs [lo, hi, winner] of consecutive t with a constant winner that
+    qualifies for the edit, and the first t of each maximal run of identical
+    elimination ties as a boundary, both in edit order."""
+    roster = profile.roster
+    entries = _entries_of(profile)
+    all_runs: list[list[list]] = []
+    boundaries: list[TieBoundary] = []
+    for edit in edits:
+        ranking, flag, candidate, modified = edit
+        work = [[r, f, c] for r, f, c in entries]
+        src = next(row for row in work if (row[0], row[1]) == (ranking, flag))
         dst = None
-    else:
-        dst = next((row for row in work if (row[0], row[1]) == to_key), None)
-        if dst is None:
-            dst = [to_key[0], to_key[1], 0]
-            work.append(dst)
-    outcomes = []
-    for t in range(1, src[2] + 1):
-        src[2] -= 1
-        if dst is not None:
-            dst[2] += 1
-        snapshot = [(r, f, c) for r, f, c in work if c > 0]
-        try:
-            outcomes.append((t, ("win", rcv_winner(roster, snapshot, options))))
-        except TieError as exc:
-            outcomes.append((t, ("tie", exc.tied)))
-        except ValidationError:
-            # removal emptied the profile; no election outcome exists for this t
-            outcomes.append((t, ("invalid",)))
-    return outcomes
-
-
-def _winner_runs(
-    outcomes: list[tuple[int, Outcome]], qualifies: Callable[[str], bool]
-) -> list[tuple[int, int, str]]:
-    """Maximal runs of consecutive qualifying t with a constant winner."""
-    runs: list[tuple[int, int, str]] = []
-    current: list | None = None
-    for t, outcome in outcomes:
-        if outcome[0] == "win" and qualifies(outcome[1]):
-            if current is not None and current[2] == outcome[1]:
-                current[1] = t
-            else:
-                if current is not None:
-                    runs.append(tuple(current))
-                current = [t, t, outcome[1]]
-        else:
-            if current is not None:
-                runs.append(tuple(current))
-                current = None
-    if current is not None:
-        runs.append(tuple(current))
-    return runs
-
-
-def _tie_runs(outcomes: list[tuple[int, Outcome]]) -> list[tuple[int, tuple[str, ...]]]:
-    """First t of each maximal run of identical elimination ties."""
-    runs: list[tuple[int, tuple[str, ...]]] = []
-    previous: tuple[str, ...] | None = None
-    for t, outcome in outcomes:
-        if outcome[0] == "tie":
-            if outcome[1] != previous:
-                runs.append((t, outcome[1]))
-            previous = outcome[1]
-        else:
-            previous = None
-    return runs
+        if modified is not None:
+            dst = next((row for row in work if (row[0], row[1]) == (modified, flag)), None)
+            if dst is None:
+                dst = [modified, flag, 0]
+                work.append(dst)
+        runs: list[list] = []
+        previous = None
+        for t in range(1, src[2] + 1):
+            src[2] -= 1
+            if dst is not None:
+                dst[2] += 1
+            snapshot = [(r, f, c) for r, f, c in work if c > 0]
+            try:
+                outcome = ("win", rcv_winner(roster, snapshot, options))
+            except TieError as exc:
+                outcome = ("tie", exc.tied)
+            except ValidationError:
+                # removal emptied the profile; no election outcome exists for this t
+                outcome = ("invalid",)
+            if outcome[0] == "win" and qualifies(edit, outcome[1]):
+                if outcome == previous:
+                    runs[-1][1] = t
+                else:
+                    runs.append([t, t, outcome[1]])
+            elif outcome[0] == "tie" and outcome != previous:
+                boundaries.append(
+                    TieBoundary(edit_name, ranking, flag, candidate, t, outcome[1])
+                )
+            previous = outcome
+        all_runs.append(runs)
+    return all_runs, tuple(boundaries)
 
 
 def _swap(ranking: Ranking, i: int, j: int) -> Ranking:
@@ -246,96 +211,51 @@ def search_monotonicity(
     type ranking it above last place; a run of t where that candidate wins is
     a witness. Upward: shift the winner one position up where ranked below
     first; a run of t where the winner loses is a witness."""
-    base = rcv_tabulate(profile, options)
-    original_winner = base.winner
-    roster = profile.roster
-    entries = _entries_of(profile)
+    original_winner = rcv_tabulate(profile, options).winner
     if direction is Direction.DOWNWARD:
-        focals = [cid for cid in roster.ids() if cid != original_winner]
+        focals = [cid for cid in profile.roster.ids() if cid != original_winner]
+        step, edit_name = 1, "shift-down"
+        qualifies = lambda edit, w: w == edit[2]
     else:
         focals = [original_winner]
+        step, edit_name = -1, "shift-up"
+        qualifies = lambda edit, w: w != edit[2]
 
-    tasks = []
+    edits = []
     for focal in focals:
-        for ranking, flag, count in entries:
+        for ranking, flag in sorted(profile.entries):
             if focal not in ranking:
                 continue
             i = ranking.index(focal)
-            if direction is Direction.DOWNWARD:
-                if i == len(ranking) - 1:
-                    continue
-                modified = _swap(ranking, i, i + 1)
-            else:
-                if i == 0:
-                    continue
-                modified = _swap(ranking, i, i - 1)
-            tasks.append((focal, ranking, flag, modified))
+            if 0 <= i + step < len(ranking):
+                edits.append((ranking, flag, focal, _swap(ranking, i, i + step)))
 
-    edit_name = "shift-down" if direction is Direction.DOWNWARD else "shift-up"
-
-    def scan(task):
-        focal, ranking, flag, modified = task
-        outcomes = _outcomes_for_move(
-            roster, entries, (ranking, flag), (modified, flag), options
+    runs, boundaries = _scan(profile, options, edit_name, edits, qualifies)
+    witnesses = tuple(
+        MonotonicityWitness(
+            direction, focal, ranking, flag, modified, lo, hi, original_winner, w
         )
-        if direction is Direction.DOWNWARD:
-            qualifies = lambda w: w == focal
-        else:
-            qualifies = lambda w: w != focal
-        witnesses = [
-            MonotonicityWitness(
-                direction, focal, ranking, flag, modified, lo, hi, original_winner, w
-            )
-            for lo, hi, w in _winner_runs(outcomes, qualifies)
-        ]
-        boundaries = [
-            TieBoundary(edit_name, ranking, flag, focal, t, tied)
-            for t, tied in _tie_runs(outcomes)
-        ]
-        return witnesses, boundaries
-
-    witnesses: list[MonotonicityWitness] = []
-    boundaries: list[TieBoundary] = []
-    for wit, bnd in _run_tasks(scan, tasks):
-        witnesses.extend(wit)
-        boundaries.extend(bnd)
-    return MonotonicityScan(direction, tuple(witnesses), tuple(boundaries))
+        for (ranking, flag, focal, modified), edit_runs in zip(edits, runs)
+        for lo, hi, w in edit_runs
+    )
+    return MonotonicityScan(direction, witnesses, boundaries)
 
 
 def search_noshow(profile: PreferenceProfile, options: RcvOptions) -> NoShowScan:
     """Remove t ballots of each type; the minimal t whose new winner the type
     strictly prefers to the original winner is a witness."""
-    base = rcv_tabulate(profile, options)
-    original_winner = base.winner
-    roster = profile.roster
-    entries = _entries_of(profile)
-
-    def scan(task):
-        ranking, flag, count = task
-        outcomes = _outcomes_for_move(roster, entries, (ranking, flag), None, options)
-        witnesses = []
-        for t, outcome in outcomes:
-            if (
-                outcome[0] == "win"
-                and outcome[1] != original_winner
-                and prefers(ranking, outcome[1], original_winner)
-            ):
-                witnesses.append(
-                    NoShowWitness(ranking, flag, t, original_winner, outcome[1])
-                )
-                break
-        boundaries = [
-            TieBoundary("remove", ranking, flag, None, t, tied)
-            for t, tied in _tie_runs(outcomes)
-        ]
-        return witnesses, boundaries
-
-    witnesses: list[NoShowWitness] = []
-    boundaries: list[TieBoundary] = []
-    for wit, bnd in _run_tasks(scan, list(entries)):
-        witnesses.extend(wit)
-        boundaries.extend(bnd)
-    return NoShowScan(tuple(witnesses), tuple(boundaries))
+    original_winner = rcv_tabulate(profile, options).winner
+    edits = [(ranking, flag, None, None) for ranking, flag in sorted(profile.entries)]
+    runs, boundaries = _scan(
+        profile, options, "remove", edits,
+        lambda edit, w: prefers(edit[0], w, original_winner),
+    )
+    witnesses = tuple(
+        NoShowWitness(ranking, flag, edit_runs[0][0], original_winner, edit_runs[0][2])
+        for (ranking, flag, _, _), edit_runs in zip(edits, runs)
+        if edit_runs
+    )
+    return NoShowScan(witnesses, boundaries)
 
 
 def _promote(ranking: Ranking, candidate: str) -> Ranking:
@@ -346,42 +266,22 @@ def search_compromise(profile: PreferenceProfile, options: RcvOptions) -> Compro
     """Move each non-first candidate to first on t ballots of each type; runs
     of t whose new winner the type strictly prefers to the original winner are
     witnesses (one per constant-winner run, count = the run's minimum)."""
-    base = rcv_tabulate(profile, options)
-    original_winner = base.winner
-    roster = profile.roster
-    entries = _entries_of(profile)
-
-    tasks = []
-    for ranking, flag, count in entries:
-        if len(ranking) < 2:
-            continue
-        for promoted in ranking[1:]:
-            tasks.append((ranking, flag, promoted, _promote(ranking, promoted)))
-
-    def scan(task):
-        ranking, flag, promoted, modified = task
-        outcomes = _outcomes_for_move(
-            roster, entries, (ranking, flag), (modified, flag), options
-        )
-        qualifies = lambda w: w != original_winner and prefers(
-            ranking, w, original_winner
-        )
-        witnesses = [
-            CompromiseWitness(ranking, flag, promoted, lo, hi, original_winner, w)
-            for lo, hi, w in _winner_runs(outcomes, qualifies)
-        ]
-        boundaries = [
-            TieBoundary("promote", ranking, flag, promoted, t, tied)
-            for t, tied in _tie_runs(outcomes)
-        ]
-        return witnesses, boundaries
-
-    witnesses: list[CompromiseWitness] = []
-    boundaries: list[TieBoundary] = []
-    for wit, bnd in _run_tasks(scan, tasks):
-        witnesses.extend(wit)
-        boundaries.extend(bnd)
-    return CompromiseScan(tuple(witnesses), tuple(boundaries))
+    original_winner = rcv_tabulate(profile, options).winner
+    edits = [
+        (ranking, flag, promoted, _promote(ranking, promoted))
+        for ranking, flag in sorted(profile.entries)
+        for promoted in ranking[1:]
+    ]
+    runs, boundaries = _scan(
+        profile, options, "promote", edits,
+        lambda edit, w: prefers(edit[0], w, original_winner),
+    )
+    witnesses = tuple(
+        CompromiseWitness(ranking, flag, promoted, lo, hi, original_winner, w)
+        for (ranking, flag, promoted, _), edit_runs in zip(edits, runs)
+        for lo, hi, w in edit_runs
+    )
+    return CompromiseScan(witnesses, boundaries)
 
 
 def find_spoilers(

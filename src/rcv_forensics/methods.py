@@ -108,6 +108,15 @@ def _entries_of(profile: PreferenceProfile) -> list[Entry]:
     return sorted((r, f, c) for (r, f), c in profile.entries.items())
 
 
+def _transfer(source: str | None, moves: dict[str | None, int]) -> TransferRecord:
+    """Record ballots moved away from source; the None key counts exhausted ones."""
+    return TransferRecord(
+        source,
+        {k: v for k, v in sorted(moves.items(), key=lambda kv: str(kv[0])) if k},
+        moves.get(None, 0),
+    )
+
+
 def _top(ranking: Ranking, eliminated: set[str]) -> str | None:
     for cid in ranking:
         if cid not in eliminated:
@@ -147,14 +156,7 @@ def _tabulate(
                 if top in writeins:
                     nxt = _top(ranking, writeins)
                     moves[top][nxt] = moves[top].get(nxt, 0) + count
-            transfers = tuple(
-                TransferRecord(
-                    w,
-                    {k: v for k, v in sorted(m.items(), key=lambda kv: str(kv[0])) if k},
-                    m.get(None, 0),
-                )
-                for w, m in moves.items()
-            )
+            transfers = tuple(_transfer(w, m) for w, m in moves.items())
             rounds.append(RoundRecord(0, tallies, wi_order, exhausted, 0, transfers))
         eliminated |= writeins
 
@@ -204,13 +206,7 @@ def _tabulate(
                 if _top(ranking, eliminated) == loser:
                     nxt = _top(ranking, after)
                     moves2[nxt] = moves2.get(nxt, 0) + count
-            transfer_rows = [
-                TransferRecord(
-                    loser,
-                    {k: v for k, v in sorted(moves2.items(), key=lambda kv: str(kv[0])) if k},
-                    moves2.get(None, 0),
-                )
-            ]
+            transfer_rows = [_transfer(loser, moves2)]
             if pending:
                 rejoin: dict[str | None, int] = {}
                 for ranking, flagged, count in entries:
@@ -220,13 +216,7 @@ def _tabulate(
                         continue  # was exhausted, never pending
                     nxt = _top(ranking, after)
                     rejoin[nxt] = rejoin.get(nxt, 0) + count
-                transfer_rows.append(
-                    TransferRecord(
-                        None,
-                        {k: v for k, v in sorted(rejoin.items(), key=lambda kv: str(kv[0])) if k},
-                        rejoin.get(None, 0),
-                    )
-                )
+                transfer_rows.append(_transfer(None, rejoin))
             rounds.append(
                 RoundRecord(
                     round_no, tallies, (loser,), exhausted, pending, tuple(transfer_rows)
@@ -296,14 +286,7 @@ def plurality_runoff(profile: PreferenceProfile) -> TabulationResult:
         nxt = next((cid for cid in ranking if cid in finalists), None)
         src = moves[ranking[0]]
         src[nxt] = src.get(nxt, 0) + count
-    transfers = tuple(
-        TransferRecord(
-            cid,
-            {k: v for k, v in sorted(m.items(), key=lambda kv: str(kv[0])) if k},
-            m.get(None, 0),
-        )
-        for cid, m in moves.items()
-    )
+    transfers = tuple(_transfer(cid, m) for cid, m in moves.items())
     round1 = RoundRecord(1, tallies, eliminated, exhausted1, 0, transfers)
 
     final: dict[str, int] = {cid: 0 for cid in roster.ids() if cid in finalists}

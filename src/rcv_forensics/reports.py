@@ -8,15 +8,20 @@ byte-identical output.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 
 from .cvr import CandidateRoster
 from .forensics import (
     CompromiseScan,
+    CompromiseWitness,
     MonotonicityScan,
+    MonotonicityWitness,
     NoShowScan,
+    NoShowWitness,
     SpoilerScan,
-    TieBoundary,
+    SpoilerWitness,
 )
 from .methods import CondorcetReport, TabulationResult
 from .profiles import PairwiseMatrix
@@ -139,87 +144,39 @@ def render_stats_text(doc: dict) -> list[str]:
     ]
 
 
-def _boundary_to_dict(boundary: TieBoundary) -> dict:
-    return {
-        "edit": boundary.edit,
-        "ballot_type": list(boundary.ballot_type),
-        "raw_first_invalid": boundary.raw_first_invalid,
-        "candidate": boundary.candidate,
-        "count": boundary.count,
-        "tied": list(boundary.tied),
-    }
+_WITNESS_KINDS = {
+    SpoilerWitness: "spoiler",
+    MonotonicityWitness: "monotonicity",
+    NoShowWitness: "noshow",
+    CompromiseWitness: "compromise",
+}
 
 
-def spoiler_scan_to_dict(scan: SpoilerScan) -> dict:
-    return {
+def to_jsonable(value):
+    """Dataclasses become dicts keyed by field name, tuples lists and enums
+    their values; anything else is returned as it is."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [to_jsonable(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
+
+
+def scan_to_dict(scan: SpoilerScan | MonotonicityScan | NoShowScan | CompromiseScan) -> dict:
+    """Witnesses (each with its "kind") and tie boundaries of one search; a
+    spoiler scan carries its tied subsets as "tie_subsets"."""
+    doc = {
         "witnesses": [
-            {
-                "kind": "spoiler",
-                "removed": list(w.removed),
-                "original_winner": w.original_winner,
-                "new_winner": w.new_winner,
-            }
-            for w in scan.witnesses
-        ],
-        "tie_subsets": [list(s) for s in scan.tie_subsets],
+            {"kind": _WITNESS_KINDS[type(w)], **to_jsonable(w)} for w in scan.witnesses
+        ]
     }
-
-
-def monotonicity_scan_to_dict(scan: MonotonicityScan) -> dict:
-    return {
-        "witnesses": [
-            {
-                "kind": "monotonicity",
-                "direction": w.direction.value,
-                "focal_candidate": w.focal_candidate,
-                "ballot_type": list(w.ballot_type),
-                "raw_first_invalid": w.raw_first_invalid,
-                "modified_type": list(w.modified_type),
-                "min_count": w.min_count,
-                "max_count": w.max_count,
-                "original_winner": w.original_winner,
-                "new_winner": w.new_winner,
-            }
-            for w in scan.witnesses
-        ],
-        "boundaries": [_boundary_to_dict(b) for b in scan.boundaries],
-    }
-
-
-def noshow_scan_to_dict(scan: NoShowScan) -> dict:
-    return {
-        "witnesses": [
-            {
-                "kind": "noshow",
-                "ballot_type": list(w.ballot_type),
-                "raw_first_invalid": w.raw_first_invalid,
-                "count": w.count,
-                "original_winner": w.original_winner,
-                "new_winner": w.new_winner,
-            }
-            for w in scan.witnesses
-        ],
-        "boundaries": [_boundary_to_dict(b) for b in scan.boundaries],
-    }
-
-
-def compromise_scan_to_dict(scan: CompromiseScan) -> dict:
-    return {
-        "witnesses": [
-            {
-                "kind": "compromise",
-                "ballot_type": list(w.ballot_type),
-                "raw_first_invalid": w.raw_first_invalid,
-                "promoted_candidate": w.promoted_candidate,
-                "count": w.count,
-                "max_count": w.max_count,
-                "original_winner": w.original_winner,
-                "new_winner": w.new_winner,
-            }
-            for w in scan.witnesses
-        ],
-        "boundaries": [_boundary_to_dict(b) for b in scan.boundaries],
-    }
+    if isinstance(scan, SpoilerScan):
+        doc["tie_subsets"] = to_jsonable(scan.tie_subsets)
+    else:
+        doc["boundaries"] = to_jsonable(scan.boundaries)
+    return doc
 
 
 def render_witness_text(witness: dict) -> str:

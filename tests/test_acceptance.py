@@ -234,12 +234,15 @@ def test_criterion_8_property_suite(table1):
         pm = _borda_scores(profile, BordaModel.PESSIMISTIC, n)
         assert all(om[c] >= pm[c] for c in om)
 
-    # Oracle equivalence on at least 50 random in-bounds profiles.
+    # Oracle equivalence on at least 50 random in-bounds profiles, under both
+    # tie policies and with write-ins (3 candidates + W stays within OracleBounds).
     rng = random.Random(515)
     compared = 0
     while compared < 50:
-        profile = make_random_profile(rng, max_count=6)
-        options = RcvOptions(buggy_first_round=rng.random() < 0.5)
+        profile = make_random_profile(rng, max_candidates=3, max_count=6, writein_rate=0.5)
+        options = RcvOptions(
+            tie_policy=rng.choice(list(TiePolicy)), buggy_first_round=rng.random() < 0.5
+        )
         try:
             rcv_tabulate(profile, options)
         except (TieError, ValidationError):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from rcv_forensics.cli import main
 
@@ -346,6 +349,50 @@ class TestAudit:
         )
         assert code == 4
         assert "tie" in err
+
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            (
+                ["--fixture", "oakland-table1"],
+                "3c75e241b3bca851e512249114031bfb5d1daf52b6cce133773c5e22c91aec47",
+            ),
+            (
+                ["--fixture", "oakland-full-synthetic", "--buggy-first-round"],
+                "f6db96305d8057c83a4b9cd17cc54b7316700f60f5ec7e6ed759f6ba5a9ba0ec",
+            ),
+        ],
+        ids=["table1", "synthetic-buggy"],
+    )
+    def test_all_checks_json_bytes_pinned(self, capsys, tmp_path, source, digest):
+        """Refactors of the scans and serializers must leave these reports
+        byte for byte as they are."""
+        report = tmp_path / "audit.json"
+        code, _, _ = run(
+            capsys,
+            "audit", *source, "--checks", "all", "--format", "json",
+            "--output", str(report),
+        )
+        assert code == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_spoiler_max_size_below_one_usage_error(self, capsys, size):
+        code, out, err = run(
+            capsys,
+            "audit", "--fixture", "oakland-table1", "--checks", "spoiler",
+            "--spoiler-max-size", size, "--fail-on-findings",
+        )
+        assert code == 2
+        assert "--spoiler-max-size" in err
+        assert out == ""
+
+    def test_spoiler_max_size_from_config_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"fixture": "oakland-table1", "spoiler_max_size": 0}))
+        code, _, err = run(capsys, "audit", "--config", str(config), "--checks", "spoiler")
+        assert code == 2
+        assert "--spoiler-max-size" in err
 
     def test_text_mentions_unresolved_discrepancy(self, capsys):
         code, out, _ = run(

@@ -248,15 +248,6 @@ class TestDeterminism:
         second = search_monotonicity(table1, OPTS, Direction.DOWNWARD)
         assert first == second
 
-    def test_thread_pool_matches_sequential(self, table1, monkeypatch):
-        sequential = search_compromise(table1, OPTS)
-        monkeypatch.setenv("RCV_FORENSICS_THREADS", "4")
-        assert search_compromise(table1, OPTS) == sequential
-
-    def test_bad_thread_env_ignored(self, table1, monkeypatch):
-        monkeypatch.setenv("RCV_FORENSICS_THREADS", "lots")
-        assert search_noshow(table1, OPTS).witnesses == ()
-
 
 class TestPrefers:
     def test_ranked_order(self):
