@@ -80,6 +80,7 @@ from .sanitize import (
     sanitize_all,
     sanitize_ballot,
     sanitize_ballots,
+    sanitize_stats,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,10 @@
 """Command-line surface: sanitize, tabulate, compare, and audit.
 
+Each command loads its profile (or raw ballots), calls the library and builds
+one report document; ``reports`` renders that document as JSON or as text.
+A ``--config`` object is turned into flags placed before the explicit ones
+and parsed again, so its values are checked like flags and explicit flags win.
+
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 a tie in a
 context that requires a unique winner. Audit findings are data, not failures,
 unless --fail-on-findings is given.
@@ -51,6 +56,7 @@ from .sanitize import (
     emit_clean_cvr,
     sanitize_all,
     sanitize_ballots,
+    sanitize_stats,
 )
 
 EXIT_OK = 0
@@ -156,14 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from_args(args) -> SanitizePolicy:
-    policy = POLICY_PRESETS[args.policy]
-    skip = SkipPolicy(args.skip_policy) if args.skip_policy else policy.skip_policy
-    overvote = (
-        OvervotePolicy(args.overvote_policy)
-        if args.overvote_policy
-        else policy.overvote_policy
+    preset = POLICY_PRESETS[args.policy]
+    return SanitizePolicy(
+        SkipPolicy(args.skip_policy) if args.skip_policy else preset.skip_policy,
+        OvervotePolicy(args.overvote_policy) if args.overvote_policy else preset.overvote_policy,
     )
-    return SanitizePolicy(skip, overvote)
 
 
 def _options_from_args(args) -> RcvOptions:
@@ -185,94 +188,83 @@ class UsageError(Exception):
     pass
 
 
-def _load_raw(args):
-    """Raw ballots plus roster, from a fixture or from files."""
-    if args.fixture:
-        ballots = load_builtin_fixture(args.fixture)
-        if isinstance(ballots, PreferenceProfile):
-            raise UsageError(
-                f"fixture {args.fixture!r} is an aggregated profile, not raw ballots"
-            )
-        return ballots, fixture_roster(args.fixture)
-    with open(args.roster, encoding="utf-8") as stream:
-        roster = load_roster(stream)
-    with open(args.input, encoding="utf-8") as stream:
-        ballots = parse_cvr(stream, roster)
-    return ballots, roster
-
-
-def _load_profile(args) -> PreferenceProfile:
+def _load_source(args, raw: bool = False):
+    """Raw ballots and their roster if raw is set, else the sanitized
+    profile; the only place that tells a profile fixture from a raw one."""
     if args.fixture:
         loaded = load_builtin_fixture(args.fixture)
         if isinstance(loaded, PreferenceProfile):
+            if raw:
+                raise UsageError(
+                    f"fixture {args.fixture!r} is an aggregated profile, not raw ballots"
+                )
             return loaded
         roster = fixture_roster(args.fixture)
-        profile, _ = sanitize_all(loaded, _policy_from_args(args), roster)
-        return profile
-    ballots, roster = _load_raw(args)
-    profile, _ = sanitize_all(ballots, _policy_from_args(args), roster)
+    else:
+        with open(args.roster, encoding="utf-8") as stream:
+            roster = load_roster(stream)
+        with open(args.input, encoding="utf-8") as stream:
+            loaded = parse_cvr(stream, roster)
+    if raw:
+        return loaded, roster
+    profile, _ = sanitize_all(loaded, _policy_from_args(args), roster)
     return profile
 
 
-def _write_report(args, doc: dict, text_lines: list[str]) -> None:
-    payload = reports.dumps(doc) if args.format == "json" else "\n".join(text_lines) + "\n"
-    if args.output:
+def _load_profile(args) -> PreferenceProfile:
+    profile = _load_source(args)
+    if profile.total() == 0:
+        raise ValidationError("cannot tabulate an empty profile")
+    return profile
+
+
+def _write_report(args, doc: dict, roster, sink=None) -> None:
+    """doc as JSON or text, to sink if given, else to --output or stdout."""
+    payload = reports.dumps(doc) if args.format == "json" else reports.render_text(doc, roster)
+    if sink is None and args.output:
         with open(args.output, "w", encoding="utf-8") as sink:
             sink.write(payload)
     else:
-        sys.stdout.write(payload)
+        (sink or sys.stdout).write(payload)
+
+
+def _claims(args, kind: str, computed) -> list[dict]:
+    """The fixture's published figures of one kind, each next to computed(claim)."""
+    claims = published_claims(args.fixture) if args.fixture else ()
+    return [reports.claim_to_dict(c, computed(c)) for c in claims if c.kind == kind]
+
+
+def _condorcet(profile: PreferenceProfile) -> dict:
+    matrix = profile.pairwise_matrix()
+    report = condorcet_analysis(matrix)
+    try:
+        best = minimax_best(report)
+    except TieError:
+        best = None
+    return reports.condorcet_to_dict(matrix, report, best)
 
 
 def cmd_sanitize(args) -> int:
     _check_source("sanitize", args)
-    ballots, roster = _load_raw(args)
+    ballots, roster = _load_source(args, raw=True)
     policy = _policy_from_args(args)
     cleaned = sanitize_ballots(ballots, policy, roster)
-    _, stats = sanitize_all(ballots, policy, roster)
-
+    stats = sanitize_stats(zip(ballots, cleaned), roster)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as sink:
             emit_clean_cvr(cleaned, sink)
-        stats_sink = sys.stdout
     else:
         emit_clean_cvr(cleaned, sys.stdout)
-        stats_sink = sys.stderr
-
-    notes = []
-    if args.fixture:
-        for claim in published_claims(args.fixture):
-            if claim.kind == "invalid-first-with-official":
-                notes.append(
-                    {
-                        "kind": claim.kind,
-                        "published": claim.claimed,
-                        "computed": stats.invalid_first_with_official,
-                        "status": "unresolved discrepancy"
-                        if claim.claimed != stats.invalid_first_with_official
-                        else "match",
-                        "note": claim.note,
-                    }
-                )
     doc = {
         "schema_version": 1,
         "command": "sanitize",
-        "policy": {
-            "skip_policy": policy.skip_policy.value,
-            "overvote_policy": policy.overvote_policy.value,
-        },
-        "stats": reports.stats_to_dict(stats),
-        "notes": notes,
+        "policy": reports.to_jsonable(policy),
+        "stats": reports.to_jsonable(stats),
+        "notes": _claims(
+            args, "invalid-first-with-official", lambda _: stats.invalid_first_with_official
+        ),
     }
-    if args.format == "json":
-        stats_sink.write(reports.dumps(doc))
-    else:
-        lines = reports.render_stats_text(doc["stats"])
-        for note in notes:
-            lines.append(
-                f"note: published figure {note['published']} vs computed "
-                f"{note['computed']} ({note['status']})"
-            )
-        stats_sink.write("\n".join(lines) + "\n")
+    _write_report(args, doc, roster, sys.stdout if args.output else sys.stderr)
     return EXIT_OK
 
 
@@ -281,118 +273,68 @@ def cmd_tabulate(args) -> int:
     if not args.method:
         raise UsageError("tabulate: --method is required")
     profile = _load_profile(args)
-    roster = profile.roster
     options = _options_from_args(args)
     doc: dict = {"schema_version": 1, "command": "tabulate"}
-
-    if args.method in ("rcv", "runoff"):
-        result = rcv_tabulate(profile, options) if args.method == "rcv" else plurality_runoff(profile)
-        doc.update(reports.tabulation_to_dict(result))
-        lines = [f"method: {doc['method']}"]
-        if args.method == "rcv":
-            doc["options"] = reports.to_jsonable(options)
-            lines.append(
-                f"tie policy: {options.tie_policy.value} "
-                "(tool decision, no jurisdiction rule implied)"
-            )
-            if options.buggy_first_round:
-                lines.append("mode: misconfigured first-round counting enabled")
-        lines += reports.render_rounds_text(doc, roster)
+    if args.method == "rcv":
+        doc.update(reports.to_jsonable(rcv_tabulate(profile, options)))
+        doc["options"] = reports.to_jsonable(options)
+    elif args.method == "runoff":
+        doc.update(reports.to_jsonable(plurality_runoff(profile)))
     elif args.method == "plurality":
-        tallies, winner = plurality(profile)
-        doc.update(reports.scores_to_dict("plurality", tallies, winner))
-        lines = [
-            "method: plurality",
-            "tallies: " + "  ".join(f"{cid}={v}" for cid, v in tallies.items()),
-            f"winner: {reports.label(roster, winner)}",
-        ]
+        doc.update(reports.scores_to_dict("plurality", *plurality(profile)))
     elif args.method == "borda":
-        n_points = args.n_points or len(roster.candidates)
+        n_points = args.n_points or len(profile.roster.candidates)
         config = BordaConfig(BordaModel(args.model), n_points)
-        scores, winner = borda(profile, config)
         doc.update(
             reports.scores_to_dict(
-                "borda", scores, winner, model=config.model.value, n_points=n_points
+                "borda", *borda(profile, config), model=config.model.value, n_points=n_points
             )
         )
-        lines = [
-            f"method: borda ({config.model.value} model, {n_points} points)",
-            "scores: " + "  ".join(f"{cid}={v}" for cid, v in scores.items()),
-            f"winner: {reports.label(roster, winner)}",
-        ]
     elif args.method == "bucklin":
-        scores, winner = bucklin_topk(profile, args.k)
-        doc.update(reports.scores_to_dict("bucklin", scores, winner, k=args.k))
-        lines = [
-            f"method: bucklin top-{args.k}",
-            "scores: " + "  ".join(f"{cid}={v}" for cid, v in scores.items()),
-            f"winner: {reports.label(roster, winner)}",
-        ]
-    elif args.method == "condorcet":
-        matrix = profile.pairwise_matrix()
-        report = condorcet_analysis(matrix)
-        try:
-            best = minimax_best(report)
-        except TieError:
-            best = None
-        doc.update(reports.condorcet_to_dict(matrix, report, best))
-        lines = ["method: condorcet"] + reports.render_condorcet_text(doc, roster)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown method {args.method!r}")
-
-    _write_report(args, doc, lines)
+        doc.update(reports.scores_to_dict("bucklin", *bucklin_topk(profile, args.k), k=args.k))
+    else:
+        doc.update(_condorcet(profile))
+    _write_report(args, doc, profile.roster)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     _check_source("compare", args)
     profile = _load_profile(args)
-    roster = profile.roster
+    n_points = len(profile.roster.candidates)
     rows = []
 
     def row(method: str, run) -> None:
         try:
-            winner, detail = run()
+            winner, detail = run(), None
         except TieError as exc:
             winner, detail = None, f"tie among {', '.join(exc.tied)}"
         rows.append({"method": method, "winner": winner, "detail": detail})
 
-    row("rcv", lambda: (rcv_tabulate(profile).winner, None))
-    row("plurality", lambda: (plurality(profile)[1], None))
-    row("runoff", lambda: (plurality_runoff(profile).winner, None))
-    n_points = len(roster.candidates)
-    row(
-        "borda-optimistic",
-        lambda: (borda(profile, BordaConfig(BordaModel.OPTIMISTIC, n_points))[1], None),
-    )
-    row(
-        "borda-pessimistic",
-        lambda: (borda(profile, BordaConfig(BordaModel.PESSIMISTIC, n_points))[1], None),
-    )
-    row("bucklin-2", lambda: (bucklin_topk(profile, 2)[1], None))
+    row("rcv", lambda: rcv_tabulate(profile).winner)
+    row("plurality", lambda: plurality(profile)[1])
+    row("runoff", lambda: plurality_runoff(profile).winner)
+    row("borda-optimistic", lambda: borda(profile, BordaConfig(BordaModel.OPTIMISTIC, n_points))[1])
+    row("borda-pessimistic", lambda: borda(profile, BordaConfig(BordaModel.PESSIMISTIC, n_points))[1])
+    row("bucklin-2", lambda: bucklin_topk(profile, 2)[1])
     report = condorcet_analysis(profile.pairwise_matrix())
-    if report.condorcet_winner:
-        rows.append({"method": "condorcet", "winner": report.condorcet_winner, "detail": None})
-    else:
-        detail = None
-        if report.cycle:
-            detail = "cycle: " + " > ".join(report.cycle + (report.cycle[0],))
-        rows.append({"method": "condorcet", "winner": None, "detail": detail})
-    row("minimax", lambda: (minimax_best(report), None))
-
-    doc = {"schema_version": 1, "command": "compare", "rows": rows}
-    width = max(len(r["method"]) for r in rows)
-    lines = []
-    for r in rows:
-        value = reports.label(roster, r["winner"]) if r["winner"] else "none"
-        if r["detail"]:
-            value += f" [{r['detail']}]"
-        lines.append(f"{r['method']:<{width}}  {value}")
-    _write_report(args, doc, lines)
+    detail = "cycle: " + " > ".join(report.cycle + report.cycle[:1]) if report.cycle else None
+    rows.append({"method": "condorcet", "winner": report.condorcet_winner, "detail": detail})
+    row("minimax", lambda: minimax_best(report))
+    _write_report(args, {"schema_version": 1, "command": "compare", "rows": rows}, profile.roster)
     return EXIT_OK
 
 
 _ALL_CHECKS = ("condorcet", "spoiler", "monotonicity", "noshow", "compromise")
+
+
+def _shift_max(scan, claim) -> int | None:
+    """max_count of the last witness on the claim's ballot type and candidate."""
+    key = (claim.ballot_type, claim.candidate)
+    return next(
+        (w.max_count for w in reversed(scan.witnesses) if (w.ballot_type, w.focal_candidate) == key),
+        None,
+    )
 
 
 def cmd_audit(args) -> int:
@@ -404,154 +346,84 @@ def cmd_audit(args) -> int:
         unknown = checks - set(_ALL_CHECKS)
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(sorted(unknown))}")
-    # also guards values from --config, which bypass argparse's type check
-    if not isinstance(args.spoiler_max_size, int) or args.spoiler_max_size < 1:
+    if args.spoiler_max_size < 1:
         raise UsageError("audit: --spoiler-max-size must be a positive integer")
     profile = _load_profile(args)
-    roster = profile.roster
     options = _options_from_args(args)
-
-    doc: dict = {
+    bodies: dict = {}
+    discrepancies: list[dict] = []
+    if "condorcet" in checks:
+        bodies["condorcet"] = _condorcet(profile)
+    if "spoiler" in checks:
+        bodies["spoiler"] = reports.scan_to_dict(
+            find_spoilers(profile, options, args.spoiler_max_size)
+        )
+    if "monotonicity" in checks:
+        downward = search_monotonicity(profile, options, Direction.DOWNWARD)
+        upward = search_monotonicity(profile, options, Direction.UPWARD)
+        bodies["monotonicity"] = {
+            "downward": reports.scan_to_dict(downward),
+            "upward": reports.scan_to_dict(upward),
+        }
+        discrepancies = _claims(args, "downward-shift-max", lambda c: _shift_max(downward, c))
+    if "noshow" in checks:
+        bodies["noshow"] = reports.scan_to_dict(search_noshow(profile, options))
+    if "compromise" in checks:
+        bodies["compromise"] = reports.scan_to_dict(search_compromise(profile, options))
+    doc = {
         "schema_version": 1,
         "command": "audit",
         "options": reports.to_jsonable(options),
-        "checks": {},
-        "discrepancies": [],
+        "checks": bodies,
+        "discrepancies": discrepancies,
+        "findings": reports.audit_findings(bodies),
     }
-    lines: list[str] = []
-    findings = False
-
-    def section(title: str, body: dict, empty_note: str) -> None:
-        nonlocal findings
-        lines.append(f"== {title} ==")
-        if body.get("witnesses"):
-            findings = True
-            for witness in body["witnesses"]:
-                lines.append(reports.render_witness_text(witness))
-        else:
-            lines.append(empty_note)
-        for boundary in body.get("boundaries", ()):
-            lines.append(reports.render_boundary_text(boundary))
-
-    if "condorcet" in checks:
-        matrix = profile.pairwise_matrix()
-        report = condorcet_analysis(matrix)
-        try:
-            best = minimax_best(report)
-        except TieError:
-            best = None
-        body = reports.condorcet_to_dict(matrix, report, best)
-        doc["checks"]["condorcet"] = body
-        lines.append("== condorcet ==")
-        lines += reports.render_condorcet_text(body, roster)
-        if report.cycle:
-            findings = True
-
-    if "spoiler" in checks:
-        scan = find_spoilers(profile, options, args.spoiler_max_size)
-        body = reports.scan_to_dict(scan)
-        doc["checks"]["spoiler"] = body
-        section("spoiler", body, "no spoiler subsets found")
-
-    downward_scan = None
-    if "monotonicity" in checks:
-        downward_scan = search_monotonicity(profile, options, Direction.DOWNWARD)
-        upward_scan = search_monotonicity(profile, options, Direction.UPWARD)
-        down_body = reports.scan_to_dict(downward_scan)
-        up_body = reports.scan_to_dict(upward_scan)
-        doc["checks"]["monotonicity"] = {"downward": down_body, "upward": up_body}
-        section("monotonicity (downward)", down_body, "no downward paradox found")
-        section("monotonicity (upward)", up_body, "no upward paradox found")
-
-    if "noshow" in checks:
-        scan = search_noshow(profile, options)
-        body = reports.scan_to_dict(scan)
-        doc["checks"]["noshow"] = body
-        section("no-show", body, "no no-show paradox found")
-
-    if "compromise" in checks:
-        scan = search_compromise(profile, options)
-        body = reports.scan_to_dict(scan)
-        doc["checks"]["compromise"] = body
-        section("compromise", body, "no compromise failure found")
-
-    if args.fixture and downward_scan is not None:
-        for claim in published_claims(args.fixture):
-            if claim.kind != "downward-shift-max":
-                continue
-            computed = None
-            for witness in downward_scan.witnesses:
-                if (
-                    witness.ballot_type == claim.ballot_type
-                    and witness.focal_candidate == claim.candidate
-                ):
-                    computed = witness.max_count
-            entry = {
-                "kind": claim.kind,
-                "ballot_type": list(claim.ballot_type or ()),
-                "candidate": claim.candidate,
-                "published": claim.claimed,
-                "computed": computed,
-                "status": "unresolved discrepancy"
-                if computed != claim.claimed
-                else "match",
-                "note": claim.note,
-            }
-            doc["discrepancies"].append(entry)
-            lines.append("== published-figure check ==")
-            lines.append(
-                f"{claim.kind}: published {claim.claimed} vs computed {computed} "
-                f"({entry['status']})"
-            )
-
-    doc["findings"] = findings
-    _write_report(args, doc, lines)
-    if args.fail_on_findings and findings:
-        return 1
-    return EXIT_OK
+    _write_report(args, doc, profile.roster)
+    return 1 if args.fail_on_findings and doc["findings"] else EXIT_OK
 
 
-def _apply_config(args, argv: list[str]) -> None:
-    """Fill options from the --config JSON object; explicit flags win."""
+def _config_flags(args) -> list[str]:
+    """The --config object as flags of the parsed command: keys that name no
+    option of it (and "config" itself) are dropped, true is a bare switch,
+    and false or null leave the option out."""
     with open(args.config, encoding="utf-8") as stream:
         config = json.load(stream)
     if not isinstance(config, dict):
         raise ValidationError("config file must hold a JSON object")
+    flags = []
     for key, value in config.items():
-        flag = "--" + str(key).replace("_", "-")
-        if any(token == flag or token.startswith(flag + "=") for token in argv):
+        dest = key.replace("-", "_")
+        if dest == "config" or dest not in vars(args) or value is None or value is False:
             continue
-        dest = str(key).replace("-", "_")
-        if hasattr(args, dest):
-            setattr(args, dest, value)
+        flag = "--" + dest.replace("_", "-")
+        flags.append(flag if value is True else f"{flag}={value}")
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        if getattr(args, "config", None):
+        if args.config:
             try:
-                _apply_config(args, argv)
-            except (OSError, json.JSONDecodeError) as exc:
+                flags = _config_flags(args)
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_DATA
+            # explicit flags come last, so argparse keeps their values
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TIE
-    except (ParseError, ValidationError, UnknownFixtureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ParseError, ValidationError, UnknownFixtureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

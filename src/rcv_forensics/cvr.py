@@ -93,6 +93,8 @@ def load_roster(source: IO[str]) -> CandidateRoster:
     """Parse a roster JSON document, preserving file order."""
     try:
         doc = json.load(source)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"roster is not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"roster line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("candidates"), list):
@@ -140,10 +142,13 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
     Blank lines are skipped; the returned count equals the non-blank line count.
     """
     ballots = []
-    for line_no, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        ballots.append(_parse_line(line_no, line, roster))
+    try:
+        for line_no, line in enumerate(source, start=1):
+            if not line.strip():
+                continue
+            ballots.append(_parse_line(line_no, line, roster))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"CVR is not UTF-8 text: {exc.reason}") from exc
     return ballots
 
 

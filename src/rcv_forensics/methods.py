@@ -247,9 +247,9 @@ def rcv_winner(
 
 
 def plurality(profile: PreferenceProfile) -> tuple[dict[str, int], str]:
-    tallies = profile.first_place_tally()
-    if not tallies:
+    if profile.total() == 0:
         raise ValidationError("cannot tabulate an empty profile")
+    tallies = profile.first_place_tally()
     high = max(tallies.values())
     leaders = [cid for cid, votes in tallies.items() if votes == high]
     if len(leaders) > 1:

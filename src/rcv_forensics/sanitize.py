@@ -105,10 +105,6 @@ def sanitize_ballot(
     return CleanBallot(raw.ballot_id, tuple(ranking), raw_first_invalid)
 
 
-def _has_overvote(raw: RawBallot) -> bool:
-    return any(len(slot) > 1 for slot in raw.slots)
-
-
 def _skipped_then_ranked(raw: RawBallot) -> bool:
     seen_skip = False
     for slot in raw.slots:
@@ -119,27 +115,41 @@ def _skipped_then_ranked(raw: RawBallot) -> bool:
     return False
 
 
-def sanitize_all(
-    ballots: Sequence[RawBallot], policy: SanitizePolicy, roster: CandidateRoster
-) -> tuple[PreferenceProfile, SanitizeStats]:
-    """Sanitize every ballot, aggregate into a profile, and report statistics.
-
-    No ballot is dropped: the aggregated total always equals the input count.
-    """
+def sanitize_stats(
+    pairs: Iterable[tuple[RawBallot, CleanBallot]], roster: CandidateRoster
+) -> SanitizeStats:
+    """Statistics of raw ballots paired with their sanitized forms, streaming."""
     officials = set(roster.official_ids())
-    counts: dict[ProfileKey, int] = {}
-    overvote = skipped = invalid_first = 0
-    for raw in ballots:
-        clean = sanitize_ballot(raw, policy, roster)
-        key = (clean.ranking, clean.raw_first_invalid)
-        counts[key] = counts.get(key, 0) + 1
-        if _has_overvote(raw):
+    total = overvote = skipped = invalid_first = 0
+    for raw, clean in pairs:
+        total += 1
+        if any(len(slot) > 1 for slot in raw.slots):
             overvote += 1
         if _skipped_then_ranked(raw):
             skipped += 1
         if clean.raw_first_invalid and any(c in officials for c in clean.ranking):
             invalid_first += 1
-    stats = SanitizeStats(len(ballots), overvote, skipped, invalid_first)
+    return SanitizeStats(total, overvote, skipped, invalid_first)
+
+
+def sanitize_all(
+    ballots: Sequence[RawBallot], policy: SanitizePolicy, roster: CandidateRoster
+) -> tuple[PreferenceProfile, SanitizeStats]:
+    """Sanitize every ballot, aggregate into a profile, and report statistics,
+    without holding the sanitized ballots.
+
+    No ballot is dropped: the aggregated total always equals the input count.
+    """
+    counts: dict[ProfileKey, int] = {}
+
+    def cleaned():
+        for raw in ballots:
+            clean = sanitize_ballot(raw, policy, roster)
+            key = (clean.ranking, clean.raw_first_invalid)
+            counts[key] = counts.get(key, 0) + 1
+            yield raw, clean
+
+    stats = sanitize_stats(cleaned(), roster)
     return PreferenceProfile(roster, counts), stats
 
 
