@@ -283,7 +283,7 @@ def cmd_tabulate(args) -> int:
     elif args.method == "plurality":
         doc.update(reports.scores_to_dict("plurality", *plurality(profile)))
     elif args.method == "borda":
-        n_points = args.n_points or len(profile.roster.candidates)
+        n_points = len(profile.roster.candidates) if args.n_points is None else args.n_points
         config = BordaConfig(BordaModel(args.model), n_points)
         doc.update(
             reports.scores_to_dict(
@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             try:
                 flags = _config_flags(args)
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_DATA
             # explicit flags come last, so argparse keeps their values

@@ -97,6 +97,8 @@ def load_roster(source: IO[str]) -> CandidateRoster:
         raise ParseError(f"roster is not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"roster line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("roster nested too deeply to parse") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("candidates"), list):
         raise ParseError("roster document must be an object with a 'candidates' array")
     candidates = []
@@ -117,6 +119,8 @@ def _parse_line(line_no: int, line: str, roster: CandidateRoster) -> RawBallot:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {line_no}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"line {line_no}: nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"line {line_no}: expected a JSON object")
     ballot_id = doc.get("ballot_id")

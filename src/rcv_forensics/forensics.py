@@ -176,9 +176,8 @@ def _scan(
             src[2] -= 1
             if dst is not None:
                 dst[2] += 1
-            snapshot = [(r, f, c) for r, f, c in work if c > 0]
-            try:
-                outcome = ("win", rcv_winner(roster, snapshot, options))
+            try:  # rows at count 0 add nothing to any tally
+                outcome = ("win", rcv_winner(roster, work, options))
             except TieError as exc:
                 outcome = ("tie", exc.tied)
             except ValidationError:
@@ -312,84 +311,55 @@ def find_spoilers(
 def verify_witness(
     profile: PreferenceProfile, witness, options: RcvOptions
 ) -> bool:
-    """Replay the claimed edit and re-tabulate; true iff the claimed winners
-    match. Structurally invalid witnesses raise; merely wrong ones return
-    False."""
-
-    def winner_after(edited: PreferenceProfile) -> str | None:
-        try:
-            return rcv_tabulate(edited, options).winner
-        except TieError:
-            return None
-
+    """Replay the claimed edit at each end of its count range and re-tabulate;
+    true iff the claimed winners match. Structurally invalid witnesses raise;
+    merely wrong ones return False."""
     original = rcv_tabulate(profile, options).winner
-
-    if isinstance(witness, MonotonicityWitness):
-        expected_focal = (
-            witness.new_winner
-            if witness.direction is Direction.DOWNWARD
-            else witness.original_winner
+    w = witness
+    if isinstance(w, MonotonicityWitness):
+        focal = w.new_winner if w.direction is Direction.DOWNWARD else w.original_winner
+        sound = w.focal_candidate == focal and 1 <= w.min_count <= w.max_count
+        counts = {w.min_count, w.max_count}
+        edit = lambda t: profile.replace_ballots(
+            w.ballot_type, w.modified_type, t, w.raw_first_invalid
         )
-        if witness.focal_candidate != expected_focal:
-            return False
-        if witness.min_count < 1 or witness.max_count < witness.min_count:
-            return False
-        if original != witness.original_winner or witness.new_winner == original:
-            return False
-        for t in {witness.min_count, witness.max_count}:
-            edited = profile.replace_ballots(
-                witness.ballot_type, witness.modified_type, t, witness.raw_first_invalid
-            )
-            if winner_after(edited) != witness.new_winner:
-                return False
-        return True
-
-    if isinstance(witness, NoShowWitness):
-        if original != witness.original_winner or witness.new_winner == original:
-            return False
-        if not prefers(witness.ballot_type, witness.new_winner, witness.original_winner):
-            return False
-        if witness.count < 1:
-            return False
-        edited = profile.remove_ballots(
-            witness.ballot_type, witness.count, witness.raw_first_invalid
-        )
-        return winner_after(edited) == witness.new_winner
-
-    if isinstance(witness, CompromiseWitness):
-        if witness.promoted_candidate not in witness.ballot_type:
+    elif isinstance(w, NoShowWitness):
+        sound = prefers(w.ballot_type, w.new_winner, w.original_winner) and w.count >= 1
+        counts = {w.count}
+        edit = lambda t: profile.remove_ballots(w.ballot_type, t, w.raw_first_invalid)
+    elif isinstance(w, CompromiseWitness):
+        if w.promoted_candidate not in w.ballot_type:
             raise ValidationError("promoted candidate is not ranked on the ballot type")
-        if witness.ballot_type and witness.ballot_type[0] == witness.promoted_candidate:
+        if w.ballot_type[0] == w.promoted_candidate:
             raise ValidationError("promoted candidate is already first on the ballot type")
-        if original != witness.original_winner or witness.new_winner == original:
-            return False
-        if not prefers(witness.ballot_type, witness.new_winner, witness.original_winner):
-            return False
-        if witness.count < 1 or witness.max_count < witness.count:
-            return False
-        modified = _promote(witness.ballot_type, witness.promoted_candidate)
-        for t in {witness.count, witness.max_count}:
-            edited = profile.replace_ballots(
-                witness.ballot_type, modified, t, witness.raw_first_invalid
-            )
-            if winner_after(edited) != witness.new_winner:
-                return False
-        return True
-
-    if isinstance(witness, SpoilerWitness):
-        for cid in witness.removed:
+        sound = (
+            prefers(w.ballot_type, w.new_winner, w.original_winner)
+            and 1 <= w.count <= w.max_count
+        )
+        counts = {w.count, w.max_count}
+        modified = _promote(w.ballot_type, w.promoted_candidate)
+        edit = lambda t: profile.replace_ballots(
+            w.ballot_type, modified, t, w.raw_first_invalid
+        )
+    elif isinstance(w, SpoilerWitness):
+        for cid in w.removed:
             if cid not in profile.roster:
                 raise ValidationError(f"witness removes unknown candidate {cid!r}")
-        if not witness.removed:
-            return False
-        if original != witness.original_winner or witness.new_winner == original:
-            return False
-        if original in witness.removed:
-            return False
-        edited = profile.remove_candidates(witness.removed)
-        return winner_after(edited) == witness.new_winner
+        sound = bool(w.removed) and original not in w.removed
+        counts = {0}
+        edit = lambda _: profile.remove_candidates(w.removed)
+    else:
+        raise ValidationError(f"unknown witness type {type(w).__name__}")
 
-    raise ValidationError(f"unknown witness type {type(witness).__name__}")
+    if not sound or original != w.original_winner or w.new_winner == original:
+        return False
+    for t in counts:
+        try:
+            if rcv_tabulate(edit(t), options).winner != w.new_winner:
+                return False
+        except TieError:
+            return False
+    return True
 
 
 def brute_force_oracle(

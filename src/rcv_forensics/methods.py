@@ -5,7 +5,12 @@ analysis with minimax scores.
 The RCV engine supports a faithful replication of the Alameda County
 tabulator misconfiguration: in the first round of counting after write-in
 elimination, ballots whose as-cast first rank held no valid candidate are not
-counted for anyone ("pending"); after any elimination they rejoin normally.
+counted for anyone ("pending"); after any elimination they count normally.
+
+Three helpers state each counting rule once: ``_count`` counts one round,
+``_transfers`` records where the ballots of removed candidates (and of
+pending ballots) go, and ``_unique`` picks the single best-scoring candidate
+or raises ``TieError``.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ class RcvOptions:
 @dataclass(frozen=True)
 class TransferRecord:
     """Where one eliminated candidate's ballots went; source None marks
-    previously uncounted (pending) ballots rejoining the count."""
+    previously uncounted (pending) ballots entering the count."""
 
     source: str | None
     to: dict[str, int]
@@ -108,20 +113,70 @@ def _entries_of(profile: PreferenceProfile) -> list[Entry]:
     return sorted((r, f, c) for (r, f), c in profile.entries.items())
 
 
-def _transfer(source: str | None, moves: dict[str | None, int]) -> TransferRecord:
-    """Record ballots moved away from source; the None key counts exhausted ones."""
-    return TransferRecord(
-        source,
-        {k: v for k, v in sorted(moves.items(), key=lambda kv: str(kv[0])) if k},
-        moves.get(None, 0),
-    )
-
-
 def _top(ranking: Ranking, eliminated: set[str]) -> str | None:
     for cid in ranking:
         if cid not in eliminated:
             return cid
     return None
+
+
+def _count(
+    roster_ids: Sequence[str],
+    entries: Sequence[Entry],
+    eliminated: set[str],
+    hold_flagged: bool = False,
+) -> tuple[dict[str, int], int, int]:
+    """Count one round: tallies of the candidates still in, in roster order,
+    then exhausted and pending (held flagged) ballots."""
+    tallies = {cid: 0 for cid in roster_ids if cid not in eliminated}
+    exhausted = pending = 0
+    for ranking, flagged, count in entries:
+        top = _top(ranking, eliminated)
+        if top is None:
+            exhausted += count
+        elif hold_flagged and flagged:
+            pending += count
+        else:
+            tallies[top] += count
+    return tallies, exhausted, pending
+
+
+def _transfers(
+    entries: Sequence[Entry],
+    eliminated: set[str],
+    removed: Sequence[str],
+    held: bool = False,
+) -> tuple[TransferRecord, ...]:
+    """Where the ballots of each removed candidate go, one record each in the
+    given order; ballots with no next choice count as exhausted. Under held,
+    continuing flagged ballots leave pending instead, as one trailing record
+    with source None."""
+    after = eliminated | set(removed)
+    moves: dict[str | None, dict[str | None, int]] = {cid: {} for cid in removed}
+    for ranking, flagged, count in entries:
+        top = _top(ranking, eliminated)
+        source = None if held and flagged else top
+        if top is not None and (source is None or source in moves):
+            to = moves.setdefault(source, {})
+            nxt = _top(ranking, after)
+            to[nxt] = to.get(nxt, 0) + count
+    return tuple(
+        TransferRecord(
+            source,
+            {k: v for k, v in sorted(to.items(), key=lambda kv: str(kv[0])) if k},
+            to.get(None, 0),
+        )
+        for source, to in moves.items()
+    )
+
+
+def _unique(scores: dict[str, int], context: str, pick=max) -> str:
+    """The one candidate with the best score under pick; a shared best is a tie."""
+    best = pick(scores.values())
+    tied = [cid for cid, score in scores.items() if score == best]
+    if len(tied) > 1:
+        raise TieError(tied, context)
+    return tied[0]
 
 
 def _tabulate(
@@ -140,53 +195,21 @@ def _tabulate(
     writeins = roster.writein_ids()
     if options.writein_policy is WriteinPolicy.ELIMINATE_FIRST and writeins:
         # Batch step: all write-ins leave at once, recorded as round 0.
-        wi_order = tuple(sorted(writeins, key=roster.index))
         if record:
-            tallies = {cid: 0 for cid in roster_ids}
-            exhausted = 0
-            for ranking, _, count in entries:
-                top = _top(ranking, eliminated)
-                if top is None:
-                    exhausted += count
-                else:
-                    tallies[top] += count
-            moves: dict[str, dict[str | None, int]] = {w: {} for w in wi_order}
-            for ranking, _, count in entries:
-                top = _top(ranking, eliminated)
-                if top in writeins:
-                    nxt = _top(ranking, writeins)
-                    moves[top][nxt] = moves[top].get(nxt, 0) + count
-            transfers = tuple(_transfer(w, m) for w, m in moves.items())
+            wi_order = tuple(sorted(writeins, key=roster.index))
+            tallies, exhausted, _ = _count(roster_ids, entries, eliminated)
+            transfers = _transfers(entries, eliminated, wi_order)
             rounds.append(RoundRecord(0, tallies, wi_order, exhausted, 0, transfers))
         eliminated |= writeins
 
     hold_flagged = options.buggy_first_round
     round_no = 1
     while True:
-        tallies = {cid: 0 for cid in roster_ids if cid not in eliminated}
+        tallies, exhausted, pending = _count(roster_ids, entries, eliminated, hold_flagged)
         if not tallies:
             raise ValidationError("no candidates left to tabulate")
-        exhausted = 0
-        pending = 0
-        for ranking, flagged, count in entries:
-            top = _top(ranking, eliminated)
-            if top is None:
-                exhausted += count
-            elif hold_flagged and flagged:
-                pending += count
-            else:
-                tallies[top] += count
-        continuing_votes = total - exhausted - pending
-
-        winner = None
-        if continuing_votes > 0:
-            for cid, votes in tallies.items():
-                if 2 * votes > continuing_votes:
-                    winner = cid
-                    break
-        if winner is None and len(tallies) == 1:
-            winner = next(iter(tallies))
-        if winner is not None:
+        winner = max(tallies, key=tallies.__getitem__)
+        if 2 * tallies[winner] > total - exhausted - pending or len(tallies) == 1:
             if record:
                 rounds.append(RoundRecord(round_no, tallies, (), exhausted, pending, ()))
             return winner, rounds if record else None
@@ -196,33 +219,12 @@ def _tabulate(
         if len(tied) > 1 and options.tie_policy is TiePolicy.ERROR:
             raise TieError(tied, f"round {round_no} elimination")
         loser = min(tied)
-        after = eliminated | {loser}
-
         if record:
-            moves2: dict[str | None, int] = {}
-            for ranking, flagged, count in entries:
-                if hold_flagged and flagged:
-                    continue
-                if _top(ranking, eliminated) == loser:
-                    nxt = _top(ranking, after)
-                    moves2[nxt] = moves2.get(nxt, 0) + count
-            transfer_rows = [_transfer(loser, moves2)]
-            if pending:
-                rejoin: dict[str | None, int] = {}
-                for ranking, flagged, count in entries:
-                    if not flagged:
-                        continue
-                    if _top(ranking, eliminated) is None:
-                        continue  # was exhausted, never pending
-                    nxt = _top(ranking, after)
-                    rejoin[nxt] = rejoin.get(nxt, 0) + count
-                transfer_rows.append(_transfer(None, rejoin))
+            transfers = _transfers(entries, eliminated, (loser,), hold_flagged)
             rounds.append(
-                RoundRecord(
-                    round_no, tallies, (loser,), exhausted, pending, tuple(transfer_rows)
-                )
+                RoundRecord(round_no, tallies, (loser,), exhausted, pending, transfers)
             )
-        eliminated = after
+        eliminated = eliminated | {loser}
         hold_flagged = False
         round_no += 1
 
@@ -250,11 +252,7 @@ def plurality(profile: PreferenceProfile) -> tuple[dict[str, int], str]:
     if profile.total() == 0:
         raise ValidationError("cannot tabulate an empty profile")
     tallies = profile.first_place_tally()
-    high = max(tallies.values())
-    leaders = [cid for cid, votes in tallies.items() if votes == high]
-    if len(leaders) > 1:
-        raise TieError(leaders, "plurality")
-    return tallies, leaders[0]
+    return tallies, _unique(tallies, "plurality")
 
 
 def plurality_runoff(profile: PreferenceProfile) -> TabulationResult:
@@ -263,45 +261,22 @@ def plurality_runoff(profile: PreferenceProfile) -> TabulationResult:
     total = profile.total()
     if total == 0:
         raise ValidationError("cannot tabulate an empty profile")
-    roster = profile.roster
-    tallies = profile.first_place_tally()
-    receiving = [cid for cid in roster.ids() if tallies[cid] > 0]
+    ids = profile.roster.ids()
+    entries = _entries_of(profile)
+    tallies, exhausted, _ = _count(ids, entries, set())
+    receiving = [cid for cid in ids if tallies[cid] > 0]
     if len(receiving) < 2:
         raise ValidationError("plurality runoff needs at least two candidates receiving votes")
-    ranked = sorted(roster.ids(), key=lambda cid: -tallies[cid])
+    ranked = sorted(ids, key=lambda cid: -tallies[cid])
     if len(ranked) > 2 and tallies[ranked[1]] == tallies[ranked[2]]:
         cut = tallies[ranked[1]]
-        raise TieError(
-            [cid for cid in roster.ids() if tallies[cid] == cut], "runoff qualification"
-        )
-    finalists = set(ranked[:2])
-    eliminated = tuple(cid for cid in roster.ids() if cid not in finalists)
-
-    entries = _entries_of(profile)
-    exhausted1 = sum(c for r, _, c in entries if not r)
-    moves: dict[str, dict[str | None, int]] = {cid: {} for cid in eliminated}
-    for ranking, _, count in entries:
-        if not ranking or ranking[0] in finalists:
-            continue
-        nxt = next((cid for cid in ranking if cid in finalists), None)
-        src = moves[ranking[0]]
-        src[nxt] = src.get(nxt, 0) + count
-    transfers = tuple(_transfer(cid, m) for cid, m in moves.items())
-    round1 = RoundRecord(1, tallies, eliminated, exhausted1, 0, transfers)
-
-    final: dict[str, int] = {cid: 0 for cid in roster.ids() if cid in finalists}
-    exhausted2 = 0
-    for ranking, _, count in entries:
-        top = next((cid for cid in ranking if cid in finalists), None)
-        if top is None:
-            exhausted2 += count
-        else:
-            final[top] += count
-    round2 = RoundRecord(2, final, (), exhausted2, 0, ())
-    pair = list(final.items())
-    if pair[0][1] == pair[1][1]:
-        raise TieError([cid for cid, _ in pair], "runoff final round")
-    winner = max(final, key=lambda cid: final[cid])
+        raise TieError([cid for cid in ids if tallies[cid] == cut], "runoff qualification")
+    eliminated = tuple(cid for cid in ids if cid not in ranked[:2])
+    transfers = _transfers(entries, set(), eliminated)
+    round1 = RoundRecord(1, tallies, eliminated, exhausted, 0, transfers)
+    final, exhausted, _ = _count(ids, entries, set(eliminated))
+    round2 = RoundRecord(2, final, (), exhausted, 0, ())
+    winner = _unique(final, "runoff final round")
     return TabulationResult("plurality-runoff", winner, (round1, round2), total)
 
 
@@ -333,11 +308,7 @@ def borda(
                 for cid in ids:
                     if cid not in ranked:
                         scores[cid] += unranked_points * count
-    high = max(scores.values())
-    leaders = [cid for cid, pts in scores.items() if pts == high]
-    if len(leaders) > 1:
-        raise TieError(leaders, f"borda ({config.model.value})")
-    return scores, leaders[0]
+    return scores, _unique(scores, f"borda ({config.model.value})")
 
 
 def bucklin_topk(profile: PreferenceProfile, k: int) -> tuple[dict[str, int], str]:
@@ -348,11 +319,7 @@ def bucklin_topk(profile: PreferenceProfile, k: int) -> tuple[dict[str, int], st
     for (ranking, _), count in profile.entries.items():
         for cid in ranking[:k]:
             scores[cid] += count
-    high = max(scores.values())
-    leaders = [cid for cid, pts in scores.items() if pts == high]
-    if len(leaders) > 1:
-        raise TieError(leaders, f"bucklin top-{k}")
-    return scores, leaders[0]
+    return scores, _unique(scores, f"bucklin top-{k}")
 
 
 def _find_majority_cycle(
@@ -410,9 +377,4 @@ def condorcet_analysis(matrix: PairwiseMatrix) -> CondorcetReport:
 def minimax_best(report: CondorcetReport) -> str:
     """The candidate with the smallest worst loss margin (closest to beating
     every rival head to head)."""
-    scores = report.minimax_scores
-    low = min(scores.values())
-    leaders = [cid for cid, s in scores.items() if s == low]
-    if len(leaders) > 1:
-        raise TieError(leaders, "minimax")
-    return leaders[0]
+    return _unique(report.minimax_scores, "minimax", pick=min)

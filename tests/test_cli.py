@@ -68,6 +68,22 @@ _REPORT_DIGESTS = [
         "dfc1ac1f494a2258c003d05ded2adafd6be57a397f98fc8de1fdeb75410430bf",
     ),
     (
+        "tabulate --fixture oakland-full-synthetic --method runoff",
+        "6f6d32813151e5d553f013c205657a9480b75f60cc11138e4d1cfe757c8dec94",
+        "57e189f3c08b68a7fff9d6f6692c4a4ca476f218ca6edd0114a99f5e0fda0424",
+    ),
+    (
+        "tabulate --fixture oakland-full-synthetic --method rcv",
+        "4603a314f86824235d9417df8c5802f6145dd472f076ffdea5809e8c7560b5b6",
+        "69a6dcb571a0f8afe59b3d11dba7484c7d25b0d0df16e85744402c7b0cb9fc3a",
+    ),
+    (
+        "tabulate --fixture oakland-full-synthetic --method rcv"
+        " --writein-policy treat-as-candidates",
+        "42743e6aa7bcef6b655a529aa2c7158e28b91a9a6ac33240944b936b0a0b51fe",
+        "c4740133ce37d792d7e466e679619cc07783c48cc347052c392edf1111d401f8",
+    ),
+    (
         "tabulate --fixture oakland-table1 --method condorcet",
         "fce72572324cb49c35ec324d6c0273553d0290817be37a79e75c65f50ae23a87",
         "603a9111defa49d960a3133dd44e03ea0f4b87adfdcb61f8b5eecf8655b8cc71",
@@ -139,6 +155,17 @@ class TestTabulate:
         assert code == 0
         assert doc["scores"] == {"H": 23743, "M": 23123, "R": 24517}
         assert doc["winner"] == "R"
+
+    @pytest.mark.parametrize("n_points", ["0", "1", "-3"])
+    def test_borda_scale_below_two_is_data_error(self, capsys, n_points):
+        code, out, err = run(
+            capsys,
+            "tabulate", "--fixture", "oakland-table1", "--method", "borda",
+            "--n-points", n_points,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: n_points must be at least 2\n"
 
     def test_condorcet(self, capsys):
         code, out, _ = run(
@@ -625,6 +652,26 @@ class TestNonUtf8Input:
         )
         assert code == 3
         assert err == "error: roster is not UTF-8 text: invalid start byte\n"
+
+
+@pytest.mark.parametrize("kind", ["cvr", "roster", "config"])
+def test_deeply_nested_json_is_data_error(capsys, tmp_path, kind):
+    """JSON nested past the parser's recursion limit is unreadable data."""
+    deep = "[" * 100_000
+    roster = tmp_path / "roster.json"
+    roster.write_text(deep if kind == "roster" else ROSTER_JSON)
+    cvr = tmp_path / "votes.jsonl"
+    cvr.write_text((deep if kind == "cvr" else '{"ballot_id":"1","ranks":[["A"]]}') + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(deep)
+    argv = ["tabulate", "--input", str(cvr), "--roster", str(roster), "--method", "rcv"]
+    if kind == "config":
+        argv += ["--config", str(config)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestEmptyProfile:

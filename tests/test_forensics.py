@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import types
 
 import pytest
 
@@ -152,6 +154,11 @@ class TestCompromiseTable1:
         assert search_compromise(profile, OPTS).witnesses == ()
 
 
+DOWN_R_40 = MonotonicityWitness(
+    Direction.DOWNWARD, "R", ("R", "M", "H"), False, ("M", "R", "H"), 40, 40, "H", "R"
+)
+
+
 class TestVerifyWitness:
     def test_downward_instance_t40_true(self, table1):
         witness = MonotonicityWitness(
@@ -199,6 +206,32 @@ class TestVerifyWitness:
                 OPTS,
             )
 
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            # the published downward range ends at 598; the computed one at 299
+            dataclasses.replace(DOWN_R_40, min_count=38, max_count=598),
+            dataclasses.replace(DOWN_R_40, min_count=38, max_count=300),
+            dataclasses.replace(DOWN_R_40, focal_candidate="M"),
+            dataclasses.replace(DOWN_R_40, min_count=41),
+            CompromiseWitness(("R", "M", "H"), False, "M", 1801, 1800, "H", "M"),
+            # removing 500 H-only ballots does elect R, whom those ballots leave unranked
+            NoShowWitness(("H",), False, 500, "H", "R"),
+            dataclasses.replace(DOWN_R_40, original_winner="M"),
+        ],
+        ids=[
+            "published-max-598", "max-past-computed-299", "focal-not-new-winner",
+            "min-above-max", "compromise-count-above-max", "noshow-not-preferred",
+            "wrong-original-winner",
+        ],
+    )
+    def test_wrong_witness_false(self, table1, witness):
+        assert not verify_witness(table1, witness, OPTS)
+
+    def test_unknown_witness_type_raises(self, table1):
+        with pytest.raises(ValidationError, match="unknown witness type"):
+            verify_witness(table1, ("R", "M", "H"), OPTS)
+
     def test_all_search_witnesses_verify(self, table1, synthetic_profile):
         for profile, options in ((table1, OPTS), (synthetic_profile, BUGGY)):
             for direction in Direction:
@@ -216,6 +249,18 @@ class TestOracle:
     def test_bounds_refusal(self, table1):
         with pytest.raises(OracleBoundsError):
             brute_force_oracle(table1, OPTS)
+
+    def test_oracle_shares_no_scan_code(self):
+        """The oracle checks the searches, so it must not call their code."""
+        names = set()
+        codes = [brute_force_oracle.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        shared = {"_scan", "_swap", "_promote", "_entries_of", "rcv_winner", "verify_witness"}
+        assert names & shared == set()
+        assert "rcv_tabulate" in names
 
     def test_toy_profile_oracle_equals_searches(self, toy_cycle_profile):
         profile = toy_cycle_profile

@@ -282,3 +282,18 @@ def test_round_conservation_random(seed):
     for rnd in result.rounds:
         assert sum(rnd.tallies.values()) + rnd.exhausted + rnd.pending == total
     assert result.winner in profile.roster.ids()
+    for rnd, nxt in zip(result.rounds, result.rounds[1:]):
+        if not (options.buggy_first_round and rnd.number == 0):  # flagged ballots go pending
+            assert_transfers_flow(rnd, nxt)
+    try:
+        runoff = plurality_runoff(profile)
+    except (TieError, ValidationError):
+        return
+    assert_transfers_flow(*runoff.rounds)
+
+
+def assert_transfers_flow(rnd, nxt):
+    """The next round's count is this round's plus what its transfers move."""
+    for cid, votes in nxt.tallies.items():
+        assert votes == rnd.tallies[cid] + sum(t.to.get(cid, 0) for t in rnd.transfers)
+    assert nxt.exhausted == rnd.exhausted + sum(t.exhausted for t in rnd.transfers)
