@@ -309,6 +309,8 @@ def cmd_compare(args) -> int:
             winner, detail = run(), None
         except TieError as exc:
             winner, detail = None, f"tie among {', '.join(exc.tied)}"
+        except ValidationError as exc:  # the method does not apply to this profile
+            winner, detail = None, str(exc)
         rows.append({"method": method, "winner": winner, "detail": detail})
 
     row("rcv", lambda: rcv_tabulate(profile).winner)
@@ -346,6 +348,8 @@ def cmd_audit(args) -> int:
         unknown = checks - set(_ALL_CHECKS)
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(sorted(unknown))}")
+        if not checks:
+            raise UsageError("audit: --checks must name at least one check")
     if args.spoiler_max_size < 1:
         raise UsageError("audit: --spoiler-max-size must be a positive integer")
     profile = _load_profile(args)

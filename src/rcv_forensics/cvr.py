@@ -1,10 +1,11 @@
 """Cast-vote-record ingestion: candidate rosters, raw ballots, and the JSONL interchange format.
 
 A roster is a JSON object with a ``candidates`` array of ``{id, name, writein}``
-objects. A CVR file is newline-delimited JSON, one ballot per line:
-``{"ballot_id": str, "ranks": [[id, ...], ...]}`` where an empty array is a
-skipped rank and an array of two or more ids is an overvote. Trailing empty
-slots may be omitted on input; emitted files always write every slot.
+objects; ``writein`` is optional and a boolean. A CVR file is newline-delimited
+JSON, one ballot per line: ``{"ballot_id": str, "ranks": [[id, ...], ...]}``
+where an empty array is a skipped rank and an array of two or more ids is an
+overvote. Trailing empty slots may be omitted on input; emitted files always
+write every slot.
 """
 
 from __future__ import annotations
@@ -41,30 +42,35 @@ class CandidateRoster:
     candidates: tuple[Candidate, ...]
 
     def __post_init__(self) -> None:
-        ids = [c.id for c in self.candidates]
-        if len(set(ids)) != len(ids):
+        index = {c.id: i for i, c in enumerate(self.candidates)}
+        if len(index) != len(self.candidates):
             raise ValidationError("duplicate candidate id in roster")
-        names = [c.name for c in self.candidates]
-        if len(set(names)) != len(names):
+        if len({c.name for c in self.candidates}) != len(self.candidates):
             raise ValidationError("duplicate candidate name in roster")
+        # derived once: a roster never changes, and these are read per ballot and per round
+        self.__dict__.update(
+            _index=index,
+            _ids=tuple(index),
+            _writein_ids=frozenset(c.id for c in self.candidates if c.is_writein),
+            _official_ids=tuple(c.id for c in self.candidates if not c.is_writein),
+        )
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.candidates)
+        return self._ids
 
     def writein_ids(self) -> frozenset[str]:
-        return frozenset(c.id for c in self.candidates if c.is_writein)
+        return self._writein_ids
 
     def official_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.candidates if not c.is_writein)
+        return self._official_ids
 
     def __contains__(self, candidate_id: object) -> bool:
-        return any(c.id == candidate_id for c in self.candidates)
+        return candidate_id in self._index
 
     def index(self, candidate_id: str) -> int:
-        for i, c in enumerate(self.candidates):
-            if c.id == candidate_id:
-                return i
-        raise ValidationError(f"unknown candidate id {candidate_id!r}")
+        if candidate_id not in self._index:
+            raise ValidationError(f"unknown candidate id {candidate_id!r}")
+        return self._index[candidate_id]
 
     def get(self, candidate_id: str) -> Candidate:
         return self.candidates[self.index(candidate_id)]
@@ -99,15 +105,26 @@ def load_roster(source: IO[str]) -> CandidateRoster:
         raise ParseError(f"roster line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("roster nested too deeply to parse") from exc
+    return _decode_roster(doc)
+
+
+def _boolean(value: object, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{what} must be true or false")
+    return value
+
+
+def _decode_roster(doc: object) -> CandidateRoster:
+    """The roster of a roster document or of a profile document."""
     if not isinstance(doc, dict) or not isinstance(doc.get("candidates"), list):
         raise ParseError("roster document must be an object with a 'candidates' array")
     candidates = []
     for i, item in enumerate(doc["candidates"]):
         if not isinstance(item, dict) or "id" not in item or "name" not in item:
             raise ParseError(f"roster candidate #{i + 1}: expected an object with id and name")
-        candidates.append(
-            Candidate(str(item["id"]), str(item["name"]), bool(item.get("writein", False)))
-        )
+        cid = str(item["id"])
+        writein = _boolean(item.get("writein", False), f"roster candidate {cid!r}: writein")
+        candidates.append(Candidate(cid, str(item["name"]), writein))
     roster = CandidateRoster(tuple(candidates))
     if not roster.official_ids():
         raise ValidationError("roster needs at least one official (non-write-in) candidate")
@@ -129,15 +146,13 @@ def _parse_line(line_no: int, line: str, roster: CandidateRoster) -> RawBallot:
     ranks = doc.get("ranks")
     if not isinstance(ranks, list) or not ranks:
         raise ParseError(f"line {line_no}: 'ranks' must be a non-empty array of arrays")
-    slots = []
     for slot in ranks:
         if not isinstance(slot, list) or not all(isinstance(c, str) for c in slot):
             raise ParseError(f"line {line_no}: each rank slot must be an array of candidate ids")
         for cid in slot:
             if cid not in roster:
                 raise ParseError(f"ballot {ballot_id!r}: unknown candidate id {cid!r}")
-        slots.append(tuple(slot))
-    return RawBallot(ballot_id, tuple(slots))
+    return RawBallot(ballot_id, tuple(ranks))
 
 
 def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
@@ -160,7 +175,11 @@ def emit_cvr(ballots: Iterable[RawBallot], sink: IO[str]) -> None:
     """Write ballots in the line-oriented CVR format, one JSON object per line."""
     for ballot in ballots:
         doc = {"ballot_id": ballot.ballot_id, "ranks": [list(slot) for slot in ballot.slots]}
-        sink.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        sink.write(_jsonl_line(doc))
+
+
+def _jsonl_line(doc: dict) -> str:
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def roster_to_json_dict(roster: CandidateRoster) -> dict:

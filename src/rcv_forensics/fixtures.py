@@ -50,12 +50,7 @@ _WRITEINS = (
     Candidate("WI2", "Write-in 2", is_writein=True),
 )
 
-OAKLAND_ROSTER = CandidateRoster(_OFFICIALS + _WRITEINS)
-OAKLAND_OFFICIALS_ROSTER = CandidateRoster(_OFFICIALS)
-
-TABLE2_ROSTER = CandidateRoster(
-    tuple(Candidate(c, c) for c in ("A", "B", "C", "D", "E"))
-)
+_TABLE1_ROSTER = CandidateRoster(_OFFICIALS)
 
 # Conversions applied to the bullet-ballot rows when building the synthetic
 # full CVR: (candidate, moved to write-in first, moved to skipped first).
@@ -98,33 +93,34 @@ def _synthetic_raw_ballots() -> list[RawBallot]:
     return ballots
 
 
-FIXTURE_NAMES = ("oakland-full-synthetic", "oakland-table1", "table2-examples")
+# name -> (roster, builder); fixtures are built on request, never at import
+_FIXTURES = {
+    "oakland-full-synthetic": (CandidateRoster(_OFFICIALS + _WRITEINS), _synthetic_raw_ballots),
+    "oakland-table1": (
+        _TABLE1_ROSTER, lambda: PreferenceProfile.from_counts(_TABLE1_ROSTER, TABLE1_COUNTS)
+    ),
+    "table2-examples": (
+        CandidateRoster(tuple(Candidate(c, c) for c in "ABCDE")), _table2_raw_ballots
+    ),
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
+def _fixture(name: str):
+    if name not in _FIXTURES:
+        available = ", ".join(FIXTURE_NAMES)
+        raise UnknownFixtureError(f"unknown fixture {name!r}; available: {available}")
+    return _FIXTURES[name]
 
 
 def load_builtin_fixture(name: str) -> PreferenceProfile | list[RawBallot]:
     """Return the named fixture: an aggregated profile for ``oakland-table1``,
     raw ballots for the other two."""
-    if name == "oakland-table1":
-        return PreferenceProfile.from_counts(OAKLAND_OFFICIALS_ROSTER, TABLE1_COUNTS)
-    if name == "oakland-full-synthetic":
-        return _synthetic_raw_ballots()
-    if name == "table2-examples":
-        return _table2_raw_ballots()
-    raise UnknownFixtureError(
-        f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
-    )
+    return _fixture(name)[1]()
 
 
 def fixture_roster(name: str) -> CandidateRoster:
-    if name == "oakland-table1":
-        return OAKLAND_OFFICIALS_ROSTER
-    if name == "oakland-full-synthetic":
-        return OAKLAND_ROSTER
-    if name == "table2-examples":
-        return TABLE2_ROSTER
-    raise UnknownFixtureError(
-        f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
-    )
+    return _fixture(name)[0]
 
 
 @dataclass(frozen=True)

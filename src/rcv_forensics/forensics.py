@@ -162,14 +162,10 @@ def _scan(
     boundaries: list[TieBoundary] = []
     for edit in edits:
         ranking, flag, candidate, modified = edit
-        work = [[r, f, c] for r, f, c in entries]
-        src = next(row for row in work if (row[0], row[1]) == (ranking, flag))
-        dst = None
-        if modified is not None:
-            dst = next((row for row in work if (row[0], row[1]) == (modified, flag)), None)
-            if dst is None:
-                dst = [modified, flag, 0]
-                work.append(dst)
+        rows = {(r, f): [r, f, c] for r, f, c in entries}
+        src = rows[(ranking, flag)]
+        dst = None if modified is None else rows.setdefault((modified, flag), [modified, flag, 0])
+        work = list(rows.values())
         runs: list[list] = []
         previous = None
         for t in range(1, src[2] + 1):
@@ -197,10 +193,17 @@ def _scan(
     return all_runs, tuple(boundaries)
 
 
-def _swap(ranking: Ranking, i: int, j: int) -> Ranking:
-    swapped = list(ranking)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    return tuple(swapped)
+def _shift(ranking: Ranking, focal: str, direction: Direction) -> Ranking | None:
+    """ranking with focal one place down or up; None if unranked or already at that end."""
+    if focal not in ranking:
+        return None
+    i = ranking.index(focal)
+    j = i + 1 if direction is Direction.DOWNWARD else i - 1
+    if not 0 <= j < len(ranking):
+        return None
+    shifted = list(ranking)
+    shifted[i], shifted[j] = shifted[j], shifted[i]
+    return tuple(shifted)
 
 
 def search_monotonicity(
@@ -213,21 +216,19 @@ def search_monotonicity(
     original_winner = rcv_tabulate(profile, options).winner
     if direction is Direction.DOWNWARD:
         focals = [cid for cid in profile.roster.ids() if cid != original_winner]
-        step, edit_name = 1, "shift-down"
+        edit_name = "shift-down"
         qualifies = lambda edit, w: w == edit[2]
     else:
         focals = [original_winner]
-        step, edit_name = -1, "shift-up"
+        edit_name = "shift-up"
         qualifies = lambda edit, w: w != edit[2]
 
-    edits = []
-    for focal in focals:
-        for ranking, flag in sorted(profile.entries):
-            if focal not in ranking:
-                continue
-            i = ranking.index(focal)
-            if 0 <= i + step < len(ranking):
-                edits.append((ranking, flag, focal, _swap(ranking, i, i + step)))
+    edits = [
+        (ranking, flag, focal, modified)
+        for focal in focals
+        for ranking, flag in sorted(profile.entries)
+        if (modified := _shift(ranking, focal, direction)) is not None
+    ]
 
     runs, boundaries = _scan(profile, options, edit_name, edits, qualifies)
     witnesses = tuple(
@@ -318,7 +319,11 @@ def verify_witness(
     w = witness
     if isinstance(w, MonotonicityWitness):
         focal = w.new_winner if w.direction is Direction.DOWNWARD else w.original_winner
-        sound = w.focal_candidate == focal and 1 <= w.min_count <= w.max_count
+        sound = (
+            w.focal_candidate == focal
+            and 1 <= w.min_count <= w.max_count
+            and w.modified_type == _shift(w.ballot_type, focal, w.direction)
+        )
         counts = {w.min_count, w.max_count}
         edit = lambda t: profile.replace_ballots(
             w.ballot_type, w.modified_type, t, w.raw_first_invalid

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cvr import Candidate, CandidateRoster, ValidationError
+from .cvr import CandidateRoster, ValidationError, _boolean, _decode_roster, roster_to_json_dict
 
 Ranking = tuple[str, ...]
 ProfileKey = tuple[Ranking, bool]
@@ -66,13 +66,6 @@ class PreferenceProfile:
     def count(self, ballot_type: Sequence[str], raw_first_invalid: bool = False) -> int:
         return self.entries.get((tuple(ballot_type), raw_first_invalid), 0)
 
-    def ranking_counts(self) -> dict[Ranking, int]:
-        """Counts by ranking alone, merging the raw-first-invalid buckets."""
-        merged: dict[Ranking, int] = {}
-        for (ranking, _), count in self.entries.items():
-            merged[ranking] = merged.get(ranking, 0) + count
-        return merged
-
     def first_place_tally(self) -> dict[str, int]:
         """Ballots by first-ranked candidate; empty rankings excluded, flags ignored."""
         tally = {cid: 0 for cid in self.roster.ids()}
@@ -121,23 +114,9 @@ class PreferenceProfile:
         raw_first_invalid: bool = False,
     ) -> "PreferenceProfile":
         """Move ``count`` ballots between ranking types within one flag bucket."""
-        if count < 0:
-            raise ValidationError("count must be non-negative")
-        src = (tuple(from_type), raw_first_invalid)
-        dst = (tuple(to_type), raw_first_invalid)
-        if count == 0 or src == dst:
-            return self
-        available = self.entries.get(src, 0)
-        if count > available:
-            raise ValidationError(
-                f"only {available} ballots of type {src[0]} available, cannot move {count}"
-            )
-        entries = dict(self.entries)
-        entries[src] = available - count
-        if entries[src] == 0:
-            del entries[src]
-        entries[dst] = entries.get(dst, 0) + count
-        return PreferenceProfile(self.roster, entries)
+        return self._move(
+            (tuple(from_type), raw_first_invalid), count, (tuple(to_type), raw_first_invalid)
+        )
 
     def shift_candidate(
         self,
@@ -173,25 +152,29 @@ class PreferenceProfile:
         raw_first_invalid: bool = False,
     ) -> "PreferenceProfile":
         """Delete ``count`` ballots of one type; the only edit that changes the total."""
+        return self._move((tuple(ballot_type), raw_first_invalid), count, None)
+
+    def _move(self, src: ProfileKey, count: int, dst: ProfileKey | None) -> "PreferenceProfile":
+        """``count`` ballots of src moved to dst, or deleted when dst is None."""
         if count < 0:
             raise ValidationError("count must be non-negative")
-        if count == 0:
+        if count == 0 or src == dst:
             return self
-        key = (tuple(ballot_type), raw_first_invalid)
-        available = self.entries.get(key, 0)
+        available = self.entries.get(src, 0)
         if count > available:
             raise ValidationError(
-                f"only {available} ballots of type {key[0]} available, cannot remove {count}"
+                f"only {available} ballots of type {src[0]} available, "
+                f"cannot {'remove' if dst is None else 'move'} {count}"
             )
         entries = dict(self.entries)
-        entries[key] = available - count
-        if entries[key] == 0:
-            del entries[key]
+        entries[src] = available - count
+        if entries[src] == 0:
+            del entries[src]
+        if dst is not None:
+            entries[dst] = entries.get(dst, 0) + count
         return PreferenceProfile(self.roster, entries)
 
     def to_json_dict(self) -> dict:
-        from .cvr import roster_to_json_dict
-
         return {
             "schema_version": 1,
             "roster": roster_to_json_dict(self.roster),
@@ -203,14 +186,8 @@ class PreferenceProfile:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PreferenceProfile":
-        roster = CandidateRoster(
-            tuple(
-                Candidate(str(c["id"]), str(c["name"]), bool(c.get("writein", False)))
-                for c in doc["roster"]["candidates"]
-            )
-        )
-        entries = {
-            (tuple(e["ranking"]), bool(e["raw_first_invalid"])): int(e["count"])
-            for e in doc["entries"]
-        }
-        return cls(roster, entries)
+        entries = {}
+        for e in doc["entries"]:
+            flag = _boolean(e.get("raw_first_invalid"), "entry raw_first_invalid")
+            entries[(tuple(e["ranking"]), flag)] = int(e["count"])
+        return cls(_decode_roster(doc["roster"]), entries)

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .cvr import CandidateRoster, RawBallot
+from .cvr import CandidateRoster, RawBallot, _jsonl_line
 from .profiles import PreferenceProfile, ProfileKey
 
 
@@ -100,8 +100,8 @@ def sanitize_ballot(
         candidate = slot[0]
         if candidate not in ranking:
             ranking.append(candidate)
-    first = raw.slots[0]
-    raw_first_invalid = len(first) == 0 or all(c in writeins for c in first)
+    # an empty first slot is invalid too: all() of nothing is true
+    raw_first_invalid = all(c in writeins for c in raw.slots[0])
     return CleanBallot(raw.ballot_id, tuple(ranking), raw_first_invalid)
 
 
@@ -161,12 +161,10 @@ def sanitize_ballots(
 
 def emit_clean_cvr(ballots: Iterable[CleanBallot], sink: IO[str]) -> None:
     """Write cleaned ballots in the line-oriented CVR format (singleton slots)."""
-    import json
-
     for ballot in ballots:
         doc = {
             "ballot_id": ballot.ballot_id,
             "ranks": [[c] for c in ballot.ranking],
             "raw_first_invalid": ballot.raw_first_invalid,
         }
-        sink.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        sink.write(_jsonl_line(doc))

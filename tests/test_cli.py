@@ -395,6 +395,31 @@ class TestCompare:
         rows = {r["method"]: r for r in json.loads(out)["rows"]}
         assert all(r["winner"] == "A" for r in rows.values())
 
+    def test_runoff_not_applicable_keeps_report(self, capsys, tmp_path):
+        """With every first choice on A, runoff has no second finalist; its row
+        says so and the other rows are still reported."""
+        roster = tmp_path / "roster.json"
+        roster.write_text('{"candidates":[{"id":"A","name":"Ann"},{"id":"B","name":"Bob"}]}')
+        cvr = tmp_path / "votes.jsonl"
+        cvr.write_text(
+            '{"ballot_id":"1","ranks":[["A"],["B"]]}\n{"ballot_id":"2","ranks":[["A"]]}\n'
+        )
+        source = ["--input", str(cvr), "--roster", str(roster)]
+        code, out, _ = run(capsys, "compare", *source, "--format", "json")
+        assert code == 0
+        rows = {r["method"]: r for r in json.loads(out)["rows"]}
+        assert rows["runoff"] == {
+            "method": "runoff",
+            "winner": None,
+            "detail": "plurality runoff needs at least two candidates receiving votes",
+        }
+        assert rows["rcv"]["winner"] == "A"
+        code, out, _ = run(capsys, "compare", *source)
+        assert "none [plurality runoff needs at least two candidates receiving votes]" in out
+        code, _, err = run(capsys, "tabulate", *source, "--method", "runoff")
+        assert code == 3
+        assert err == "error: plurality runoff needs at least two candidates receiving votes\n"
+
 
 class TestAudit:
     def test_table1_all_checks_json(self, capsys):
@@ -475,6 +500,16 @@ class TestAudit:
         assert code == 2
         assert "sorcery" in err
 
+    @pytest.mark.parametrize("checks", ["", ",", " , "], ids=["empty", "comma", "blank"])
+    def test_no_check_named_usage_error(self, capsys, checks):
+        code, out, err = run(
+            capsys, "audit", "--fixture", "oakland-table1", "--checks", checks,
+            "--fail-on-findings",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: audit: --checks must name at least one check\n"
+
     def test_base_tie_exits_4(self, capsys, tmp_path):
         roster = tmp_path / "roster.json"
         roster.write_text('{"candidates":[{"id":"A","name":"Ann"},{"id":"B","name":"Bob"}]}')
@@ -544,11 +579,17 @@ def test_module_entry_point_subprocess():
     import subprocess
     import sys
 
+    import rcv_forensics
+
+    # the child imports the same package as this process, installed or not
+    src = str(Path(rcv_forensics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, "-m", "rcv_forensics.cli", "tabulate",
          "--fixture", "oakland-table1", "--method", "rcv", "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert completed.returncode == 0
     assert json.loads(completed.stdout)["winner"] == "H"
@@ -652,6 +693,28 @@ class TestNonUtf8Input:
         )
         assert code == 3
         assert err == "error: roster is not UTF-8 text: invalid start byte\n"
+
+
+def test_non_boolean_writein_is_data_error(capsys, tmp_path):
+    """A string "false" is not false: the roster is refused, not read as a
+    write-in that round 0 would eliminate."""
+    roster = tmp_path / "roster.json"
+    roster.write_text(
+        '{"candidates":[{"id":"H","name":"H","writein":"false"},'
+        '{"id":"M","name":"M"},{"id":"R","name":"R","writein":0}]}'
+    )
+    cvr = tmp_path / "votes.jsonl"
+    cvr.write_text(
+        '{"ballot_id":"1","ranks":[["H"],["M"]]}\n'
+        '{"ballot_id":"2","ranks":[["H"]]}\n'
+        '{"ballot_id":"3","ranks":[["M"]]}\n'
+    )
+    code, out, err = run(
+        capsys, "tabulate", "--input", str(cvr), "--roster", str(roster), "--method", "rcv"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: roster candidate 'H': writein must be true or false\n"
 
 
 @pytest.mark.parametrize("kind", ["cvr", "roster", "config"])

@@ -41,6 +41,11 @@ class TestLoadRoster:
         assert roster.ids() == ("H", "M", "R", "WI1", "WI2")
         assert roster.writein_ids() == {"WI1", "WI2"}
         assert roster.official_ids() == ("H", "M", "R")
+        assert roster.ids() is roster.ids()
+        assert roster.index("WI2") == 4
+        assert "WI2" in roster and "X" not in roster
+        with pytest.raises(ValidationError, match="unknown candidate id 'X'"):
+            roster.get("X")
 
     def test_duplicate_id_rejected(self):
         doc = '{"candidates":[{"id":"H","name":"a"},{"id":"H","name":"b"}]}'
@@ -54,6 +59,15 @@ class TestLoadRoster:
     def test_all_writein_roster_rejected(self):
         doc = '{"candidates":[{"id":"W","name":"w","writein":true}]}'
         with pytest.raises(ValidationError):
+            load_roster(io.StringIO(doc))
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1"])
+    def test_non_boolean_writein_rejected(self, value):
+        doc = (
+            '{"candidates":[{"id":"H","name":"H"},'
+            f'{{"id":"M","name":"M","writein":{value}}}]}}'
+        )
+        with pytest.raises(ParseError, match="'M': writein must be true or false"):
             load_roster(io.StringIO(doc))
 
 

@@ -218,11 +218,22 @@ class TestVerifyWitness:
             # removing 500 H-only ballots does elect R, whom those ballots leave unranked
             NoShowWitness(("H",), False, 500, "H", "R"),
             dataclasses.replace(DOWN_R_40, original_winner="M"),
+            # the claimed edit is not the one-place shift of the focal candidate
+            dataclasses.replace(DOWN_R_40, modified_type=("M", "H", "R")),
+            MonotonicityWitness(
+                Direction.UPWARD, "H", ("R", "H", "M"), False, ("M", "R", "H"),
+                2000, 2000, "H", "M",
+            ),
+            dataclasses.replace(DOWN_R_40, ballot_type=("M", "H"), modified_type=("H", "M")),
+            dataclasses.replace(
+                DOWN_R_40, ballot_type=("M", "H", "R"), modified_type=("M", "R", "H")
+            ),
         ],
         ids=[
             "published-max-598", "max-past-computed-299", "focal-not-new-winner",
             "min-above-max", "compromise-count-above-max", "noshow-not-preferred",
-            "wrong-original-winner",
+            "wrong-original-winner", "down-moved-two-places", "up-moved-down",
+            "focal-unranked", "focal-already-last",
         ],
     )
     def test_wrong_witness_false(self, table1, witness):
@@ -258,7 +269,7 @@ class TestOracle:
             code = codes.pop()
             names.update(code.co_names)
             codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        shared = {"_scan", "_swap", "_promote", "_entries_of", "rcv_winner", "verify_witness"}
+        shared = {"_scan", "_shift", "_promote", "_entries_of", "rcv_winner", "verify_witness"}
         assert names & shared == set()
         assert "rcv_tabulate" in names
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rcv_forensics import Candidate, CandidateRoster, ValidationError, rcv_tabulate
+from rcv_forensics import Candidate, CandidateRoster, ParseError, ValidationError, rcv_tabulate
 from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import make_random_profile
@@ -154,6 +154,30 @@ class TestReplaceRemoveBallots:
         with pytest.raises(ValidationError):
             table1.remove_ballots(("R", "M"), 935)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda p: p.replace_ballots(("R", "M", "H"), ("M", "R", "H"), -1),
+                "count must be non-negative",
+            ),
+            (lambda p: p.remove_ballots(("R", "M"), -1), "count must be non-negative"),
+            (
+                lambda p: p.replace_ballots(("R", "M", "H"), ("M", "R", "H"), 2247),
+                "only 2246 ballots of type ('R', 'M', 'H') available, cannot move 2247",
+            ),
+            (
+                lambda p: p.remove_ballots(("R", "M"), 935),
+                "only 934 ballots of type ('R', 'M') available, cannot remove 935",
+            ),
+        ],
+        ids=["replace-negative", "remove-negative", "replace-too-many", "remove-too-many"],
+    )
+    def test_count_error_messages(self, table1, edit, message):
+        with pytest.raises(ValidationError) as info:
+            edit(table1)
+        assert str(info.value) == message
+
     def test_flag_buckets_are_distinct(self, synthetic_profile):
         assert synthetic_profile.count(("M",), raw_first_invalid=True) == 23
         assert synthetic_profile.count(("M",), raw_first_invalid=False) == 1809
@@ -190,6 +214,26 @@ class TestSerialization:
         a = json.dumps(table1.to_json_dict(), sort_keys=True)
         b = json.dumps(table1.to_json_dict(), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: d["roster"]["candidates"][0].pop("name"), ParseError),
+            (lambda d: d["roster"]["candidates"][0].update(writein="false"), ParseError),
+            (
+                lambda d: [c.update(writein=True) for c in d["roster"]["candidates"]],
+                ValidationError,
+            ),
+            (lambda d: d["entries"][0].update(raw_first_invalid=0), ParseError),
+        ],
+        ids=["missing-name", "writein-string", "all-writein", "flag-not-boolean"],
+    )
+    def test_malformed_document_rejected(self, table1, edit, error):
+        """from_json_dict decodes the roster exactly as a roster file is read."""
+        doc = table1.to_json_dict()
+        edit(doc)
+        with pytest.raises(error):
+            PreferenceProfile.from_json_dict(doc)
 
 
 @given(st.data())

@@ -106,7 +106,7 @@ class TestTable2Examples:
     def test_aggregation_and_stats(self):
         ballots = load_builtin_fixture("table2-examples")
         profile, stats = sanitize_all(ballots, ALAMEDA, ABCDE)
-        assert profile.ranking_counts() == {("A", "B"): 6}
+        assert profile.entries == {(("A", "B"), False): 3, (("A", "B"), True): 3}
         assert profile.total() == 6
         assert stats.total == 6
         assert stats.ballots_with_overvote == 2
