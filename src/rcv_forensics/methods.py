@@ -7,10 +7,11 @@ tabulator misconfiguration: in the first round of counting after write-in
 elimination, ballots whose as-cast first rank held no valid candidate are not
 counted for anyone ("pending"); after any elimination they count normally.
 
-Three helpers state each counting rule once: ``_count`` counts one round,
-``_transfers`` records where the ballots of removed candidates (and of
-pending ballots) go, and ``_unique`` picks the single best-scoring candidate
-or raises ``TieError``.
+IRV and plurality runoff count with ``_Piles``: each entry sits in the pile
+of its top continuing choice, and removing candidates walks only their piles,
+so a tabulation costs O(entries + ballots moved) rather than O(rounds x
+entries). That walk is also the transfer record. ``_unique`` picks the single
+best-scoring candidate or raises ``TieError``.
 """
 
 from __future__ import annotations
@@ -113,61 +114,76 @@ def _entries_of(profile: PreferenceProfile) -> list[Entry]:
     return sorted((r, f, c) for (r, f), c in profile.entries.items())
 
 
-def _top(ranking: Ranking, eliminated: set[str]) -> str | None:
-    for cid in ranking:
-        if cid not in eliminated:
-            return cid
-    return None
+class _Piles:
+    """Every entry row in the pile of its top continuing choice, with each
+    pile's vote total kept as rows move; a candidate continues while it has
+    a pile. The rows are the caller's and are never mutated. held, when
+    tracked, is each pile's total of flagged ballots."""
 
+    __slots__ = ("piles", "votes", "held", "exhausted", "total")
 
-def _count(
-    roster_ids: Sequence[str],
-    entries: Sequence[Entry],
-    eliminated: set[str],
-    hold_flagged: bool = False,
-) -> tuple[dict[str, int], int, int]:
-    """Count one round: tallies of the candidates still in, in roster order,
-    then exhausted and pending (held flagged) ballots."""
-    tallies = {cid: 0 for cid in roster_ids if cid not in eliminated}
-    exhausted = pending = 0
-    for ranking, flagged, count in entries:
-        top = _top(ranking, eliminated)
-        if top is None:
-            exhausted += count
-        elif hold_flagged and flagged:
-            pending += count
-        else:
-            tallies[top] += count
-    return tallies, exhausted, pending
+    def __init__(self, ids: Sequence[str], entries: Iterable[Entry], track_held: bool):
+        self.piles = piles = {cid: [] for cid in ids}
+        self.votes = votes = dict.fromkeys(ids, 0)
+        self.held = held = dict.fromkeys(ids, 0) if track_held else None
+        exhausted = 0
+        for row in entries:
+            ranking, flagged, count = row
+            if ranking:
+                top = ranking[0]
+                piles[top].append(row)
+                votes[top] += count
+                if flagged and held is not None:
+                    held[top] += count
+            else:
+                exhausted += count
+        self.exhausted = exhausted
+        self.total = exhausted + sum(votes.values())
 
-
-def _transfers(
-    entries: Sequence[Entry],
-    eliminated: set[str],
-    removed: Sequence[str],
-    held: bool = False,
-) -> tuple[TransferRecord, ...]:
-    """Where the ballots of each removed candidate go, one record each in the
-    given order; ballots with no next choice count as exhausted. Under held,
-    continuing flagged ballots leave pending instead, as one trailing record
-    with source None."""
-    after = eliminated | set(removed)
-    moves: dict[str | None, dict[str | None, int]] = {cid: {} for cid in removed}
-    for ranking, flagged, count in entries:
-        top = _top(ranking, eliminated)
-        source = None if held and flagged else top
-        if top is not None and (source is None or source in moves):
-            to = moves.setdefault(source, {})
-            nxt = _top(ranking, after)
-            to[nxt] = to.get(nxt, 0) + count
-    return tuple(
-        TransferRecord(
-            source,
-            {k: v for k, v in sorted(to.items(), key=lambda kv: str(kv[0])) if k},
-            to.get(None, 0),
+    def eliminate(
+        self, removed: Iterable[str], record: bool, rejoin: dict | None = None
+    ) -> tuple[TransferRecord, ...]:
+        """Take the removed candidates out and walk only their piles: each row
+        moves to its next continuing choice or to exhausted. When recording,
+        that walk is one TransferRecord per removed candidate, in the given
+        order. rejoin, when given, holds where already-counted pending
+        ballots go; the removed piles' flagged rows join it, and it becomes a
+        trailing record with source None."""
+        piles, votes, held = self.piles, self.votes, self.held
+        # every removed pile leaves first, so a batch never routes into itself
+        walks = [(source, piles.pop(source)) for source in removed]
+        moves: dict[str | None, dict[str | None, int]] = {}
+        exhausted = 0
+        for source, pile in walks:
+            to = moves[source] = {}
+            for row in pile:
+                ranking, flagged, count = row
+                for nxt in ranking:
+                    if nxt in piles:
+                        piles[nxt].append(row)
+                        votes[nxt] += count
+                        if flagged and held is not None:
+                            held[nxt] += count
+                        break
+                else:
+                    nxt = None
+                    exhausted += count
+                if record:
+                    dest = rejoin if flagged and rejoin is not None else to
+                    dest[nxt] = dest.get(nxt, 0) + count
+        self.exhausted += exhausted
+        if not record:
+            return ()
+        if rejoin:
+            moves[None] = rejoin
+        return tuple(
+            TransferRecord(
+                source,
+                {k: v for k, v in sorted(to.items(), key=lambda kv: str(kv[0])) if k},
+                to.get(None, 0),
+            )
+            for source, to in moves.items()
         )
-        for source, to in moves.items()
-    )
 
 
 def _unique(scores: dict[str, int], context: str, pick=max) -> str:
@@ -185,11 +201,9 @@ def _tabulate(
     options: RcvOptions,
     record: bool,
 ) -> tuple[str, list[RoundRecord] | None]:
-    total = sum(count for _, _, count in entries)
-    if total == 0:
+    count = _Piles(roster.ids(), entries, track_held=options.buggy_first_round)
+    if count.total == 0:
         raise ValidationError("cannot tabulate an empty profile")
-    roster_ids = roster.ids()
-    eliminated: set[str] = set()
     rounds: list[RoundRecord] = []
 
     writeins = roster.writein_ids()
@@ -197,35 +211,43 @@ def _tabulate(
         # Batch step: all write-ins leave at once, recorded as round 0.
         if record:
             wi_order = tuple(sorted(writeins, key=roster.index))
-            tallies, exhausted, _ = _count(roster_ids, entries, eliminated)
-            transfers = _transfers(entries, eliminated, wi_order)
+            tallies, exhausted = dict(count.votes), count.exhausted
+            transfers = count.eliminate(wi_order, record)
             rounds.append(RoundRecord(0, tallies, wi_order, exhausted, 0, transfers))
-        eliminated |= writeins
+        else:
+            count.eliminate(writeins, record)
 
-    hold_flagged = options.buggy_first_round
+    piles, votes, held = count.piles, count.votes, count.held
     round_no = 1
     while True:
-        tallies, exhausted, pending = _count(roster_ids, entries, eliminated, hold_flagged)
-        if not tallies:
+        if not piles:
             raise ValidationError("no candidates left to tabulate")
+        if held is None:
+            tallies, pending = {cid: votes[cid] for cid in piles}, 0
+        else:  # buggy mode: flagged ballots stay pending through round 1
+            tallies = {cid: votes[cid] - held[cid] for cid in piles}
+            pending = sum(map(held.__getitem__, piles))
+        exhausted = count.exhausted
         winner = max(tallies, key=tallies.__getitem__)
-        if 2 * tallies[winner] > total - exhausted - pending or len(tallies) == 1:
+        if 2 * tallies[winner] > count.total - exhausted - pending or len(tallies) == 1:
             if record:
                 rounds.append(RoundRecord(round_no, tallies, (), exhausted, pending, ()))
             return winner, rounds if record else None
 
         low = min(tallies.values())
-        tied = [cid for cid, votes in tallies.items() if votes == low]
+        tied = [cid for cid, n in tallies.items() if n == low]
         if len(tied) > 1 and options.tie_policy is TiePolicy.ERROR:
             raise TieError(tied, f"round {round_no} elimination")
         loser = min(tied)
+        rejoin = None
+        if record and held is not None:  # the held ballots enter the count next round
+            rejoin = {cid: held[cid] for cid in piles if cid != loser and held[cid]}
+        transfers = count.eliminate((loser,), record, rejoin)
         if record:
-            transfers = _transfers(entries, eliminated, (loser,), hold_flagged)
             rounds.append(
                 RoundRecord(round_no, tallies, (loser,), exhausted, pending, transfers)
             )
-        eliminated = eliminated | {loser}
-        hold_flagged = False
+        held = None
         round_no += 1
 
 
@@ -262,8 +284,8 @@ def plurality_runoff(profile: PreferenceProfile) -> TabulationResult:
     if total == 0:
         raise ValidationError("cannot tabulate an empty profile")
     ids = profile.roster.ids()
-    entries = _entries_of(profile)
-    tallies, exhausted, _ = _count(ids, entries, set())
+    count = _Piles(ids, _entries_of(profile), track_held=False)
+    tallies, exhausted = dict(count.votes), count.exhausted
     receiving = [cid for cid in ids if tallies[cid] > 0]
     if len(receiving) < 2:
         raise ValidationError("plurality runoff needs at least two candidates receiving votes")
@@ -272,10 +294,10 @@ def plurality_runoff(profile: PreferenceProfile) -> TabulationResult:
         cut = tallies[ranked[1]]
         raise TieError([cid for cid in ids if tallies[cid] == cut], "runoff qualification")
     eliminated = tuple(cid for cid in ids if cid not in ranked[:2])
-    transfers = _transfers(entries, set(), eliminated)
+    transfers = count.eliminate(eliminated, record=True)
     round1 = RoundRecord(1, tallies, eliminated, exhausted, 0, transfers)
-    final, exhausted, _ = _count(ids, entries, set(eliminated))
-    round2 = RoundRecord(2, final, (), exhausted, 0, ())
+    final = {cid: count.votes[cid] for cid in count.piles}
+    round2 = RoundRecord(2, final, (), count.exhausted, 0, ())
     winner = _unique(final, "runoff final round")
     return TabulationResult("plurality-runoff", winner, (round1, round2), total)
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cvr import CandidateRoster, ValidationError, _boolean, _decode_roster, roster_to_json_dict
+from .cvr import (
+    CandidateRoster, ParseError, ValidationError, _boolean, _decode_roster, roster_to_json_dict,
+)
 
 Ranking = tuple[str, ...]
 ProfileKey = tuple[Ranking, bool]
@@ -186,8 +188,15 @@ class PreferenceProfile:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PreferenceProfile":
+        if not isinstance(doc, Mapping) or not isinstance(doc.get("entries"), list):
+            raise ParseError("profile document must be an object with an 'entries' array")
         entries = {}
-        for e in doc["entries"]:
-            flag = _boolean(e.get("raw_first_invalid"), "entry raw_first_invalid")
-            entries[(tuple(e["ranking"]), flag)] = int(e["count"])
-        return cls(_decode_roster(doc["roster"]), entries)
+        for i, e in enumerate(doc["entries"], 1):
+            if not isinstance(e, Mapping) or not isinstance(e.get("ranking"), list):
+                raise ParseError(f"profile entry #{i}: expected an object with a ranking array")
+            count = e.get("count")
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise ParseError(f"profile entry #{i}: count must be an integer")
+            flag = _boolean(e.get("raw_first_invalid"), f"profile entry #{i}: raw_first_invalid")
+            entries[(tuple(e["ranking"]), flag)] = count
+        return cls(_decode_roster(doc.get("roster")), entries)

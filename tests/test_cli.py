@@ -24,9 +24,17 @@ ROSTER_JSON = json.dumps(
 )
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 # argv, sha256 of the text report, sha256 of the JSON report (None where
-# TestAudit.test_all_checks_json_bytes_pinned already pins it)
+# TestAudit.test_all_checks_json_bytes_pinned already pins it); {cvr} and
+# {roster} stand for the benchmark's generated multiround CVR at seed 1
 _REPORT_DIGESTS = [
+    (
+        "audit --input {cvr} --roster {roster} --checks all --spoiler-max-size 2",
+        "e860a942a6900bf4e9d86bc22c490821626aa04f0c88be2dc286c1768f5b2b90",
+        "d9a238e5a9c12912ad9a4e511b3a18b1522997d4a9f1a897852b11cebc291dd3",
+    ),
     (
         "audit --fixture oakland-table1 --checks all",
         "5f7bf2f09fcfc19b3819bae5d535c663b29729f828d8ba0ade38c4eb26bc81a6",
@@ -107,9 +115,15 @@ _PINNED = [
 @pytest.mark.parametrize(
     "argv, fmt, digest", _PINNED, ids=[f"{argv} --format {fmt}" for argv, fmt, _ in _PINNED]
 )
-def test_report_bytes_pinned(capsys, tmp_path, argv, fmt, digest):
+def test_report_bytes_pinned(capsys, tmp_path, monkeypatch, argv, fmt, digest):
     """Every command's --output report, in both formats, stays byte for byte
     as it is; the text is rendered from the same document as the JSON."""
+    if "{cvr}" in argv:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import inputs
+        cvr, roster = tmp_path / "votes.jsonl", tmp_path / "roster.json"
+        inputs.multiround_cvr(1, str(cvr), str(roster))
+        argv = argv.format(cvr=cvr, roster=roster)
     report = tmp_path / "report"
     code, _, _ = run(capsys, *argv.split(), "--format", fmt, "--output", str(report))
     assert code == 0
@@ -774,7 +788,7 @@ class TestEmptyProfile:
 def test_benchmark_tracer_hooks_resolve(monkeypatch):
     """The traced benchmark wraps names of ``cli`` by lookup; every one must
     still exist and be called through ``cli``."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
     tracer = tracing.Tracer()
     tracer.install()

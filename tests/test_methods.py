@@ -154,6 +154,10 @@ class TestPluralityRunoff:
         with pytest.raises(TieError):
             plurality_runoff(profile_of({("A",): 5, ("B",): 5, ("C",): 7}))
 
+    def test_empty_profile_rejected(self):
+        with pytest.raises(ValidationError, match="empty profile"):
+            plurality_runoff(PreferenceProfile(ABC, {}))
+
     def test_conservation(self, synthetic_profile):
         result = plurality_runoff(synthetic_profile)
         for rnd in result.rounds:

@@ -216,24 +216,48 @@ class TestSerialization:
         assert a == b
 
     @pytest.mark.parametrize(
-        "edit, error",
+        "edit, error, message",
         [
-            (lambda d: d["roster"]["candidates"][0].pop("name"), ParseError),
-            (lambda d: d["roster"]["candidates"][0].update(writein="false"), ParseError),
+            (lambda d: d["roster"]["candidates"][0].pop("name"), ParseError, "candidate #1"),
+            (
+                lambda d: d["roster"]["candidates"][0].update(writein="false"),
+                ParseError,
+                "writein",
+            ),
             (
                 lambda d: [c.update(writein=True) for c in d["roster"]["candidates"]],
                 ValidationError,
+                "official",
             ),
-            (lambda d: d["entries"][0].update(raw_first_invalid=0), ParseError),
+            (lambda d: d["entries"][0].update(raw_first_invalid=0), ParseError, "entry #1"),
+            (lambda d: d.pop("entries"), ParseError, "'entries' array"),
+            (lambda d: d.update(entries={"ranking": ["H"], "count": 1}), ParseError, "'entries'"),
+            (lambda d: d["entries"][1].pop("ranking"), ParseError, "entry #2"),
+            (lambda d: d["entries"][1].update(ranking="HM"), ParseError, "entry #2"),
+            (lambda d: d["entries"][1].pop("count"), ParseError, "entry #2"),
+            (lambda d: d["entries"][1].update(count="x"), ParseError, "entry #2"),
+            (lambda d: d["entries"][1].update(count=1.5), ParseError, "entry #2"),
+            (lambda d: d["entries"][1].update(count=True), ParseError, "entry #2"),
+            (lambda d: d["entries"].__setitem__(1, ["H"]), ParseError, "entry #2"),
         ],
-        ids=["missing-name", "writein-string", "all-writein", "flag-not-boolean"],
+        ids=[
+            "missing-name", "writein-string", "all-writein", "flag-not-boolean",
+            "no-entries", "entries-not-list", "no-ranking", "ranking-string", "no-count",
+            "count-string", "count-float", "count-bool", "entry-not-object",
+        ],
     )
-    def test_malformed_document_rejected(self, table1, edit, error):
-        """from_json_dict decodes the roster exactly as a roster file is read."""
+    def test_malformed_document_rejected(self, table1, edit, error, message):
+        """from_json_dict decodes the roster exactly as a roster file is read,
+        and a malformed entry is a ParseError naming it, never a KeyError or
+        a silently coerced value."""
         doc = table1.to_json_dict()
         edit(doc)
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             PreferenceProfile.from_json_dict(doc)
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ParseError, match="'entries' array"):
+            PreferenceProfile.from_json_dict([])
 
 
 @given(st.data())

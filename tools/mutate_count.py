@@ -1,0 +1,177 @@
+"""Mutation gate for the IRV counting core in ``src/rcv_forensics/methods.py``.
+
+Usage, from the root of a checkout:
+
+    python3 tools/mutate_count.py           # run every mutant, print survivors
+    python3 tools/mutate_count.py --list    # print the mutants without running
+
+Each mutant changes one spot in ``_Piles``, ``_tabulate`` or
+``plurality_runoff``: a comparison flipped (``<`` to ``<=`` or ``>``, ``==``
+to ``!=``, ``in`` to ``not in``, ``is`` to ``is not``), a ``+=`` turned into
+``-=`` or back, an ``and`` turned into ``or`` or back, or an integer constant
+moved by one. The mutant is written into a copy of ``src/`` and ``tests/``
+in a temporary directory, and the tests in TESTS run against it; a mutant
+survives when they all pass. Survivors listed in EQUIVALENT with a reason
+are expected. The exit code is 0 when every other mutant is killed.
+
+Not part of the tier-1 suite: a full run starts one pytest per mutant.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULE = Path("src/rcv_forensics/methods.py")
+TARGETS = ("_Piles", "_tabulate", "plurality_runoff")
+TESTS = ("tests/test_methods.py", "tests/test_pile_count.py")
+TIMEOUT_S = 120
+
+# mutant id -> why no test can tell it from the original
+EQUIVALENT = {
+    "plurality_runoff: cut = tallies[ranked[1]] [col 29: 1->2]": (
+        "the line runs only when tallies[ranked[1]] == tallies[ranked[2]]"
+    ),
+}
+
+_FLIPS = {
+    ast.Lt: (ast.LtE, ast.Gt),
+    ast.LtE: (ast.Lt, ast.GtE),
+    ast.Gt: (ast.GtE, ast.Lt),
+    ast.GtE: (ast.Gt, ast.LtE),
+    ast.Eq: (ast.NotEq,),
+    ast.NotEq: (ast.Eq,),
+    ast.In: (ast.NotIn,),
+    ast.NotIn: (ast.In,),
+    ast.Is: (ast.IsNot,),
+    ast.IsNot: (ast.Is,),
+}
+_SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.And: ast.Or, ast.Or: ast.And}
+
+
+def _target_nodes(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of every node inside the target definitions,
+    in a fixed walk order, so that the same index finds the same node in a
+    fresh parse."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in TARGETS:
+            for node in ast.walk(top):
+                found.append((top.name, node))
+    return found
+
+
+def _mutations(node: ast.AST) -> list[tuple[str, object]]:
+    """(label, change) pairs for one node; change is what _apply needs."""
+    out = []
+    if isinstance(node, ast.Compare):
+        for i, op in enumerate(node.ops):
+            for new in _FLIPS.get(type(op), ()):
+                out.append((f"op{i} {type(op).__name__}->{new.__name__}", (i, new)))
+    elif isinstance(node, (ast.AugAssign, ast.BoolOp)) and type(node.op) in _SWAPS:
+        new = _SWAPS[type(node.op)]
+        out.append((f"{type(node.op).__name__}->{new.__name__}", new))
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        for delta in (1, -1):
+            out.append((f"{node.value}->{node.value + delta}", node.value + delta))
+    return out
+
+
+def _apply(node: ast.AST, change: object) -> None:
+    if isinstance(node, ast.Compare):
+        i, new = change
+        node.ops[i] = new()
+    elif isinstance(node, (ast.AugAssign, ast.BoolOp)):
+        node.op = change()
+    else:
+        node.value = change
+
+
+def mutants(source: str) -> list[tuple[str, str, str]]:
+    """(id, description, mutated source) of every mutant. The id names the
+    definition, the text of the source line, the column and the change, so
+    that it survives edits elsewhere in the file."""
+    lines = source.splitlines()
+    result = []
+    seen: dict[str, int] = {}
+    for index, (name, node) in enumerate(_target_nodes(ast.parse(source))):
+        for label, change in _mutations(node):
+            tree = ast.parse(source)
+            _apply(_target_nodes(tree)[index][1], change)
+            key = f"{name}: {lines[node.lineno - 1].strip()} [col {node.col_offset}: {label}]"
+            seen[key] = seen.get(key, 0) + 1
+            if seen[key] > 1:  # the same line text appears again in the definition
+                key += f" #{seen[key]}"
+            result.append((key, f"line {node.lineno}: {key}", ast.unparse(tree)))
+    return result
+
+
+def _run_tests(copy: Path) -> tuple[bool, str]:
+    """Whether the tests pass in the copy, and the last line pytest printed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        "--hypothesis-seed=0", *TESTS,
+    ]
+    try:
+        done = subprocess.run(
+            cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = done.stdout.strip().splitlines() or [""]
+    return done.returncode == 0, lines[-1]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
+    args = parser.parse_args(argv)
+
+    source = (ROOT / MODULE).read_text(encoding="utf-8")
+    every = mutants(source)
+    if args.list:
+        for _, description, _ in every:
+            print(description)
+        print(f"{len(every)} mutants")
+        return 0
+
+    with tempfile.TemporaryDirectory(prefix="mutate-count-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests", "pyproject.toml"):
+            src = ROOT / part
+            if src.is_dir():
+                shutil.copytree(src, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, copy / part)
+        passed, last = _run_tests(copy)
+        if not passed:
+            print(f"the unmutated tests fail: {last}")
+            return 2
+        survivors = []
+        for n, (key, description, mutated) in enumerate(every, 1):
+            (copy / MODULE).write_text(mutated, encoding="utf-8")
+            passed, last = _run_tests(copy)
+            status = "SURVIVED" if passed else "killed"
+            print(f"[{n}/{len(every)}] {status}: {description} ({last})", flush=True)
+            if passed:
+                survivors.append(key)
+
+    unexplained = [key for key in survivors if key not in EQUIVALENT]
+    print(f"{len(every)} mutants, {len(every) - len(survivors)} killed, "
+          f"{len(survivors)} survived, {len(unexplained)} not listed as equivalent")
+    for key in survivors:
+        reason = EQUIVALENT.get(key)
+        print(f"  survivor: {key}" + (f" -- equivalent: {reason}" if reason else ""))
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
