@@ -25,12 +25,10 @@ from .fixtures import (
     published_claims,
 )
 from .forensics import (
-    CompromiseScan,
     CompromiseWitness,
     Direction,
-    MonotonicityScan,
+    EditScan,
     MonotonicityWitness,
-    NoShowScan,
     NoShowWitness,
     OracleBounds,
     OracleBoundsError,

@@ -5,8 +5,9 @@ paradoxes, and compromise-vote failures.
 The monotonicity, no-show and compromise searches only build their edits
 (move t ballots of one existing type to a modified type, or delete them) and
 hand them to one engine, ``_scan``, which re-tabulates every t and cuts the
-outcomes into witness runs and tie boundaries. Searches scan only ballot types
-already present in the profile and only single-position (adjacent) shifts.
+outcomes into witness runs and tie boundaries, returned as one ``EditScan``.
+Searches scan only ballot types already present in the profile and only
+single-position (adjacent) shifts.
 The t-scan is linear because the winner as a function of t need not be
 monotone across elimination-order changes. Consecutive t values with the same
 new winner merge into one witness; a t whose re-tabulation hits an
@@ -87,21 +88,10 @@ class TieBoundary:
 
 
 @dataclass(frozen=True)
-class MonotonicityScan:
-    direction: Direction
-    witnesses: tuple[MonotonicityWitness, ...]
-    boundaries: tuple[TieBoundary, ...]
+class EditScan:
+    """Witnesses and tie boundaries of one shift, removal or promotion search."""
 
-
-@dataclass(frozen=True)
-class NoShowScan:
-    witnesses: tuple[NoShowWitness, ...]
-    boundaries: tuple[TieBoundary, ...]
-
-
-@dataclass(frozen=True)
-class CompromiseScan:
-    witnesses: tuple[CompromiseWitness, ...]
+    witnesses: tuple[MonotonicityWitness | NoShowWitness | CompromiseWitness, ...]
     boundaries: tuple[TieBoundary, ...]
 
 
@@ -114,10 +104,10 @@ class SpoilerScan:
 @dataclass(frozen=True)
 class PathologyReport:
     spoilers: SpoilerScan
-    downward: MonotonicityScan
-    upward: MonotonicityScan
-    noshow: NoShowScan
-    compromise: CompromiseScan
+    downward: EditScan
+    upward: EditScan
+    noshow: EditScan
+    compromise: EditScan
 
 
 @dataclass(frozen=True)
@@ -208,7 +198,7 @@ def _shift(ranking: Ranking, focal: str, direction: Direction) -> Ranking | None
 
 def search_monotonicity(
     profile: PreferenceProfile, options: RcvOptions, direction: Direction
-) -> MonotonicityScan:
+) -> EditScan:
     """Downward: shift each losing candidate one position down on each ballot
     type ranking it above last place; a run of t where that candidate wins is
     a witness. Upward: shift the winner one position up where ranked below
@@ -238,10 +228,10 @@ def search_monotonicity(
         for (ranking, flag, focal, modified), edit_runs in zip(edits, runs)
         for lo, hi, w in edit_runs
     )
-    return MonotonicityScan(direction, witnesses, boundaries)
+    return EditScan(witnesses, boundaries)
 
 
-def search_noshow(profile: PreferenceProfile, options: RcvOptions) -> NoShowScan:
+def search_noshow(profile: PreferenceProfile, options: RcvOptions) -> EditScan:
     """Remove t ballots of each type; the minimal t whose new winner the type
     strictly prefers to the original winner is a witness."""
     original_winner = rcv_tabulate(profile, options).winner
@@ -255,14 +245,14 @@ def search_noshow(profile: PreferenceProfile, options: RcvOptions) -> NoShowScan
         for (ranking, flag, _, _), edit_runs in zip(edits, runs)
         if edit_runs
     )
-    return NoShowScan(witnesses, boundaries)
+    return EditScan(witnesses, boundaries)
 
 
 def _promote(ranking: Ranking, candidate: str) -> Ranking:
     return (candidate,) + tuple(cid for cid in ranking if cid != candidate)
 
 
-def search_compromise(profile: PreferenceProfile, options: RcvOptions) -> CompromiseScan:
+def search_compromise(profile: PreferenceProfile, options: RcvOptions) -> EditScan:
     """Move each non-first candidate to first on t ballots of each type; runs
     of t whose new winner the type strictly prefers to the original winner are
     witnesses (one per constant-winner run, count = the run's minimum)."""
@@ -281,7 +271,7 @@ def search_compromise(profile: PreferenceProfile, options: RcvOptions) -> Compro
         for (ranking, flag, promoted, _), edit_runs in zip(edits, runs)
         for lo, hi, w in edit_runs
     )
-    return CompromiseScan(witnesses, boundaries)
+    return EditScan(witnesses, boundaries)
 
 
 def find_spoilers(
@@ -316,22 +306,19 @@ def verify_witness(
     true iff the claimed winners match. Structurally invalid witnesses raise;
     merely wrong ones return False."""
     original = rcv_tabulate(profile, options).winner
-    w = witness
+    w, remove = witness, False
     if isinstance(w, MonotonicityWitness):
         focal = w.new_winner if w.direction is Direction.DOWNWARD else w.original_winner
         sound = (
             w.focal_candidate == focal
             and 1 <= w.min_count <= w.max_count
+            and w.modified_type is not None
             and w.modified_type == _shift(w.ballot_type, focal, w.direction)
         )
-        counts = {w.min_count, w.max_count}
-        edit = lambda t: profile.replace_ballots(
-            w.ballot_type, w.modified_type, t, w.raw_first_invalid
-        )
+        counts, modified = {w.min_count, w.max_count}, w.modified_type
     elif isinstance(w, NoShowWitness):
         sound = prefers(w.ballot_type, w.new_winner, w.original_winner) and w.count >= 1
-        counts = {w.count}
-        edit = lambda t: profile.remove_ballots(w.ballot_type, t, w.raw_first_invalid)
+        counts, remove = {w.count}, True
     elif isinstance(w, CompromiseWitness):
         if w.promoted_candidate not in w.ballot_type:
             raise ValidationError("promoted candidate is not ranked on the ballot type")
@@ -341,26 +328,28 @@ def verify_witness(
             prefers(w.ballot_type, w.new_winner, w.original_winner)
             and 1 <= w.count <= w.max_count
         )
-        counts = {w.count, w.max_count}
-        modified = _promote(w.ballot_type, w.promoted_candidate)
-        edit = lambda t: profile.replace_ballots(
-            w.ballot_type, modified, t, w.raw_first_invalid
-        )
+        counts, modified = {w.count, w.max_count}, _promote(w.ballot_type, w.promoted_candidate)
     elif isinstance(w, SpoilerWitness):
         for cid in w.removed:
             if cid not in profile.roster:
                 raise ValidationError(f"witness removes unknown candidate {cid!r}")
         sound = bool(w.removed) and original not in w.removed
-        counts = {0}
-        edit = lambda _: profile.remove_candidates(w.removed)
     else:
         raise ValidationError(f"unknown witness type {type(w).__name__}")
 
     if not sound or original != w.original_winner or w.new_winner == original:
         return False
-    for t in counts:
+    if isinstance(w, SpoilerWitness):
+        edits = [profile.remove_candidates(w.removed)]
+    else:
+        edits = (
+            profile.remove_ballots(w.ballot_type, t, w.raw_first_invalid) if remove
+            else profile.replace_ballots(w.ballot_type, modified, t, w.raw_first_invalid)
+            for t in counts
+        )
+    for edited in edits:
         try:
-            if rcv_tabulate(edit(t), options).winner != w.new_winner:
+            if rcv_tabulate(edited, options).winner != w.new_winner:
                 return False
         except TieError:
             return False
@@ -447,15 +436,13 @@ def brute_force_oracle(
                 )
     spoilers = SpoilerScan(tuple(spoiler_wits), tuple(spoiler_ties))
 
-    def monotonicity(direction: Direction) -> MonotonicityScan:
+    def monotonicity(direction: Direction) -> EditScan:
         if direction is Direction.DOWNWARD:
             focals = [cid for cid in roster_ids if cid != original_winner]
             edit_name = "shift-down"
-            shift = "down"
         else:
             focals = [original_winner]
             edit_name = "shift-up"
-            shift = "up"
         wits = []
         ties = []
         for focal in focals:
@@ -473,7 +460,7 @@ def brute_force_oracle(
                 modified = tuple(modified)
                 per_t = []
                 for t in range(1, profile.entries[(ranking, flag)] + 1):
-                    edited = profile.shift_candidate(ranking, focal, shift, t, flag)
+                    edited = profile.replace_ballots(ranking, modified, t, flag)
                     per_t.append((t, outcome_of(edited)))
                 if direction is Direction.DOWNWARD:
                     qualifies = lambda w: w == focal
@@ -491,7 +478,7 @@ def brute_force_oracle(
                     TieBoundary(edit_name, ranking, flag, focal, t, tied)
                     for t, tied in tie_ts
                 )
-        return MonotonicityScan(direction, tuple(wits), tuple(ties))
+        return EditScan(tuple(wits), tuple(ties))
 
     downward = monotonicity(Direction.DOWNWARD)
     upward = monotonicity(Direction.UPWARD)
@@ -517,7 +504,7 @@ def brute_force_oracle(
         noshow_ties.extend(
             TieBoundary("remove", ranking, flag, None, t, tied) for t, tied in tie_ts
         )
-    noshow = NoShowScan(tuple(noshow_wits), tuple(noshow_ties))
+    noshow = EditScan(tuple(noshow_wits), tuple(noshow_ties))
 
     comp_wits = []
     comp_ties = []
@@ -542,6 +529,6 @@ def brute_force_oracle(
                 TieBoundary("promote", ranking, flag, promoted, t, tied)
                 for t, tied in tie_ts
             )
-    compromise = CompromiseScan(tuple(comp_wits), tuple(comp_ties))
+    compromise = EditScan(tuple(comp_wits), tuple(comp_ties))
 
     return PathologyReport(spoilers, downward, upward, noshow, compromise)

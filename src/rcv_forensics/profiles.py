@@ -120,33 +120,6 @@ class PreferenceProfile:
             (tuple(from_type), raw_first_invalid), count, (tuple(to_type), raw_first_invalid)
         )
 
-    def shift_candidate(
-        self,
-        ballot_type: Sequence[str],
-        candidate: str,
-        direction: str,
-        count: int,
-        raw_first_invalid: bool = False,
-    ) -> "PreferenceProfile":
-        """Swap a candidate one adjacent position up or down on ``count`` ballots."""
-        ranking = tuple(ballot_type)
-        if candidate not in ranking:
-            raise ValidationError(f"candidate {candidate!r} not ranked on {ranking}")
-        i = ranking.index(candidate)
-        if direction == "up":
-            if i == 0:
-                raise ValidationError(f"{candidate!r} is already first on {ranking}")
-            j = i - 1
-        elif direction == "down":
-            if i == len(ranking) - 1:
-                raise ValidationError(f"{candidate!r} is already last on {ranking}")
-            j = i + 1
-        else:
-            raise ValidationError(f"direction must be 'up' or 'down', got {direction!r}")
-        modified = list(ranking)
-        modified[i], modified[j] = modified[j], modified[i]
-        return self.replace_ballots(ranking, tuple(modified), count, raw_first_invalid)
-
     def remove_ballots(
         self,
         ballot_type: Sequence[str],
@@ -190,7 +163,7 @@ class PreferenceProfile:
     def from_json_dict(cls, doc: Mapping) -> "PreferenceProfile":
         if not isinstance(doc, Mapping) or not isinstance(doc.get("entries"), list):
             raise ParseError("profile document must be an object with an 'entries' array")
-        entries = {}
+        entries, positions = {}, {}
         for i, e in enumerate(doc["entries"], 1):
             if not isinstance(e, Mapping) or not isinstance(e.get("ranking"), list):
                 raise ParseError(f"profile entry #{i}: expected an object with a ranking array")
@@ -198,5 +171,11 @@ class PreferenceProfile:
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ParseError(f"profile entry #{i}: count must be an integer")
             flag = _boolean(e.get("raw_first_invalid"), f"profile entry #{i}: raw_first_invalid")
-            entries[(tuple(e["ranking"]), flag)] = count
+            key = (tuple(e["ranking"]), flag)
+            if key in positions:
+                raise ParseError(
+                    f"profile entry #{i}: repeats entry #{positions[key]}"
+                    " (same ranking and raw_first_invalid)"
+                )
+            entries[key], positions[key] = count, i
         return cls(_decode_roster(doc.get("roster")), entries)

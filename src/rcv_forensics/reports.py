@@ -16,11 +16,9 @@ import json
 from .cvr import CandidateRoster
 from .fixtures import PublishedClaim
 from .forensics import (
-    CompromiseScan,
     CompromiseWitness,
-    MonotonicityScan,
+    EditScan,
     MonotonicityWitness,
-    NoShowScan,
     NoShowWitness,
     SpoilerScan,
     SpoilerWitness,
@@ -80,7 +78,7 @@ _WITNESS_KINDS = {
 }
 
 
-def scan_to_dict(scan: SpoilerScan | MonotonicityScan | NoShowScan | CompromiseScan) -> dict:
+def scan_to_dict(scan: SpoilerScan | EditScan) -> dict:
     """Witnesses (each with its "kind") and tie boundaries of one search; a
     spoiler scan carries its tied subsets as "tie_subsets"."""
     doc = {

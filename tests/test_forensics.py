@@ -15,6 +15,7 @@ from rcv_forensics import (
     RcvOptions,
     SpoilerWitness,
     TieError,
+    TiePolicy,
     ValidationError,
     brute_force_oracle,
     find_spoilers,
@@ -25,12 +26,21 @@ from rcv_forensics import (
     search_noshow,
     verify_witness,
 )
+from rcv_forensics.forensics import _shift
 from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import make_random_profile
 
 OPTS = RcvOptions()
 BUGGY = RcvOptions(buggy_first_round=True)
+LEX = RcvOptions(tie_policy=TiePolicy.ELIMINATE_LEX_SMALLEST)
+
+# B and C tie at 4 in round 1, so under LEX one edited ballot decides which
+# of them is eliminated; most edits create a ballot type the profile lacks.
+ONE_BALLOT = PreferenceProfile.from_counts(
+    CandidateRoster(tuple(Candidate(c, c) for c in "ABC")),
+    {("A", "B", "C"): 5, ("B", "A", "C"): 4, ("C", "A", "B"): 1, ("C", "B", "A"): 3},
+)
 
 
 class TestSpoilers:
@@ -190,6 +200,20 @@ class TestVerifyWitness:
         witness = NoShowWitness(("M", "H", "R"), False, 42, "R", "H")
         assert verify_witness(synthetic_profile, witness, BUGGY)
 
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            MonotonicityWitness(
+                Direction.UPWARD, "A", ("C", "A", "B"), False, ("A", "C", "B"), 1, 1, "A", "B"
+            ),
+            NoShowWitness(("C", "B", "A"), False, 1, "A", "B"),
+            CompromiseWitness(("C", "B", "A"), False, "B", 1, 3, "A", "B"),
+        ],
+        ids=["upward", "noshow", "compromise"],
+    )
+    def test_one_ballot_witness_true(self, witness):
+        assert verify_witness(ONE_BALLOT, witness, LEX)
+
     def test_spoiler_true(self, table1):
         assert verify_witness(table1, SpoilerWitness(("R",), "H", "M"), OPTS)
 
@@ -228,12 +252,18 @@ class TestVerifyWitness:
             dataclasses.replace(
                 DOWN_R_40, ballot_type=("M", "H", "R"), modified_type=("M", "R", "H")
             ),
+            # removing the winner H does elect R, but that is no spoiler effect
+            SpoilerWitness(("H",), "H", "R"),
+            # no shift exists, so no modified type: the claim is not a removal
+            MonotonicityWitness(Direction.UPWARD, "H", ("H",), False, None, 500, 500, "H", "R"),
+            MonotonicityWitness(Direction.DOWNWARD, "R", ("H",), False, None, 500, 500, "H", "R"),
         ],
         ids=[
             "published-max-598", "max-past-computed-299", "focal-not-new-winner",
             "min-above-max", "compromise-count-above-max", "noshow-not-preferred",
             "wrong-original-winner", "down-moved-two-places", "up-moved-down",
-            "focal-unranked", "focal-already-last",
+            "focal-unranked", "focal-already-last", "spoiler-removes-winner",
+            "modified-none-up", "modified-none-down",
         ],
     )
     def test_wrong_witness_false(self, table1, witness):
@@ -274,14 +304,14 @@ class TestOracle:
         assert "rcv_tabulate" in names
 
     def test_toy_profile_oracle_equals_searches(self, toy_cycle_profile):
-        profile = toy_cycle_profile
-        report = brute_force_oracle(profile, OPTS)
-        losers = len(profile.roster.candidates) - 1
-        assert report.spoilers == find_spoilers(profile, OPTS, max_subset_size=losers)
-        assert report.downward == search_monotonicity(profile, OPTS, Direction.DOWNWARD)
-        assert report.upward == search_monotonicity(profile, OPTS, Direction.UPWARD)
-        assert report.noshow == search_noshow(profile, OPTS)
-        assert report.compromise == search_compromise(profile, OPTS)
+        for profile, options in ((toy_cycle_profile, OPTS), (ONE_BALLOT, LEX)):
+            report = brute_force_oracle(profile, options)
+            losers = len(profile.roster.candidates) - 1
+            assert report.spoilers == find_spoilers(profile, options, max_subset_size=losers)
+            assert report.downward == search_monotonicity(profile, options, Direction.DOWNWARD)
+            assert report.upward == search_monotonicity(profile, options, Direction.UPWARD)
+            assert report.noshow == search_noshow(profile, options)
+            assert report.compromise == search_compromise(profile, options)
 
     def test_toy_profile_has_cycle_and_spoiler(self, toy_cycle_profile):
         report = brute_force_oracle(toy_cycle_profile, OPTS)
@@ -316,6 +346,27 @@ class TestPrefers:
 
     def test_both_unranked_tied(self):
         assert not prefers(("M",), "H", "R")
+
+
+@pytest.mark.parametrize(
+    "ranking, focal, direction, shifted",
+    [
+        (("R", "M", "H"), "R", Direction.DOWNWARD, ("M", "R", "H")),
+        (("R", "H", "M"), "H", Direction.UPWARD, ("H", "R", "M")),
+        (("R", "M", "H"), "H", Direction.DOWNWARD, None),
+        (("R", "M", "H"), "R", Direction.UPWARD, None),
+        (("R", "M"), "H", Direction.DOWNWARD, None),
+        (("R", "M"), "H", Direction.UPWARD, None),
+    ],
+    ids=["down", "up", "already-last", "already-first", "unranked-down", "unranked-up"],
+)
+def test_shift_one_place(ranking, focal, direction, shifted):
+    """The one-place swap of the shift searches and of verify_witness; a
+    shift and the opposite shift of the same candidate undo each other."""
+    assert _shift(ranking, focal, direction) == shifted
+    if shifted is not None:
+        back = Direction.UPWARD if direction is Direction.DOWNWARD else Direction.DOWNWARD
+        assert _shift(shifted, focal, back) == ranking
 
 
 def test_downward_focal_never_original_winner(table1):

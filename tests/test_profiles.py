@@ -101,37 +101,6 @@ class TestRemoveCandidates:
             table1.remove_candidates({"X"})
 
 
-class TestShiftCandidate:
-    def test_shift_down(self, table1):
-        shifted = table1.shift_candidate(("R", "M", "H"), "R", "down", 40)
-        assert shifted.count(("R", "M", "H")) == 2206
-        assert shifted.count(("M", "R", "H")) == 1461
-        assert shifted.total() == table1.total()
-
-    def test_shift_up(self, table1):
-        shifted = table1.shift_candidate(("R", "H", "M"), "H", "up", 2000)
-        assert shifted.count(("H", "R", "M")) == 1807 + 2000
-        assert shifted.count(("R", "H", "M")) == 171
-
-    def test_shift_zero_is_identity(self, table1):
-        assert table1.shift_candidate(("R", "M", "H"), "R", "down", 0) == table1
-
-    def test_boundary_positions_rejected(self, table1):
-        with pytest.raises(ValidationError):
-            table1.shift_candidate(("R", "M", "H"), "R", "up", 1)
-        with pytest.raises(ValidationError):
-            table1.shift_candidate(("R", "M", "H"), "H", "down", 1)
-
-    def test_insufficient_ballots_rejected(self, table1):
-        with pytest.raises(ValidationError):
-            table1.shift_candidate(("R", "M", "H"), "R", "down", 2247)
-
-    def test_down_then_up_restores(self, table1):
-        down = table1.shift_candidate(("R", "M", "H"), "R", "down", 40)
-        restored = down.shift_candidate(("M", "R", "H"), "R", "up", 40)
-        assert restored == table1
-
-
 class TestReplaceRemoveBallots:
     def test_replace(self, table1):
         moved = table1.replace_ballots(("R", "M", "H"), ("M", "R", "H"), 1800)
@@ -239,11 +208,16 @@ class TestSerialization:
             (lambda d: d["entries"][1].update(count=1.5), ParseError, "entry #2"),
             (lambda d: d["entries"][1].update(count=True), ParseError, "entry #2"),
             (lambda d: d["entries"].__setitem__(1, ["H"]), ParseError, "entry #2"),
+            (
+                lambda d: d["entries"].insert(1, {**d["entries"][0], "count": 7}),
+                ParseError,
+                r"entry #2: repeats entry #1 \(same ranking and raw_first_invalid\)",
+            ),
         ],
         ids=[
             "missing-name", "writein-string", "all-writein", "flag-not-boolean",
             "no-entries", "entries-not-list", "no-ranking", "ranking-string", "no-count",
-            "count-string", "count-float", "count-bool", "entry-not-object",
+            "count-string", "count-float", "count-bool", "entry-not-object", "repeated-entry",
         ],
     )
     def test_malformed_document_rejected(self, table1, edit, error, message):

@@ -34,6 +34,7 @@ class TestSkipHandling:
     def test_single_skip_shifts_up_everywhere(self):
         for policy in ALL_POLICIES:
             assert clean((("A",), (), ("B",)), policy).ranking == ("A", "B")
+            assert clean(((), ("A",), ("B",)), policy).ranking == ("A", "B")
 
     def test_multi_skip_alameda_shifts_up(self):
         ballot = clean((("A",), (), (), (), ("B",)), ALAMEDA)

@@ -1,16 +1,18 @@
-"""Mutation gate for the IRV counting core in ``src/rcv_forensics/methods.py``.
+"""Mutation gate for the counting core, the pathology searches and ballot
+sanitization.
 
 Usage, from the root of a checkout:
 
     python3 tools/mutate_count.py           # run every mutant, print survivors
     python3 tools/mutate_count.py --list    # print the mutants without running
 
-Each mutant changes one spot in ``_Piles``, ``_tabulate`` or
-``plurality_runoff``: a comparison flipped (``<`` to ``<=`` or ``>``, ``==``
-to ``!=``, ``in`` to ``not in``, ``is`` to ``is not``), a ``+=`` turned into
+GATE names, per module, the definitions to mutate and the tests that must
+kill their mutants. Each mutant changes one spot in one of those
+definitions: a comparison flipped (``<`` to ``<=`` or ``>``, ``==`` to
+``!=``, ``in`` to ``not in``, ``is`` to ``is not``), a ``+=`` turned into
 ``-=`` or back, an ``and`` turned into ``or`` or back, or an integer constant
 moved by one. The mutant is written into a copy of ``src/`` and ``tests/``
-in a temporary directory, and the tests in TESTS run against it; a mutant
+in a temporary directory, and the module's tests run against it; a mutant
 survives when they all pass. Survivors listed in EQUIVALENT with a reason
 are expected. The exit code is 0 when every other mutant is killed.
 
@@ -29,15 +31,43 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("src/rcv_forensics/methods.py")
-TARGETS = ("_Piles", "_tabulate", "plurality_runoff")
-TESTS = ("tests/test_methods.py", "tests/test_pile_count.py")
+# module -> (definitions mutated, tests run against each of their mutants)
+GATE = {
+    Path("src/rcv_forensics/methods.py"): (
+        ("_Piles", "_tabulate", "plurality_runoff"),
+        ("tests/test_methods.py", "tests/test_pile_count.py"),
+    ),
+    Path("src/rcv_forensics/forensics.py"): (
+        ("_scan", "verify_witness"),
+        ("tests/test_forensics.py",),
+    ),
+    Path("src/rcv_forensics/sanitize.py"): (
+        ("sanitize_ballot",),
+        ("tests/test_sanitize.py", "tests/test_cvr.py"),
+    ),
+}
 TIMEOUT_S = 120
 
 # mutant id -> why no test can tell it from the original
 EQUIVALENT = {
     "plurality_runoff: cut = tallies[ranked[1]] [col 29: 1->2]": (
         "the line runs only when tallies[ranked[1]] == tallies[ranked[2]]"
+    ),
+    "verify_witness: and 1 <= w.min_count <= w.max_count [col 16: 1->0]": (
+        "a count of 0 replays the unedited profile, whose winner is the original, "
+        "so verify_witness returns False whatever the order"
+    ),
+    "verify_witness: and 1 <= w.count <= w.max_count [col 16: 1->0]": (
+        "a count of 0 replays the unedited profile, whose winner is the original, "
+        "so verify_witness returns False whatever the order"
+    ),
+    "verify_witness: sound = prefers(w.ballot_type, w.new_winner, w.original_winner) "
+    "and w.count >= 1 [col 87: 1->0]": (
+        "a count of 0 replays the unedited profile, whose winner is the original, "
+        "so verify_witness returns False"
+    ),
+    "sanitize_ballot: candidate = slot[0] [col 25: 0->-1]": (
+        "the line runs only on a slot of one candidate, where slot[0] is slot[-1]"
     ),
 }
 
@@ -56,13 +86,13 @@ _FLIPS = {
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.And: ast.Or, ast.Or: ast.And}
 
 
-def _target_nodes(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+def _target_nodes(tree: ast.Module, targets: tuple[str, ...]) -> list[tuple[str, ast.AST]]:
     """(qualified name, node) of every node inside the target definitions,
     in a fixed walk order, so that the same index finds the same node in a
     fresh parse."""
     found = []
     for top in tree.body:
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in TARGETS:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in targets:
             for node in ast.walk(top):
                 found.append((top.name, node))
     return found
@@ -94,17 +124,17 @@ def _apply(node: ast.AST, change: object) -> None:
         node.value = change
 
 
-def mutants(source: str) -> list[tuple[str, str, str]]:
+def mutants(source: str, targets: tuple[str, ...]) -> list[tuple[str, str, str]]:
     """(id, description, mutated source) of every mutant. The id names the
     definition, the text of the source line, the column and the change, so
     that it survives edits elsewhere in the file."""
     lines = source.splitlines()
     result = []
     seen: dict[str, int] = {}
-    for index, (name, node) in enumerate(_target_nodes(ast.parse(source))):
+    for index, (name, node) in enumerate(_target_nodes(ast.parse(source), targets)):
         for label, change in _mutations(node):
             tree = ast.parse(source)
-            _apply(_target_nodes(tree)[index][1], change)
+            _apply(_target_nodes(tree, targets)[index][1], change)
             key = f"{name}: {lines[node.lineno - 1].strip()} [col {node.col_offset}: {label}]"
             seen[key] = seen.get(key, 0) + 1
             if seen[key] > 1:  # the same line text appears again in the definition
@@ -113,12 +143,12 @@ def mutants(source: str) -> list[tuple[str, str, str]]:
     return result
 
 
-def _run_tests(copy: Path) -> tuple[bool, str]:
+def _run_tests(copy: Path, tests: tuple[str, ...]) -> tuple[bool, str]:
     """Whether the tests pass in the copy, and the last line pytest printed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [
         sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-        "--hypothesis-seed=0", *TESTS,
+        "--hypothesis-seed=0", *tests,
     ]
     try:
         done = subprocess.run(
@@ -135,11 +165,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     args = parser.parse_args(argv)
 
-    source = (ROOT / MODULE).read_text(encoding="utf-8")
-    every = mutants(source)
+    sources = {module: (ROOT / module).read_text(encoding="utf-8") for module in GATE}
+    every = [  # (module, tests, id, description, mutated source)
+        (module, tests, *m)
+        for module, (targets, tests) in GATE.items()
+        for m in mutants(sources[module], targets)
+    ]
     if args.list:
-        for _, description, _ in every:
-            print(description)
+        for module, _, _, description, _ in every:
+            print(f"{module.name} {description}")
         print(f"{len(every)} mutants")
         return 0
 
@@ -151,16 +185,17 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(src, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy(src, copy / part)
-        passed, last = _run_tests(copy)
+        passed, last = _run_tests(copy, tuple(t for _, tests in GATE.values() for t in tests))
         if not passed:
             print(f"the unmutated tests fail: {last}")
             return 2
         survivors = []
-        for n, (key, description, mutated) in enumerate(every, 1):
-            (copy / MODULE).write_text(mutated, encoding="utf-8")
-            passed, last = _run_tests(copy)
+        for n, (module, tests, key, description, mutated) in enumerate(every, 1):
+            (copy / module).write_text(mutated, encoding="utf-8")
+            passed, last = _run_tests(copy, tests)
+            (copy / module).write_text(sources[module], encoding="utf-8")
             status = "SURVIVED" if passed else "killed"
-            print(f"[{n}/{len(every)}] {status}: {description} ({last})", flush=True)
+            print(f"[{n}/{len(every)}] {status}: {module.name} {description} ({last})", flush=True)
             if passed:
                 survivors.append(key)
 
