@@ -177,42 +177,31 @@ def _options_from_args(args) -> RcvOptions:
     )
 
 
-def _check_source(parser_name: str, args) -> None:
-    if bool(args.fixture) == bool(args.input):
-        raise UsageError(f"{parser_name}: exactly one of --fixture or --input is required")
-    if args.input and not args.roster:
-        raise UsageError(f"{parser_name}: --roster is required with --input")
-
-
 class UsageError(Exception):
     pass
 
 
-def _load_source(args, raw: bool = False):
-    """Raw ballots and their roster if raw is set, else the sanitized
-    profile; the only place that tells a profile fixture from a raw one."""
+def _load(args, raw: bool = False):
+    """Raw ballots and their roster if raw is set, else the sanitized profile,
+    which must not be empty; the only place that checks the source flags and
+    tells a profile fixture from a raw one."""
+    if bool(args.fixture) == bool(args.input):
+        raise UsageError(f"{args.command}: exactly one of --fixture or --input is required")
+    if args.input and not args.roster:
+        raise UsageError(f"{args.command}: --roster is required with --input")
     if args.fixture:
         loaded = load_builtin_fixture(args.fixture)
-        if isinstance(loaded, PreferenceProfile):
-            if raw:
-                raise UsageError(
-                    f"fixture {args.fixture!r} is an aggregated profile, not raw ballots"
-                )
-            return loaded
-        roster = fixture_roster(args.fixture)
+        roster = None if isinstance(loaded, PreferenceProfile) else fixture_roster(args.fixture)
     else:
         with open(args.roster, encoding="utf-8") as stream:
             roster = load_roster(stream)
         with open(args.input, encoding="utf-8") as stream:
             loaded = parse_cvr(stream, roster)
     if raw:
+        if roster is None:
+            raise UsageError(f"fixture {args.fixture!r} is an aggregated profile, not raw ballots")
         return loaded, roster
-    profile, _ = sanitize_all(loaded, _policy_from_args(args), roster)
-    return profile
-
-
-def _load_profile(args) -> PreferenceProfile:
-    profile = _load_source(args)
+    profile = loaded if roster is None else sanitize_all(loaded, _policy_from_args(args), roster)[0]
     if profile.total() == 0:
         raise ValidationError("cannot tabulate an empty profile")
     return profile
@@ -245,8 +234,7 @@ def _condorcet(profile: PreferenceProfile) -> dict:
 
 
 def cmd_sanitize(args) -> int:
-    _check_source("sanitize", args)
-    ballots, roster = _load_source(args, raw=True)
+    ballots, roster = _load(args, raw=True)
     policy = _policy_from_args(args)
     cleaned = sanitize_ballots(ballots, policy, roster)
     stats = sanitize_stats(zip(ballots, cleaned), roster)
@@ -269,10 +257,9 @@ def cmd_sanitize(args) -> int:
 
 
 def cmd_tabulate(args) -> int:
-    _check_source("tabulate", args)
     if not args.method:
         raise UsageError("tabulate: --method is required")
-    profile = _load_profile(args)
+    profile = _load(args)
     options = _options_from_args(args)
     doc: dict = {"schema_version": 1, "command": "tabulate"}
     if args.method == "rcv":
@@ -299,8 +286,7 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_source("compare", args)
-    profile = _load_profile(args)
+    profile = _load(args)
     n_points = len(profile.roster.candidates)
     rows = []
 
@@ -340,7 +326,6 @@ def _shift_max(scan, claim) -> int | None:
 
 
 def cmd_audit(args) -> int:
-    _check_source("audit", args)
     if args.checks == "all":
         checks = set(_ALL_CHECKS)
     else:
@@ -352,7 +337,7 @@ def cmd_audit(args) -> int:
             raise UsageError("audit: --checks must name at least one check")
     if args.spoiler_max_size < 1:
         raise UsageError("audit: --spoiler-max-size must be a positive integer")
-    profile = _load_profile(args)
+    profile = _load(args)
     options = _options_from_args(args)
     bodies: dict = {}
     discrepancies: list[dict] = []

@@ -4,14 +4,17 @@ A roster is a JSON object with a ``candidates`` array of ``{id, name, writein}``
 objects; ``writein`` is optional and a boolean. A CVR file is newline-delimited
 JSON, one ballot per line: ``{"ballot_id": str, "ranks": [[id, ...], ...]}``
 where an empty array is a skipped rank and an array of two or more ids is an
-overvote. Trailing empty slots may be omitted on input; emitted files always
-write every slot.
+overvote. Trailing empty slots may be omitted on input (``"ranks": []`` omits
+every slot); emitted files always write every slot. An optional boolean
+``raw_first_invalid`` states that the as-cast first rank held no valid
+candidate, which cleaned ranks no longer show. Each ``ballot_id`` appears once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import IO, Iterable
 
 
@@ -81,15 +84,15 @@ class RawBallot:
     """An as-cast ballot: ordered rank slots, each a set of candidate ids.
 
     Slots are canonicalized to sorted, deduplicated tuples so that equal
-    ballots compare equal and the JSONL round trip is exact.
+    ballots compare equal and the JSONL round trip is exact. A ballot may have
+    no slots. ``raw_first_invalid`` is None unless the CVR line stated it.
     """
 
     ballot_id: str
     slots: tuple[tuple[str, ...], ...]
+    raw_first_invalid: bool | None = None
 
     def __post_init__(self) -> None:
-        if len(self.slots) < 1:
-            raise ValidationError(f"ballot {self.ballot_id!r}: at least one rank slot required")
         object.__setattr__(
             self, "slots", tuple(tuple(sorted(set(slot))) for slot in self.slots)
         )
@@ -144,21 +147,24 @@ def _parse_line(line_no: int, line: str, roster: CandidateRoster) -> RawBallot:
     if not isinstance(ballot_id, str) or not ballot_id:
         raise ParseError(f"line {line_no}: missing or invalid ballot_id")
     ranks = doc.get("ranks")
-    if not isinstance(ranks, list) or not ranks:
-        raise ParseError(f"line {line_no}: 'ranks' must be a non-empty array of arrays")
+    if not isinstance(ranks, list):
+        raise ParseError(f"line {line_no}: 'ranks' must be an array of arrays")
     for slot in ranks:
         if not isinstance(slot, list) or not all(isinstance(c, str) for c in slot):
             raise ParseError(f"line {line_no}: each rank slot must be an array of candidate ids")
         for cid in slot:
             if cid not in roster:
                 raise ParseError(f"ballot {ballot_id!r}: unknown candidate id {cid!r}")
-    return RawBallot(ballot_id, tuple(ranks))
+    if "raw_first_invalid" in doc:
+        _boolean(doc["raw_first_invalid"], f"line {line_no}: raw_first_invalid")
+    return RawBallot(ballot_id, tuple(ranks), doc.get("raw_first_invalid"))
 
 
 def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
     """Parse a newline-delimited CVR stream into raw ballots, in file order.
 
     Blank lines are skipped; the returned count equals the non-blank line count.
+    A repeated ballot_id is a ParseError naming both ballots by position.
     """
     ballots = []
     try:
@@ -168,18 +174,27 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
             ballots.append(_parse_line(line_no, line, roster))
     except UnicodeDecodeError as exc:
         raise ParseError(f"CVR is not UTF-8 text: {exc.reason}") from exc
+    # checked once, on a sorted list of ids: the parse holds no id set
+    ids = sorted(ballot.ballot_id for ballot in ballots)
+    repeated = next((a for a, b in pairwise(ids) if a == b), None)
+    if repeated is not None:
+        first, second = [n for n, b in enumerate(ballots, 1) if b.ballot_id == repeated][:2]
+        raise ParseError(f"CVR ballots #{first} and #{second} share ballot_id {repeated!r}")
     return ballots
+
+
+def cvr_line(ballot_id: str, slots: Iterable, raw_first_invalid: bool | None) -> str:
+    """One ballot as a CVR line: every slot, and the flag unless it is None."""
+    doc = {"ballot_id": ballot_id, "ranks": [list(slot) for slot in slots]}
+    if raw_first_invalid is not None:
+        doc["raw_first_invalid"] = raw_first_invalid
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def emit_cvr(ballots: Iterable[RawBallot], sink: IO[str]) -> None:
     """Write ballots in the line-oriented CVR format, one JSON object per line."""
     for ballot in ballots:
-        doc = {"ballot_id": ballot.ballot_id, "ranks": [list(slot) for slot in ballot.slots]}
-        sink.write(_jsonl_line(doc))
-
-
-def _jsonl_line(doc: dict) -> str:
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+        sink.write(cvr_line(ballot.ballot_id, ballot.slots, ballot.raw_first_invalid))
 
 
 def roster_to_json_dict(roster: CandidateRoster) -> dict:

@@ -167,6 +167,8 @@ class PreferenceProfile:
         for i, e in enumerate(doc["entries"], 1):
             if not isinstance(e, Mapping) or not isinstance(e.get("ranking"), list):
                 raise ParseError(f"profile entry #{i}: expected an object with a ranking array")
+            if not all(isinstance(c, str) for c in e["ranking"]):
+                raise ParseError(f"profile entry #{i}: ranking must hold candidate ids")
             count = e.get("count")
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ParseError(f"profile entry #{i}: count must be an integer")

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .cvr import CandidateRoster, RawBallot, _jsonl_line
+from .cvr import CandidateRoster, RawBallot, cvr_line
 from .profiles import PreferenceProfile, ProfileKey
 
 
@@ -100,19 +100,16 @@ def sanitize_ballot(
         candidate = slot[0]
         if candidate not in ranking:
             ranking.append(candidate)
-    # an empty first slot is invalid too: all() of nothing is true
-    raw_first_invalid = all(c in writeins for c in raw.slots[0])
+    # a stated flag wins; else an empty or absent first slot is invalid: all() of nothing
+    raw_first_invalid = raw.raw_first_invalid
+    if raw_first_invalid is None:
+        raw_first_invalid = all(c in writeins for slot in raw.slots[:1] for c in slot)
     return CleanBallot(raw.ballot_id, tuple(ranking), raw_first_invalid)
 
 
-def _skipped_then_ranked(raw: RawBallot) -> bool:
-    seen_skip = False
-    for slot in raw.slots:
-        if len(slot) == 0:
-            seen_skip = True
-        elif seen_skip:
-            return True
-    return False
+def _skipped_then_ranked(slots: tuple[tuple[str, ...], ...]) -> bool:
+    """A ranked slot somewhere after the first skipped one."""
+    return () in slots and any(slots[slots.index(()) + 1 :])
 
 
 def sanitize_stats(
@@ -125,7 +122,7 @@ def sanitize_stats(
         total += 1
         if any(len(slot) > 1 for slot in raw.slots):
             overvote += 1
-        if _skipped_then_ranked(raw):
+        if _skipped_then_ranked(raw.slots):
             skipped += 1
         if clean.raw_first_invalid and any(c in officials for c in clean.ranking):
             invalid_first += 1
@@ -160,11 +157,6 @@ def sanitize_ballots(
 
 
 def emit_clean_cvr(ballots: Iterable[CleanBallot], sink: IO[str]) -> None:
-    """Write cleaned ballots in the line-oriented CVR format (singleton slots)."""
-    for ballot in ballots:
-        doc = {
-            "ballot_id": ballot.ballot_id,
-            "ranks": [[c] for c in ballot.ranking],
-            "raw_first_invalid": ballot.raw_first_invalid,
-        }
-        sink.write(_jsonl_line(doc))
+    """Write cleaned ballots as CVR lines of singleton slots, with their flag."""
+    for b in ballots:
+        sink.write(cvr_line(b.ballot_id, [(c,) for c in b.ranking], b.raw_first_invalid))

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rcv_forensics import sanitize as sanitize_module
+from rcv_forensics import fixture_roster, sanitize as sanitize_module
 from rcv_forensics.cli import main
+from rcv_forensics.cvr import roster_to_json_dict
 
 ROSTER_JSON = json.dumps(
     {
@@ -365,6 +366,53 @@ class TestSanitize:
         code, _, err = run(capsys, "sanitize", "--fixture", "oakland-table1")
         assert code == 2
         assert "aggregated profile" in err
+
+    def test_clean_file_reads_as_its_source(self, capsys, tmp_path):
+        """The clean CVR states each ballot's as-cast first-rank flag, so the
+        misconfigured count of the clean file is the fixture's, and
+        re-sanitizing it finds the same 213 invalid first ranks."""
+        roster = tmp_path / "roster.json"
+        roster.write_text(json.dumps(roster_to_json_dict(fixture_roster("oakland-full-synthetic"))))
+        cleaned, again = tmp_path / "clean.jsonl", tmp_path / "again.jsonl"
+        source = ["--input", str(cleaned), "--roster", str(roster)]
+        fixture = ["--fixture", "oakland-full-synthetic"]
+        assert run(capsys, "sanitize", *fixture, "--output", str(cleaned))[0] == 0
+        tabulate = ["tabulate", "--method", "rcv", "--buggy-first-round", "--format", "json"]
+        assert run(capsys, *tabulate, *source) == run(capsys, *tabulate, *fixture)
+        code, out, _ = run(capsys, "sanitize", *source, "--format", "json", "--output", str(again))
+        assert code == 0
+        assert json.loads(out)["stats"]["invalid_first_with_official"] == 213
+        assert again.read_bytes() == cleaned.read_bytes()
+
+    @pytest.mark.parametrize("policy", ["alameda", "minneapolis", "alaska"])
+    def test_sanitize_of_clean_output_is_identity(self, capsys, tmp_path, policy):
+        roster = tmp_path / "roster.json"
+        roster.write_text(
+            '{"candidates":[{"id":"A","name":"A"},{"id":"B","name":"B"},'
+            '{"id":"C","name":"C"},{"id":"W","name":"W","writein":true}]}'
+        )
+        cvr = tmp_path / "votes.jsonl"
+        cvr.write_text(
+            '{"ballot_id":"1","ranks":[["A","B"],["C"]]}\n'
+            '{"ballot_id":"2","ranks":[[],[],["B"]]}\n'
+            '{"ballot_id":"3","ranks":[["W"],["A"]]}\n'
+            '{"ballot_id":"4","ranks":[]}\n'
+            '{"ballot_id":"5","ranks":[["A"],["A"],["B"]]}\n'
+            '{"ballot_id":"6","ranks":[["B"]],"raw_first_invalid":true}\n'
+            '{"ballot_id":"7","ranks":[["A","C"]]}\n'
+        )
+        outputs = []
+        for source in (cvr, tmp_path / "clean1.jsonl"):
+            outputs.append(tmp_path / f"clean{len(outputs) + 1}.jsonl")
+            code, _, _ = run(
+                capsys, "sanitize", "--input", str(source), "--roster", str(roster),
+                "--policy", policy, "--output", str(outputs[-1]),
+            )
+            assert code == 0
+        first, second = (path.read_text() for path in outputs)
+        assert '"ranks":[],"raw_first_invalid":false' in first
+        assert '"ranks":[],"raw_first_invalid":true' in first
+        assert second == first
 
 
 class TestCompare:
@@ -731,6 +779,23 @@ def test_non_boolean_writein_is_data_error(capsys, tmp_path):
     assert err == "error: roster candidate 'H': writein must be true or false\n"
 
 
+@pytest.mark.parametrize("command", [["sanitize"], ["tabulate", "--method", "rcv"]])
+def test_repeated_ballot_id_is_data_error(capsys, tmp_path, command):
+    """A CVR line that repeats a ballot_id is refused, not counted twice."""
+    roster = tmp_path / "roster.json"
+    roster.write_text(ROSTER_JSON)
+    cvr = tmp_path / "votes.jsonl"
+    cvr.write_text(
+        '{"ballot_id":"1","ranks":[["A"]]}\n'
+        '{"ballot_id":"2","ranks":[["B"]]}\n'
+        '{"ballot_id":"1","ranks":[["A"]]}\n'
+    )
+    code, out, err = run(capsys, *command, "--input", str(cvr), "--roster", str(roster))
+    assert code == 3
+    assert out == ""
+    assert err == "error: CVR ballots #1 and #3 share ballot_id '1'\n"
+
+
 @pytest.mark.parametrize("kind", ["cvr", "roster", "config"])
 def test_deeply_nested_json_is_data_error(capsys, tmp_path, kind):
     """JSON nested past the parser's recursion limit is unreadable data."""
@@ -881,13 +946,20 @@ def _config(draw):
     return config
 
 
-_ballot = st.builds(
-    lambda n, ranks: json.dumps({"ballot_id": f"b{n}", "ranks": ranks}).encode(),
-    st.integers(0, 9),
-    st.lists(st.lists(st.sampled_from(["A", "B", "C", "W"]), max_size=2), min_size=1, max_size=4),
+_ranks = st.lists(st.lists(st.sampled_from(["A", "B", "C", "W"]), max_size=2), max_size=4)
+
+
+def _line(n, ranks) -> bytes:
+    return json.dumps({"ballot_id": f"b{n}", "ranks": ranks}).encode()
+
+
+# clean CVRs number their ballots, so they reach the count; dirty ones draw
+# ids from ten values, so most of them repeat an id
+_clean_cvr = st.lists(_ranks, max_size=20).map(
+    lambda ballots: [_line(n, ranks) for n, ranks in enumerate(ballots)]
 )
-_clean_cvr = st.lists(_ballot, max_size=20)
-_dirty_cvr = st.lists(_ballot | st.binary(max_size=12), max_size=20)
+_junk_line = st.builds(_line, st.integers(0, 9), _ranks) | st.binary(max_size=12)
+_dirty_cvr = st.lists(_junk_line, max_size=20)
 _cvr = st.one_of(_clean_cvr, _clean_cvr, _dirty_cvr).map(lambda lines: b"\n".join(lines))
 _ROBUST_ROSTER = json.dumps(
     {

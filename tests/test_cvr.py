@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rcv_forensics import (
+    ALAMEDA,
     ParseError,
     RawBallot,
     UnknownFixtureError,
@@ -14,6 +15,7 @@ from rcv_forensics import (
     load_builtin_fixture,
     load_roster,
     parse_cvr,
+    sanitize_ballot,
 )
 
 OAKLAND_ROSTER_JSON = json.dumps(
@@ -59,6 +61,21 @@ class TestLoadRoster:
     def test_all_writein_roster_rejected(self):
         doc = '{"candidates":[{"id":"W","name":"w","writein":true}]}'
         with pytest.raises(ValidationError):
+            load_roster(io.StringIO(doc))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[]", "roster document must be an object with a 'candidates' array"),
+            ("{}", "roster document must be an object with a 'candidates' array"),
+            ('{"candidates": {}}', "roster document must be an object with a 'candidates' array"),
+            ('{"candidates":[{"id":"H","name":"H"},{"id":"M"}]}', "roster candidate #2: "),
+            ('{"candidates":[{"id":"H","name":"H"},{"name":"M"}]}', "roster candidate #2: "),
+            ('{"candidates":[{"id":"H","name":"H"},"M"]}', "roster candidate #2: "),
+        ],
+    )
+    def test_malformed_roster_rejected(self, doc, message):
+        with pytest.raises(ParseError, match=f"^{message}"):
             load_roster(io.StringIO(doc))
 
     @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1"])
@@ -111,22 +128,72 @@ class TestParseCvr:
             RawBallot("b1", (("H",), ("M",), ("R",))),
             RawBallot("b2", (("WI1",), ("H",))),
             RawBallot("b3", ((), ("M", "R"), (), ("H",))),
+            RawBallot("b4", (), False),
         ]
         sink = io.StringIO()
         emit_cvr(ballots, sink)
         assert parse_cvr(io.StringIO(sink.getvalue()), roster) == ballots
 
+    @pytest.mark.parametrize("value, flag", [("true", True), ("false", False)])
+    def test_stated_flag_read(self, roster, value, flag):
+        line = f'{{"ballot_id":"b1","ranks":[["H"]],"raw_first_invalid":{value}}}'
+        (ballot,) = parse_cvr(io.StringIO(line), roster)
+        assert ballot.raw_first_invalid is flag
+        (ballot,) = parse_cvr(io.StringIO('{"ballot_id":"b1","ranks":[["H"]]}'), roster)
+        assert ballot.raw_first_invalid is None
+
+    @pytest.mark.parametrize("value", ['"true"', '"false"', "0", "1", "null", "[]"])
+    def test_non_boolean_flag_rejected(self, roster, value):
+        text = (
+            '{"ballot_id":"b1","ranks":[["H"]]}\n'
+            f'{{"ballot_id":"b2","ranks":[["H"]],"raw_first_invalid":{value}}}\n'
+        )
+        with pytest.raises(ParseError, match="^line 2: raw_first_invalid must be true or false$"):
+            parse_cvr(io.StringIO(text), roster)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["b1"]', "expected a JSON object"),
+            ('{"ranks":[["H"]]}', "missing or invalid ballot_id"),
+            ('{"ballot_id":"","ranks":[["H"]]}', "missing or invalid ballot_id"),
+            ('{"ballot_id":5,"ranks":[["H"]]}', "missing or invalid ballot_id"),
+            *(
+                (f'{{"ballot_id":"b1","ranks":{ranks}}}', "'ranks' must be an array of arrays")
+                for ranks in ('"H"', '{"H": 1}', "null", "1")
+            ),
+            *(
+                (f'{{"ballot_id":"b1","ranks":{ranks}}}', "each rank slot must be an array of ")
+                for ranks in ('["H"]', "[[1]]")
+            ),
+        ],
+    )
+    def test_malformed_line_rejected(self, roster, line, message):
+        """A line of the wrong shape is refused with its number, never read
+        as some other ballot (a bare "H" slot is not the slot ["H"])."""
+        text = '{"ballot_id":"b0","ranks":[["H"]]}\n' + line
+        with pytest.raises(ParseError, match=f"^line 2: {message}"):
+            parse_cvr(io.StringIO(text), roster)
+
+    def test_repeated_ballot_id_names_both_ballots(self, roster):
+        ids = ["b2", "b1", "", "b3", "b1", "b1"]
+        text = "\n".join(
+            f'{{"ballot_id":"{i}","ranks":[["H"]]}}' if i else "" for i in ids
+        )
+        with pytest.raises(ParseError, match=r"^CVR ballots #2 and #4 share ballot_id 'b1'$"):
+            parse_cvr(io.StringIO(text), roster)
+
 
 @given(
     st.lists(
         st.lists(st.sampled_from(["H", "M", "R", "WI1", "WI2"]), max_size=3),
-        min_size=1,
         max_size=6,
-    )
+    ),
+    st.sampled_from([None, True, False]),
 )
-def test_round_trip_identity_random(slots):
+def test_round_trip_identity_random(slots, flag):
     roster = load_roster(io.StringIO(OAKLAND_ROSTER_JSON))
-    ballots = [RawBallot("x", tuple(tuple(s) for s in slots))]
+    ballots = [RawBallot("x", tuple(tuple(s) for s in slots), flag)]
     sink = io.StringIO()
     emit_cvr(ballots, sink)
     assert parse_cvr(io.StringIO(sink.getvalue()), roster) == ballots
@@ -137,9 +204,17 @@ class TestRawBallot:
         ballot = RawBallot("b", (("R", "H", "H"),))
         assert ballot.slots == (("H", "R"),)
 
-    def test_zero_slots_rejected(self):
-        with pytest.raises(ValidationError):
-            RawBallot("b", ())
+    def test_zero_slots_read_back_clean_to_empty_and_round_trip(self, roster):
+        """A ballot with every slot omitted is a ballot: it cleans to no
+        ranking with an invalid (empty) first rank, and writes as it reads."""
+        line = '{"ballot_id":"b","ranks":[]}\n'
+        (ballot,) = parse_cvr(io.StringIO(line), roster)
+        assert ballot == RawBallot("b", ())
+        clean = sanitize_ballot(ballot, ALAMEDA, roster)
+        assert clean.ranking == () and clean.raw_first_invalid is True
+        sink = io.StringIO()
+        emit_cvr([ballot], sink)
+        assert sink.getvalue() == line
 
 
 class TestFixtures:

@@ -213,11 +213,20 @@ class TestSerialization:
                 ParseError,
                 r"entry #2: repeats entry #1 \(same ranking and raw_first_invalid\)",
             ),
+            *(
+                (
+                    lambda d, bad=bad: d["entries"][1].update(ranking=["H", bad]),
+                    ParseError,
+                    "^profile entry #2: ranking must hold candidate ids$",
+                )
+                for bad in (["H"], 1, None)
+            ),
         ],
         ids=[
             "missing-name", "writein-string", "all-writein", "flag-not-boolean",
             "no-entries", "entries-not-list", "no-ranking", "ranking-string", "no-count",
             "count-string", "count-float", "count-bool", "entry-not-object", "repeated-entry",
+            "ranking-holds-list", "ranking-holds-int", "ranking-holds-null",
         ],
     )
     def test_malformed_document_rejected(self, table1, edit, error, message):

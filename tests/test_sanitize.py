@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from rcv_forensics import (
@@ -88,6 +89,14 @@ class TestRawFirstInvalidFlag:
     def test_all_writein_overvote_first_flagged(self):
         ballot = sanitize_ballot(RawBallot("x", (("WI1", "WI2"), ("M",))), ALAMEDA, OAKLAND)
         assert ballot.raw_first_invalid
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_stated_flag_wins(self, flag):
+        """A clean CVR line states the flag of its as-cast first rank, which
+        its own ranks no longer show; the stated flag is kept as it is."""
+        for slots in ((("H",), ("M",)), (("WI1",), ("H",)), ((), ("H",)), ()):
+            ballot = sanitize_ballot(RawBallot("x", slots, flag), ALAMEDA, OAKLAND)
+            assert ballot.raw_first_invalid is flag
 
 
 class TestTable2Examples:

@@ -1,5 +1,5 @@
-"""Mutation gate for the counting core, the pathology searches and ballot
-sanitization.
+"""Mutation gate for the counting core, the pathology searches, ballot
+sanitization and CVR ingest.
 
 Usage, from the root of a checkout:
 
@@ -44,6 +44,10 @@ GATE = {
     Path("src/rcv_forensics/sanitize.py"): (
         ("sanitize_ballot",),
         ("tests/test_sanitize.py", "tests/test_cvr.py"),
+    ),
+    Path("src/rcv_forensics/cvr.py"): (
+        ("_parse_line", "parse_cvr", "_decode_roster"),
+        ("tests/test_cvr.py",),
     ),
 }
 TIMEOUT_S = 120
