@@ -13,6 +13,7 @@ unless --fail-on-findings is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -115,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sanitize", help="normalize raw ballots under a jurisdiction policy"
     )
     _add_source_args(sanitize_cmd)
-    sanitize_cmd.set_defaults(func=cmd_sanitize)
 
     tabulate_cmd = commands.add_parser("tabulate", help="run one voting method")
     _add_source_args(tabulate_cmd)
@@ -129,13 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tabulate_cmd.add_argument("--n-points", type=int, help="borda point scale (default: roster size)")
     tabulate_cmd.add_argument("--k", type=int, default=2, help="bucklin depth")
-    tabulate_cmd.set_defaults(func=cmd_tabulate)
 
     compare_cmd = commands.add_parser(
         "compare", help="one row per method with its winner"
     )
     _add_source_args(compare_cmd)
-    compare_cmd.set_defaults(func=cmd_compare)
 
     audit_cmd = commands.add_parser("audit", help="run the pathology searches")
     _add_source_args(audit_cmd)
@@ -156,9 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 when any pathology is found (for CI gates)",
     )
-    audit_cmd.set_defaults(func=cmd_audit)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: a parser holds reference cycles, so
+    one built per call would pile up garbage until a full collection."""
+    return build_parser()
 
 
 def _policy_from_args(args) -> SanitizePolicy:
@@ -391,7 +395,7 @@ def _config_flags(args) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -403,7 +407,8 @@ def main(argv: list[str] | None = None) -> int:
             # explicit flags come last, so argparse keeps their values
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + flags + argv[at:])
-        return args.func(args)
+        # looked up per call, so a cmd_* replaced on this module is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except UsageError as exc:

@@ -125,9 +125,13 @@ def _decode_roster(doc: object) -> CandidateRoster:
     for i, item in enumerate(doc["candidates"]):
         if not isinstance(item, dict) or "id" not in item or "name" not in item:
             raise ParseError(f"roster candidate #{i + 1}: expected an object with id and name")
-        cid = str(item["id"])
+        cid, name = item["id"], item["name"]
+        if not isinstance(cid, str) or not cid:
+            raise ParseError(f"roster candidate #{i + 1}: id must be a non-empty string")
+        if not isinstance(name, str) or not name:
+            raise ParseError(f"roster candidate {cid!r}: name must be a non-empty string")
         writein = _boolean(item.get("writein", False), f"roster candidate {cid!r}: writein")
-        candidates.append(Candidate(cid, str(item["name"]), writein))
+        candidates.append(Candidate(cid, name, writein))
     roster = CandidateRoster(tuple(candidates))
     if not roster.official_ids():
         raise ValidationError("roster needs at least one official (non-write-in) candidate")

@@ -4,13 +4,16 @@ paradoxes, and compromise-vote failures.
 
 The monotonicity, no-show and compromise searches only build their edits
 (move t ballots of one existing type to a modified type, or delete them) and
-hand them to one engine, ``_scan``, which re-tabulates every t and cuts the
+hand them to one engine, ``_scan``, which counts every t and cuts the
 outcomes into witness runs and tie boundaries, returned as one ``EditScan``.
+Each edit gets one ``methods.EditCount``: the rows the edit leaves alone are
+counted once per elimination prefix, and ``rcv_winner`` at t adds only the
+two edited rows to those round tallies.
 Searches scan only ballot types already present in the profile and only
 single-position (adjacent) shifts.
 The t-scan is linear because the winner as a function of t need not be
 monotone across elimination-order changes. Consecutive t values with the same
-new winner merge into one witness; a t whose re-tabulation hits an
+new winner merge into one witness; a t whose count hits an
 elimination tie is never a witness and is reported separately as a boundary.
 
 ``brute_force_oracle`` re-derives every report by plain enumeration over the
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cvr import ValidationError
-from .methods import RcvOptions, TieError, _entries_of, rcv_tabulate, rcv_winner
+from .methods import EditCount, RcvOptions, TieError, rcv_tabulate, rcv_winner
 from .profiles import PreferenceProfile, Ranking
 
 
@@ -142,28 +145,21 @@ def _scan(
 ) -> tuple[list[list[list]], tuple[TieBoundary, ...]]:
     """The t-scan behind every edit search. For each edit and every t in
     1..count(ballot_type), move t ballots of the type to modified_type (or
-    delete them when it is None) and re-tabulate. Returns, per edit, the
-    maximal runs [lo, hi, winner] of consecutive t with a constant winner that
-    qualifies for the edit, and the first t of each maximal run of identical
-    elimination ties as a boundary, both in edit order."""
-    roster = profile.roster
-    entries = _entries_of(profile)
+    delete them when it is None) and count the edited profile with one
+    rcv_winner call. Returns, per edit, the maximal runs [lo, hi, winner] of
+    consecutive t with a constant winner that qualifies for the edit, and the
+    first t of each maximal run of identical elimination ties as a boundary,
+    both in edit order."""
     all_runs: list[list[list]] = []
     boundaries: list[TieBoundary] = []
     for edit in edits:
         ranking, flag, candidate, modified = edit
-        rows = {(r, f): [r, f, c] for r, f, c in entries}
-        src = rows[(ranking, flag)]
-        dst = None if modified is None else rows.setdefault((modified, flag), [modified, flag, 0])
-        work = list(rows.values())
+        count = EditCount(profile, options, (ranking, flag), modified)
         runs: list[list] = []
         previous = None
-        for t in range(1, src[2] + 1):
-            src[2] -= 1
-            if dst is not None:
-                dst[2] += 1
-            try:  # rows at count 0 add nothing to any tally
-                outcome = ("win", rcv_winner(roster, work, options))
+        for t in range(1, profile.entries[(ranking, flag)] + 1):
+            try:
+                outcome = ("win", rcv_winner(count, t))
             except TieError as exc:
                 outcome = ("tie", exc.tied)
             except ValidationError:

@@ -10,8 +10,18 @@ counted for anyone ("pending"); after any elimination they count normally.
 IRV and plurality runoff count with ``_Piles``: each entry sits in the pile
 of its top continuing choice, and removing candidates walks only their piles,
 so a tabulation costs O(entries + ballots moved) rather than O(rounds x
-entries). That walk is also the transfer record. ``_unique`` picks the single
-best-scoring candidate or raises ``TieError``.
+entries). That walk is also the transfer record. ``_decide`` is the IRV round
+rule, and ``_unique`` picks the single best-scoring candidate of the other
+methods or raises ``TieError``.
+
+The t-scans count many edits of one profile, each at every t. An
+``EditCount`` holds one edit: t ballots of a source type move to another
+ranking or are removed. The rows the edit leaves alone are piled once, and
+each elimination prefix keeps its round's tallies of those rows and where the
+two edited rows count in that round. ``rcv_winner(count, t)`` adds the two
+edited rows to those tallies round by round, so one count costs O(rounds x
+candidates) instead of O(entries + ballots moved). While a prefix holds,
+every tally it keeps is affine in t.
 """
 
 from __future__ import annotations
@@ -140,6 +150,27 @@ class _Piles:
         self.exhausted = exhausted
         self.total = exhausted + sum(votes.values())
 
+    def standing(self, hold: bool) -> tuple[dict[str, int], int]:
+        """Each continuing candidate's tally in roster order, and the pending
+        total: under hold (buggy round 1) flagged ballots are pending, not
+        counted."""
+        votes, held = self.votes, self.held
+        if not hold:
+            return {cid: votes[cid] for cid in self.piles}, 0
+        tallies = {cid: votes[cid] - held[cid] for cid in self.piles}
+        return tallies, sum(map(held.__getitem__, self.piles))
+
+    def without(self, loser: str) -> _Piles:
+        """A copy with loser eliminated, walking only its pile; flagged
+        ballots are no longer held."""
+        copy = object.__new__(_Piles)
+        copy.piles = {cid: pile.copy() for cid, pile in self.piles.items()}
+        copy.votes = self.votes.copy()
+        copy.held = None
+        copy.exhausted, copy.total = self.exhausted, self.total
+        copy.eliminate((loser,), record=False)
+        return copy
+
     def eliminate(
         self, removed: Iterable[str], record: bool, rejoin: dict | None = None
     ) -> tuple[TransferRecord, ...]:
@@ -195,60 +226,28 @@ def _unique(scores: dict[str, int], context: str, pick=max) -> str:
     return tied[0]
 
 
-def _tabulate(
-    roster: CandidateRoster,
-    entries: Sequence[Entry],
-    options: RcvOptions,
-    record: bool,
-) -> tuple[str, list[RoundRecord] | None]:
-    count = _Piles(roster.ids(), entries, track_held=options.buggy_first_round)
-    if count.total == 0:
-        raise ValidationError("cannot tabulate an empty profile")
-    rounds: list[RoundRecord] = []
+def _writein_batch(roster: CandidateRoster, options: RcvOptions) -> tuple[str, ...]:
+    """The write-ins eliminated at once before round 1, in roster order."""
+    if options.writein_policy is WriteinPolicy.ELIMINATE_FIRST:
+        return tuple(sorted(roster.writein_ids(), key=roster.index))
+    return ()
 
-    writeins = roster.writein_ids()
-    if options.writein_policy is WriteinPolicy.ELIMINATE_FIRST and writeins:
-        # Batch step: all write-ins leave at once, recorded as round 0.
-        if record:
-            wi_order = tuple(sorted(writeins, key=roster.index))
-            tallies, exhausted = dict(count.votes), count.exhausted
-            transfers = count.eliminate(wi_order, record)
-            rounds.append(RoundRecord(0, tallies, wi_order, exhausted, 0, transfers))
-        else:
-            count.eliminate(writeins, record)
 
-    piles, votes, held = count.piles, count.votes, count.held
-    round_no = 1
-    while True:
-        if not piles:
-            raise ValidationError("no candidates left to tabulate")
-        if held is None:
-            tallies, pending = {cid: votes[cid] for cid in piles}, 0
-        else:  # buggy mode: flagged ballots stay pending through round 1
-            tallies = {cid: votes[cid] - held[cid] for cid in piles}
-            pending = sum(map(held.__getitem__, piles))
-        exhausted = count.exhausted
-        winner = max(tallies, key=tallies.__getitem__)
-        if 2 * tallies[winner] > count.total - exhausted - pending or len(tallies) == 1:
-            if record:
-                rounds.append(RoundRecord(round_no, tallies, (), exhausted, pending, ()))
-            return winner, rounds if record else None
-
-        low = min(tallies.values())
-        tied = [cid for cid, n in tallies.items() if n == low]
-        if len(tied) > 1 and options.tie_policy is TiePolicy.ERROR:
-            raise TieError(tied, f"round {round_no} elimination")
-        loser = min(tied)
-        rejoin = None
-        if record and held is not None:  # the held ballots enter the count next round
-            rejoin = {cid: held[cid] for cid in piles if cid != loser and held[cid]}
-        transfers = count.eliminate((loser,), record, rejoin)
-        if record:
-            rounds.append(
-                RoundRecord(round_no, tallies, (loser,), exhausted, pending, transfers)
-            )
-        held = None
-        round_no += 1
+def _decide(
+    tallies: dict[str, int], continuing: int, tie_policy: TiePolicy, round_no: int
+) -> tuple[bool, str]:
+    """One round's rule, as (won, candidate): the leader wins with a strict
+    majority of the continuing votes or as the last candidate; otherwise the
+    lowest tally is eliminated, a shared lowest being a TieError under
+    TiePolicy.ERROR and the lexicographically smallest id otherwise."""
+    leader = max(tallies, key=tallies.__getitem__)
+    if 2 * tallies[leader] > continuing or len(tallies) == 1:
+        return True, leader
+    low = min(tallies.values())
+    tied = [cid for cid, n in tallies.items() if n == low]
+    if len(tied) > 1 and tie_policy is TiePolicy.ERROR:
+        raise TieError(tied, f"round {round_no} elimination")
+    return False, min(tied)
 
 
 def rcv_tabulate(
@@ -257,17 +256,129 @@ def rcv_tabulate(
     """Run instant-runoff rounds until a candidate holds a strict majority of
     continuing (non-exhausted, non-pending) votes or stands alone."""
     options = options or RcvOptions()
-    winner, rounds = _tabulate(profile.roster, _entries_of(profile), options, record=True)
-    assert rounds is not None
-    return TabulationResult("rcv", winner, tuple(rounds), profile.total())
+    roster = profile.roster
+    count = _Piles(roster.ids(), _entries_of(profile), track_held=options.buggy_first_round)
+    if count.total == 0:
+        raise ValidationError("cannot tabulate an empty profile")
+    rounds: list[RoundRecord] = []
+    batch = _writein_batch(roster, options)
+    if batch:  # all write-ins leave at once, recorded as round 0
+        tallies, exhausted = dict(count.votes), count.exhausted
+        transfers = count.eliminate(batch, record=True)
+        rounds.append(RoundRecord(0, tallies, batch, exhausted, 0, transfers))
+
+    held = count.held  # buggy mode: flagged ballots stay pending through round 1
+    round_no = 1
+    while True:
+        if not count.piles:
+            raise ValidationError("no candidates left to tabulate")
+        tallies, pending = count.standing(held is not None)
+        exhausted = count.exhausted
+        won, cid = _decide(
+            tallies, count.total - exhausted - pending, options.tie_policy, round_no
+        )
+        if won:
+            rounds.append(RoundRecord(round_no, tallies, (), exhausted, pending, ()))
+            return TabulationResult("rcv", cid, tuple(rounds), profile.total())
+        rejoin = None
+        if held is not None:  # the held ballots enter the count next round
+            rejoin = {c: held[c] for c in count.piles if c != cid and held[c]}
+        transfers = count.eliminate((cid,), record=True, rejoin=rejoin)
+        rounds.append(RoundRecord(round_no, tallies, (cid,), exhausted, pending, transfers))
+        held = None
+        round_no += 1
 
 
-def rcv_winner(
-    roster: CandidateRoster, entries: Sequence[Entry], options: RcvOptions
-) -> str:
-    """Record-free tabulation for high-volume scans; same engine as rcv_tabulate."""
-    winner, _ = _tabulate(roster, entries, options, record=False)
-    return winner
+# where an edited row counts in a round when not for a candidate
+_EXHAUSTED, _PENDING = object(), object()
+
+
+class EditCount:
+    """One t-scan edit of a profile: t ballots of the source type move to
+    the ranking moved_to (same flag), or are removed when it is None.
+
+    The other rows are piled once, after the write-in batch. Each
+    elimination prefix reached so far (the losers in order) is a node of a
+    trie rooted at round 1: (tallies, exhausted, pending, source place,
+    destination place, children by loser, piles). The counts are those of
+    the other rows, and a place is where an edited row counts in that round:
+    a candidate id, ``_EXHAUSTED`` or ``_PENDING``. A child is built from its
+    parent's piles by walking out the one new loser, the first time some t
+    reaches it."""
+
+    __slots__ = ("source", "dest", "moves", "others", "rankings", "flagged", "tie_policy", "root")
+
+    def __init__(
+        self,
+        profile: PreferenceProfile,
+        options: RcvOptions,
+        source: tuple[Ranking, bool],
+        moved_to: Ranking | None,
+    ):
+        ranking, flagged = source
+        dest = None if moved_to is None else (moved_to, flagged)
+        entries = profile.entries
+        others = [(key[0], key[1], c) for key, c in entries.items() if key != source and key != dest]
+        piles = _Piles(profile.roster.ids(), others, track_held=options.buggy_first_round)
+        batch = _writein_batch(profile.roster, options)
+        if batch:
+            piles.eliminate(batch, record=False)
+        self.source = entries[source]
+        self.dest = entries.get(dest, 0)  # 0 for a removal or a type not in the profile
+        self.moves = dest is not None
+        self.others = piles.total
+        self.rankings = (ranking, moved_to or ())
+        self.flagged = flagged
+        self.tie_policy = options.tie_policy
+        self.root = self._node(piles, options.buggy_first_round) if piles.piles else None
+
+    def _node(self, piles: _Piles, hold: bool) -> tuple:
+        tallies, pending = piles.standing(hold)
+        places = []
+        for ranking in self.rankings:
+            place = next((cid for cid in ranking if cid in piles.piles), _EXHAUSTED)
+            places.append(_PENDING if hold and self.flagged and place is not _EXHAUSTED else place)
+        return (tallies, piles.exhausted, pending, *places, {}, piles)
+
+    def child(self, node: tuple, loser: str) -> tuple:
+        """node's child for loser, built and kept on first use."""
+        new = node[5][loser] = self._node(node[6].without(loser), False)
+        return new
+
+
+def rcv_winner(count: EditCount, t: int) -> str:
+    """The winner of count's edit at t: each round copies its prefix's
+    tallies, adds count - t of the source row and count + t of the
+    destination row where they count, and applies the round rule."""
+    src = count.source - t
+    dst = count.dest + t if count.moves else 0
+    total = count.others + src + dst
+    if total == 0:
+        raise ValidationError("cannot tabulate an empty profile")
+    node = count.root
+    if node is None:
+        raise ValidationError("no candidates left to tabulate")
+    round_no = 1
+    while True:
+        base, exhausted, pending, src_at, dst_at, children, _ = node
+        tallies = base.copy()
+        if src_at is _EXHAUSTED:
+            exhausted += src
+        elif src_at is _PENDING:
+            pending += src
+        else:
+            tallies[src_at] += src
+        if dst_at is _EXHAUSTED:
+            exhausted += dst
+        elif dst_at is _PENDING:
+            pending += dst
+        else:
+            tallies[dst_at] += dst
+        won, cid = _decide(tallies, total - exhausted - pending, count.tie_policy, round_no)
+        if won:
+            return cid
+        node = children.get(cid) or count.child(node, cid)
+        round_no += 1
 
 
 def plurality(profile: PreferenceProfile) -> tuple[dict[str, int], str]:

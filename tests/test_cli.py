@@ -692,10 +692,10 @@ class TestConfigFile:
         [
             ({"method": "bucklin", "k": "abc"}, "--k"),
             ({"method": "rcv", "tie_policy": "coinflip"}, "--tie-policy"),
-            ({"method": "rcv", "func": 1}, "--func"),
+            ({"method": "rcv", "command": "audit"}, "--command"),
             ({"method": "rcv", "buggy_first_round": "yes", "format": "json"}, "--buggy-first-round"),
         ],
-        ids=["k-not-int", "tie-policy-choice", "func", "switch-with-value"],
+        ids=["k-not-int", "tie-policy-choice", "command", "switch-with-value"],
     )
     def test_bad_value_is_usage_error(self, capsys, tmp_path, extra, flag):
         """Config values are checked like the flags they stand for."""

@@ -72,6 +72,13 @@ class TestLoadRoster:
             ('{"candidates":[{"id":"H","name":"H"},{"id":"M"}]}', "roster candidate #2: "),
             ('{"candidates":[{"id":"H","name":"H"},{"name":"M"}]}', "roster candidate #2: "),
             ('{"candidates":[{"id":"H","name":"H"},"M"]}', "roster candidate #2: "),
+            ('{"candidates":[{"id":null,"name":"A"}]}', "roster candidate #1: id must be"),
+            ('{"candidates":[{"id":"H","name":"H"},{"id":["H"],"name":"M"}]}', "roster candidate #2: id must be"),
+            ('{"candidates":[{"id":7,"name":"A"}]}', "roster candidate #1: id must be"),
+            ('{"candidates":[{"id":"","name":"A"}]}', "roster candidate #1: id must be"),
+            ('{"candidates":[{"id":"H","name":2}]}', "roster candidate 'H': name must be"),
+            ('{"candidates":[{"id":"H","name":""}]}', "roster candidate 'H': name must be"),
+            ('{"candidates":[{"id":"H","name":null}]}', "roster candidate 'H': name must be"),
         ],
     )
     def test_malformed_roster_rejected(self, doc, message):

@@ -26,6 +26,7 @@ from rcv_forensics import (
     search_noshow,
     verify_witness,
 )
+import rcv_forensics.forensics as forensics
 from rcv_forensics.forensics import _shift
 from rcv_forensics.profiles import PreferenceProfile
 
@@ -286,6 +287,34 @@ class TestVerifyWitness:
             assert verify_witness(table1, witness, OPTS)
 
 
+def test_table1_scan_work_pinned(table1, monkeypatch):
+    """The t-scans count Table 1 once per t through ``forensics.rcv_winner``:
+    20,376 / 10,956 / 26,432 / 30,181 counts for the downward, upward,
+    no-show and compromise searches. With the spoiler search, as in
+    ``audit --checks all``, they find 10 witnesses and 27 tie boundaries."""
+    calls = []
+    counted = forensics.rcv_winner
+    monkeypatch.setattr(forensics, "rcv_winner", lambda *a: calls.append(1) or counted(*a))
+    searches = {
+        "downward": lambda: search_monotonicity(table1, OPTS, Direction.DOWNWARD),
+        "upward": lambda: search_monotonicity(table1, OPTS, Direction.UPWARD),
+        "noshow": lambda: search_noshow(table1, OPTS),
+        "compromise": lambda: search_compromise(table1, OPTS),
+    }
+    work, witnesses, boundaries = {}, 0, 0
+    for name, search in searches.items():
+        calls.clear()
+        scan = search()
+        work[name] = len(calls)
+        witnesses += len(scan.witnesses)
+        boundaries += len(scan.boundaries)
+    spoilers = find_spoilers(table1, OPTS)
+    witnesses += len(spoilers.witnesses)
+    boundaries += len(spoilers.tie_subsets)
+    assert work == {"downward": 20376, "upward": 10956, "noshow": 26432, "compromise": 30181}
+    assert (witnesses, boundaries) == (10, 27)
+
+
 class TestOracle:
     def test_bounds_refusal(self, table1):
         with pytest.raises(OracleBoundsError):
@@ -299,7 +328,10 @@ class TestOracle:
             code = codes.pop()
             names.update(code.co_names)
             codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        shared = {"_scan", "_shift", "_promote", "_entries_of", "rcv_winner", "verify_witness"}
+        shared = {
+            "_scan", "_shift", "_promote", "_entries_of", "EditCount", "rcv_winner",
+            "verify_witness",
+        }
         assert names & shared == set()
         assert "rcv_tabulate" in names
 

@@ -3,9 +3,11 @@
 ``reference_tabulate`` and ``reference_runoff`` re-walk every entry in every
 round: ``_count`` counts each round anew and ``_transfers`` walks the
 entries again to record where removed candidates' ballots go. They are the
-only copy of that algorithm and exist to check ``methods._tabulate`` and
+only copy of that algorithm and exist to check ``methods.rcv_tabulate`` and
 ``methods.plurality_runoff``, which re-route only the removed candidates'
-piles. Every record, winner, tie and error message must agree.
+piles, and ``methods.rcv_winner``, which counts a t-scan edit from memoized
+round tallies plus the two edited rows. Every record, winner, tie and error
+message must agree.
 """
 
 import random
@@ -22,6 +24,7 @@ from rcv_forensics import (
     rcv_tabulate,
 )
 from rcv_forensics.methods import (
+    EditCount,
     RoundRecord,
     TabulationResult,
     TransferRecord,
@@ -29,6 +32,7 @@ from rcv_forensics.methods import (
     _unique,
     rcv_winner,
 )
+from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import make_random_profile
 
@@ -173,13 +177,31 @@ def random_case(rng):
     return profile
 
 
-def scan_rows(rng, profile):
-    """Entry rows as the t-scan passes them: mutable lists, some at count 0,
-    plus a zero-count row of a type the profile may not hold."""
-    rows = [[r, f, c if rng.random() < 0.7 else 0] for r, f, c in _entries_of(profile)]
-    ids = list(profile.roster.ids())
-    rows.append([tuple(rng.sample(ids, rng.randint(0, len(ids)))), rng.random() < 0.5, 0])
-    return rows
+def random_edit(rng, profile):
+    """A source type of the profile and where its ballots go: a one-place
+    shift, a promotion to first, any ranking over the roster (often a type
+    the profile lacks), or None for removal."""
+    ranking, flag = rng.choice(sorted(profile.entries))
+    kind = rng.randrange(4)
+    moved_to = None
+    if kind == 0 and len(ranking) > 1:
+        i = rng.randrange(len(ranking) - 1)
+        moved_to = ranking[:i] + (ranking[i + 1], ranking[i]) + ranking[i + 2 :]
+    elif kind == 1 and len(ranking) > 1:
+        promoted = rng.choice(ranking[1:])
+        moved_to = (promoted,) + tuple(cid for cid in ranking if cid != promoted)
+    elif kind == 2:
+        ids = profile.roster.ids()
+        moved_to = tuple(rng.sample(ids, rng.randint(0, len(ids))))
+        if moved_to == ranking:
+            moved_to = None
+    return (ranking, flag), moved_to
+
+
+def edited(profile, source, moved_to, t):
+    if moved_to is None:
+        return profile.remove_ballots(source[0], t, source[1])
+    return profile.replace_ballots(source[0], moved_to, t, source[1])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -190,16 +212,33 @@ def test_pile_count_matches_reference(seed):
     for _ in range(500):
         profile = random_case(rng)
         entries = _entries_of(profile)
-        rows = scan_rows(rng, profile)
-        snapshot = [list(row) for row in rows]
         for options in OPTIONS:
             expected = outcome(reference_tabulate, profile.roster, entries, options, True)
             if expected[0] == "ok":
                 winner, rounds = expected[1]
                 expected = ("ok", TabulationResult("rcv", winner, tuple(rounds), profile.total()))
             assert repr(outcome(rcv_tabulate, profile, options)) == repr(expected)
-            assert outcome(rcv_winner, profile.roster, rows, options) == outcome(
-                lambda *a: reference_tabulate(*a)[0], profile.roster, rows, options, False
-            )
-            assert rows == snapshot  # the scan reuses its rows between calls
         assert repr(outcome(plurality_runoff, profile)) == repr(outcome(reference_runoff, profile))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edit_count_matches_reference(seed):
+    """rcv_winner of an EditCount at every t of a random edit, against the
+    reference round loop on the edited profile: the winner, or the error's
+    tied set and message. Some profiles hold a single type, so removal can
+    empty them."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        profile = random_case(rng)
+        if rng.random() < 0.15:
+            key = rng.choice(sorted(profile.entries))
+            profile = PreferenceProfile(profile.roster, {key: profile.entries[key]})
+        source, moved_to = random_edit(rng, profile)
+        for options in OPTIONS:
+            count = EditCount(profile, options, source, moved_to)
+            for t in range(1, profile.entries[source] + 1):
+                expected = outcome(
+                    lambda p: reference_tabulate(p.roster, _entries_of(p), options, False)[0],
+                    edited(profile, source, moved_to, t),
+                )
+                assert outcome(rcv_winner, count, t) == expected, (source, moved_to, t, options)

@@ -188,6 +188,8 @@ class TestSerialization:
         "edit, error, message",
         [
             (lambda d: d["roster"]["candidates"][0].pop("name"), ParseError, "candidate #1"),
+            (lambda d: d["roster"]["candidates"][1].update(id=None), ParseError, "candidate #2: id"),
+            (lambda d: d["roster"]["candidates"][0].update(name=2), ParseError, "name must be"),
             (
                 lambda d: d["roster"]["candidates"][0].update(writein="false"),
                 ParseError,
@@ -223,7 +225,7 @@ class TestSerialization:
             ),
         ],
         ids=[
-            "missing-name", "writein-string", "all-writein", "flag-not-boolean",
+            "missing-name", "id-null", "name-int", "writein-string", "all-writein", "flag-not-boolean",
             "no-entries", "entries-not-list", "no-ranking", "ranking-string", "no-count",
             "count-string", "count-float", "count-bool", "entry-not-object", "repeated-entry",
             "ranking-holds-list", "ranking-holds-int", "ranking-holds-null",

@@ -34,8 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # module -> (definitions mutated, tests run against each of their mutants)
 GATE = {
     Path("src/rcv_forensics/methods.py"): (
-        ("_Piles", "_tabulate", "plurality_runoff"),
-        ("tests/test_methods.py", "tests/test_pile_count.py"),
+        (
+            "_Piles", "_writein_batch", "_decide", "rcv_tabulate", "EditCount", "rcv_winner",
+            "plurality_runoff",
+        ),
+        ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
     ),
     Path("src/rcv_forensics/forensics.py"): (
         ("_scan", "verify_witness"),
