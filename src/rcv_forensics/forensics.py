@@ -6,9 +6,11 @@ The monotonicity, no-show and compromise searches only build their edits
 (move t ballots of one existing type to a modified type, or delete them) and
 hand them to one engine, ``_scan``, which counts every t and cuts the
 outcomes into witness runs and tie boundaries, returned as one ``EditScan``.
-Each edit gets one ``methods.EditCount``: the rows the edit leaves alone are
-counted once per elimination prefix, and ``rcv_winner`` at t adds only the
-two edited rows to those round tallies.
+``_scan`` builds one ``methods.PrefixTrie`` per search, so each elimination
+prefix of the profile is counted once for all its edits, and one
+``methods.EditCount`` per edit. ``rcv_winner`` is still called at every t,
+but only a t outside the constant-outcome segment of the last full count
+walks the rounds.
 Searches scan only ballot types already present in the profile and only
 single-position (adjacent) shifts.
 The t-scan is linear because the winner as a function of t need not be
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cvr import ValidationError
-from .methods import EditCount, RcvOptions, TieError, rcv_tabulate, rcv_winner
+from .methods import EditCount, PrefixTrie, RcvOptions, TieError, rcv_tabulate, rcv_winner
 from .profiles import PreferenceProfile, Ranking
 
 
@@ -146,18 +148,20 @@ def _scan(
     """The t-scan behind every edit search. For each edit and every t in
     1..count(ballot_type), move t ballots of the type to modified_type (or
     delete them when it is None) and count the edited profile with one
-    rcv_winner call. Returns, per edit, the maximal runs [lo, hi, winner] of
-    consecutive t with a constant winner that qualifies for the edit, and the
+    rcv_winner call on the edit's EditCount; the edits share one PrefixTrie.
+    Returns, per edit, the maximal runs [lo, hi, winner] of consecutive t
+    with a constant winner that qualifies for the edit, and the
     first t of each maximal run of identical elimination ties as a boundary,
     both in edit order."""
     all_runs: list[list[list]] = []
     boundaries: list[TieBoundary] = []
+    trie = PrefixTrie(profile, options)
     for edit in edits:
         ranking, flag, candidate, modified = edit
-        count = EditCount(profile, options, (ranking, flag), modified)
+        count = EditCount(trie, (ranking, flag), modified)
         runs: list[list] = []
         previous = None
-        for t in range(1, profile.entries[(ranking, flag)] + 1):
+        for t in range(1, count.source + 1):
             try:
                 outcome = ("win", rcv_winner(count, t))
             except TieError as exc:

@@ -14,19 +14,22 @@ entries). That walk is also the transfer record. ``_decide`` is the IRV round
 rule, and ``_unique`` picks the single best-scoring candidate of the other
 methods or raises ``TieError``.
 
-The t-scans count many edits of one profile, each at every t. An
-``EditCount`` holds one edit: t ballots of a source type move to another
-ranking or are removed. The rows the edit leaves alone are piled once, and
-each elimination prefix keeps its round's tallies of those rows and where the
-two edited rows count in that round. ``rcv_winner(count, t)`` adds the two
-edited rows to those tallies round by round, so one count costs O(rounds x
-candidates) instead of O(entries + ballots moved). While a prefix holds,
-every tally it keeps is affine in t.
+The t-scans count many edits of one profile, each at every t. A
+``PrefixTrie`` piles the whole profile once and keeps, per elimination
+prefix reached, that round's tallies; every edit of the profile shares it.
+An ``EditCount`` holds one edit: t ballots of a source type move to another
+ranking or are removed, which takes t from the tally where the source row
+counts and adds t where the destination row counts. While the elimination
+path is fixed every tally is therefore affine in t, so one full count at t
+(``_evaluate``, O(rounds x candidates)) also finds the last t' up to which
+no comparison that decided a round changes sign. ``rcv_winner(count, t)``
+answers any t inside that constant-outcome segment without counting.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,6 +42,7 @@ class TieError(Exception):
 
     def __init__(self, tied: Iterable[str], context: str):
         self.tied = tuple(sorted(tied))
+        self.context = context
         super().__init__(f"{context}: tie among {', '.join(self.tied)}")
 
 
@@ -289,96 +293,124 @@ def rcv_tabulate(
         round_no += 1
 
 
-# where an edited row counts in a round when not for a candidate
-_EXHAUSTED, _PENDING = object(), object()
+class PrefixTrie:
+    """The elimination prefixes of one profile under one set of options,
+    shared by every t-scan edit of it.
 
+    All rows are piled once, after the write-in batch. Each prefix reached
+    so far (the losers in order) is a node of a trie rooted at round 1:
+    (tallies, hold, children by loser, piles), where hold marks buggy round
+    1, in which flagged ballots are pending. A child is built from its
+    parent's piles by walking out the one new loser, the first time some
+    count reaches it."""
 
-class EditCount:
-    """One t-scan edit of a profile: t ballots of the source type move to
-    the ranking moved_to (same flag), or are removed when it is None.
+    __slots__ = ("entries", "total", "tie_policy", "root")
 
-    The other rows are piled once, after the write-in batch. Each
-    elimination prefix reached so far (the losers in order) is a node of a
-    trie rooted at round 1: (tallies, exhausted, pending, source place,
-    destination place, children by loser, piles). The counts are those of
-    the other rows, and a place is where an edited row counts in that round:
-    a candidate id, ``_EXHAUSTED`` or ``_PENDING``. A child is built from its
-    parent's piles by walking out the one new loser, the first time some t
-    reaches it."""
-
-    __slots__ = ("source", "dest", "moves", "others", "rankings", "flagged", "tie_policy", "root")
-
-    def __init__(
-        self,
-        profile: PreferenceProfile,
-        options: RcvOptions,
-        source: tuple[Ranking, bool],
-        moved_to: Ranking | None,
-    ):
-        ranking, flagged = source
-        dest = None if moved_to is None else (moved_to, flagged)
-        entries = profile.entries
-        others = [(key[0], key[1], c) for key, c in entries.items() if key != source and key != dest]
-        piles = _Piles(profile.roster.ids(), others, track_held=options.buggy_first_round)
+    def __init__(self, profile: PreferenceProfile, options: RcvOptions):
+        piles = _Piles(profile.roster.ids(), _entries_of(profile), options.buggy_first_round)
         batch = _writein_batch(profile.roster, options)
         if batch:
             piles.eliminate(batch, record=False)
-        self.source = entries[source]
-        self.dest = entries.get(dest, 0)  # 0 for a removal or a type not in the profile
-        self.moves = dest is not None
-        self.others = piles.total
-        self.rankings = (ranking, moved_to or ())
-        self.flagged = flagged
+        self.entries = profile.entries
+        self.total = piles.total
         self.tie_policy = options.tie_policy
-        self.root = self._node(piles, options.buggy_first_round) if piles.piles else None
-
-    def _node(self, piles: _Piles, hold: bool) -> tuple:
-        tallies, pending = piles.standing(hold)
-        places = []
-        for ranking in self.rankings:
-            place = next((cid for cid in ranking if cid in piles.piles), _EXHAUSTED)
-            places.append(_PENDING if hold and self.flagged and place is not _EXHAUSTED else place)
-        return (tallies, piles.exhausted, pending, *places, {}, piles)
+        hold = options.buggy_first_round
+        self.root = (piles.standing(hold)[0], hold, {}, piles) if piles.piles else None
 
     def child(self, node: tuple, loser: str) -> tuple:
         """node's child for loser, built and kept on first use."""
-        new = node[5][loser] = self._node(node[6].without(loser), False)
+        piles = node[3].without(loser)
+        new = node[2][loser] = (piles.standing(False)[0], False, {}, piles)
         return new
 
 
-def rcv_winner(count: EditCount, t: int) -> str:
-    """The winner of count's edit at t: each round copies its prefix's
-    tallies, adds count - t of the source row and count + t of the
-    destination row where they count, and applies the round rule."""
-    src = count.source - t
-    dst = count.dest + t if count.moves else 0
-    total = count.others + src + dst
+class EditCount:
+    """One t-scan edit on a PrefixTrie: t ballots of the source type move to
+    the ranking moved_to (same flag), or are removed when it is None.
+
+    segment is (lo, hi, outcome): every t in lo..hi has the outcome of the
+    last full count, a winner or the (tied, context) of its TieError."""
+
+    __slots__ = ("trie", "rankings", "flagged", "source", "segment")
+
+    def __init__(self, trie: PrefixTrie, source: tuple[Ranking, bool], moved_to: Ranking | None):
+        ranking, self.flagged = source
+        self.trie = trie
+        self.rankings = (ranking,) if moved_to is None else (ranking, moved_to)
+        self.source = trie.entries[source]
+        self.segment = (1, 0, None)
+
+
+def _steady(value: int, slope: int) -> float:
+    """How far t may rise before value + slope * rise leaves the sign
+    (−, 0 or +) that value has."""
+    if slope == 0 or value * slope > 0:
+        return math.inf
+    if value == 0:
+        return 0
+    return (abs(value) - 1) // abs(slope)
+
+
+def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
+    """Count count's edit at t in full: each round copies its prefix's
+    tallies, takes t from where the source row counts and adds t where the
+    destination row counts (a flagged row held in buggy round 1 counts for
+    no one), and applies the round rule. Returns the segment (t, hi,
+    outcome): while the elimination path is fixed every tally is affine in
+    t, so hi is the last t' for which every tally difference that moves with
+    t and each round leader's majority margin keep their sign, which fixes
+    the outcome of every round."""
+    trie = count.trie
+    removal = len(count.rankings) == 1
+    total = trie.total - t if removal else trie.total
     if total == 0:
         raise ValidationError("cannot tabulate an empty profile")
-    node = count.root
+    node = trie.root
     if node is None:
         raise ValidationError("no candidates left to tabulate")
+    room = count.source - t  # how far past t the segment reaches
+    if removal:  # short of the t that empties the profile
+        room = min(room, total - 1)
     round_no = 1
     while True:
-        base, exhausted, pending, src_at, dst_at, children, _ = node
+        base, hold, children, _ = node
         tallies = base.copy()
-        if src_at is _EXHAUSTED:
-            exhausted += src
-        elif src_at is _PENDING:
-            pending += src
-        else:
-            tallies[src_at] += src
-        if dst_at is _EXHAUSTED:
-            exhausted += dst
-        elif dst_at is _PENDING:
-            pending += dst
-        else:
-            tallies[dst_at] += dst
-        won, cid = _decide(tallies, total - exhausted - pending, count.tie_policy, round_no)
+        slopes: dict[str, int] = {}
+        if not (hold and count.flagged):
+            for ranking, slope in zip(count.rankings, (-1, 1)):
+                cid = next((c for c in ranking if c in tallies), None)
+                if cid is not None:
+                    slopes[cid] = slopes.get(cid, 0) + slope
+                    tallies[cid] += slope * t
+        continuing = sum(tallies.values())
+        leader = max(tallies, key=tallies.__getitem__)
+        margin_slope = 2 * slopes.get(leader, 0) - sum(slopes.values())
+        room = min(room, _steady(2 * tallies[leader] - continuing, margin_slope))
+        for a, slope in slopes.items():
+            for b, n in tallies.items():
+                room = min(room, _steady(tallies[a] - n, slope - slopes.get(b, 0)))
+        try:
+            won, cid = _decide(tallies, continuing, trie.tie_policy, round_no)
+        except TieError as exc:  # keep only its fields: a held traceback pins the trie
+            return t, t + room, (exc.tied, exc.context)
         if won:
-            return cid
-        node = children.get(cid) or count.child(node, cid)
+            return t, t + room, cid
+        node = children.get(cid) or trie.child(node, cid)
         round_no += 1
+
+
+def rcv_winner(count: EditCount, t: int) -> str:
+    """The winner of count's edit at t, or its TieError. A t inside the
+    segment of the last full count is answered from it; any other t is
+    counted in full, and its segment replaces the last."""
+    if not 0 <= t <= count.source:
+        raise ValidationError(f"edit size {t} is outside 0..{count.source}")
+    lo, hi, outcome = count.segment
+    if not lo <= t <= hi:
+        lo, hi, outcome = count.segment = _evaluate(count, t)
+    if isinstance(outcome, str):
+        return outcome
+    raise TieError(*outcome)
 
 
 def plurality(profile: PreferenceProfile) -> tuple[dict[str, int], str]:

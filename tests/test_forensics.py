@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import types
 
@@ -27,6 +28,7 @@ from rcv_forensics import (
     verify_witness,
 )
 import rcv_forensics.forensics as forensics
+import rcv_forensics.methods as methods
 from rcv_forensics.forensics import _shift
 from rcv_forensics.profiles import PreferenceProfile
 
@@ -287,32 +289,57 @@ class TestVerifyWitness:
             assert verify_witness(table1, witness, OPTS)
 
 
+TABLE1_SEARCHES = {
+    "downward": lambda p: search_monotonicity(p, OPTS, Direction.DOWNWARD),
+    "upward": lambda p: search_monotonicity(p, OPTS, Direction.UPWARD),
+    "noshow": lambda p: search_noshow(p, OPTS),
+    "compromise": lambda p: search_compromise(p, OPTS),
+}
+
+
 def test_table1_scan_work_pinned(table1, monkeypatch):
     """The t-scans count Table 1 once per t through ``forensics.rcv_winner``:
-    20,376 / 10,956 / 26,432 / 30,181 counts for the downward, upward,
-    no-show and compromise searches. With the spoiler search, as in
-    ``audit --checks all``, they find 10 witnesses and 27 tie boundaries."""
-    calls = []
-    counted = forensics.rcv_winner
+    20,376 / 10,956 / 26,432 / 30,181 calls for the downward, upward,
+    no-show and compromise searches. Of those, 30 / 14 / 43 / 60 walk the
+    rounds (``methods._evaluate``); every other call falls inside the
+    constant-outcome segment of the last one that did. With the spoiler
+    search, as in ``audit --checks all``, they find 10 witnesses and 27 tie
+    boundaries."""
+    calls, full = [], []
+    counted, evaluate = forensics.rcv_winner, methods._evaluate
     monkeypatch.setattr(forensics, "rcv_winner", lambda *a: calls.append(1) or counted(*a))
-    searches = {
-        "downward": lambda: search_monotonicity(table1, OPTS, Direction.DOWNWARD),
-        "upward": lambda: search_monotonicity(table1, OPTS, Direction.UPWARD),
-        "noshow": lambda: search_noshow(table1, OPTS),
-        "compromise": lambda: search_compromise(table1, OPTS),
-    }
+    monkeypatch.setattr(methods, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
     work, witnesses, boundaries = {}, 0, 0
-    for name, search in searches.items():
+    for name, search in TABLE1_SEARCHES.items():
         calls.clear()
-        scan = search()
-        work[name] = len(calls)
+        full.clear()
+        scan = search(table1)
+        work[name] = (len(calls), len(full))
         witnesses += len(scan.witnesses)
         boundaries += len(scan.boundaries)
     spoilers = find_spoilers(table1, OPTS)
     witnesses += len(spoilers.witnesses)
     boundaries += len(spoilers.tie_subsets)
-    assert work == {"downward": 20376, "upward": 10956, "noshow": 26432, "compromise": 30181}
+    assert work == {
+        "downward": (20376, 30), "upward": (10956, 14),
+        "noshow": (26432, 43), "compromise": (30181, 60),
+    }
     assert (witnesses, boundaries) == (10, 27)
+
+
+def test_scans_leave_no_reference_cycles(table1):
+    """An exception's traceback holds the frames it passed through, and so
+    the edit count and its trie: a TieError kept past its except block would
+    tie them into a cycle that only the collector frees. Table 1's scans hit
+    tie boundaries, so with the collector off they must leave it nothing."""
+    gc.collect()
+    gc.disable()
+    try:
+        for search in TABLE1_SEARCHES.values():
+            assert search(table1).boundaries
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestOracle:
@@ -329,8 +356,8 @@ class TestOracle:
             names.update(code.co_names)
             codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
         shared = {
-            "_scan", "_shift", "_promote", "_entries_of", "EditCount", "rcv_winner",
-            "verify_witness",
+            "_scan", "_shift", "_promote", "_entries_of", "PrefixTrie", "EditCount",
+            "_evaluate", "_steady", "rcv_winner", "verify_witness",
         }
         assert names & shared == set()
         assert "rcv_tabulate" in names

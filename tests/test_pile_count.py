@@ -5,16 +5,22 @@ round: ``_count`` counts each round anew and ``_transfers`` walks the
 entries again to record where removed candidates' ballots go. They are the
 only copy of that algorithm and exist to check ``methods.rcv_tabulate`` and
 ``methods.plurality_runoff``, which re-route only the removed candidates'
-piles, and ``methods.rcv_winner``, which counts a t-scan edit from memoized
-round tallies plus the two edited rows. Every record, winner, tie and error
-message must agree.
+piles, and ``methods.rcv_winner``, which counts a t-scan edit from a trie of
+memoized round tallies shared by every edit of a profile, and answers a t
+inside a known constant-outcome segment without counting. Every record,
+winner, tie and error message must agree.
 """
 
+import math
 import random
 
 import pytest
 
+import rcv_forensics.forensics as forensics
+import rcv_forensics.methods as methods
+
 from rcv_forensics import (
+    Direction,
     RcvOptions,
     TiePolicy,
     TieError,
@@ -22,16 +28,22 @@ from rcv_forensics import (
     WriteinPolicy,
     plurality_runoff,
     rcv_tabulate,
+    search_compromise,
+    search_monotonicity,
+    search_noshow,
 )
 from rcv_forensics.methods import (
     EditCount,
+    PrefixTrie,
     RoundRecord,
     TabulationResult,
     TransferRecord,
     _entries_of,
+    _steady,
     _unique,
     rcv_winner,
 )
+from rcv_forensics.cvr import Candidate, CandidateRoster
 from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import make_random_profile
@@ -198,12 +210,6 @@ def random_edit(rng, profile):
     return (ranking, flag), moved_to
 
 
-def edited(profile, source, moved_to, t):
-    if moved_to is None:
-        return profile.remove_ballots(source[0], t, source[1])
-    return profile.replace_ballots(source[0], moved_to, t, source[1])
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_pile_count_matches_reference(seed):
     """Compared by repr, which also sees the order of each tallies and
@@ -221,24 +227,130 @@ def test_pile_count_matches_reference(seed):
         assert repr(outcome(plurality_runoff, profile)) == repr(outcome(reference_runoff, profile))
 
 
+def edited_entries(profile, source, moved_to, t):
+    """The profile's entry rows with the edit at t applied, built without
+    the profile's validation: the full-size test below makes one per t."""
+    counts = dict(profile.entries)
+    counts[source] -= t
+    if moved_to is not None:
+        dest = (moved_to, source[1])
+        counts[dest] = counts.get(dest, 0) + t
+    return sorted((r, f, c) for (r, f), c in counts.items() if c)
+
+
+def reference_winner(profile, options, source, moved_to, t):
+    entries = edited_entries(profile, source, moved_to, t)
+    return reference_tabulate(profile.roster, entries, options, False)[0]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_edit_count_matches_reference(seed):
-    """rcv_winner of an EditCount at every t of a random edit, against the
+    """rcv_winner of EditCounts at each t of random edits, against the
     reference round loop on the edited profile: the winner, or the error's
-    tied set and message. Some profiles hold a single type, so removal can
-    empty them."""
+    tied set and message. The edits of one profile and option set share one
+    PrefixTrie, so nodes built for one edit serve the next, and their t are
+    asked in one shuffled order with repeats, so a segment kept from one t
+    and wrongly reused at another shows. Some profiles hold a single type,
+    so removal can empty them."""
     rng = random.Random(seed)
-    for _ in range(300):
+    for _ in range(150):
         profile = random_case(rng)
         if rng.random() < 0.15:
             key = rng.choice(sorted(profile.entries))
             profile = PreferenceProfile(profile.roster, {key: profile.entries[key]})
-        source, moved_to = random_edit(rng, profile)
+        edits = [random_edit(rng, profile) for _ in range(3)]
         for options in OPTIONS:
-            count = EditCount(profile, options, source, moved_to)
-            for t in range(1, profile.entries[source] + 1):
-                expected = outcome(
-                    lambda p: reference_tabulate(p.roster, _entries_of(p), options, False)[0],
-                    edited(profile, source, moved_to, t),
-                )
-                assert outcome(rcv_winner, count, t) == expected, (source, moved_to, t, options)
+            trie = PrefixTrie(profile, options)
+            counts = [EditCount(trie, source, moved_to) for source, moved_to in edits]
+            expected = {
+                (i, t): outcome(reference_winner, profile, options, source, moved_to, t)
+                for i, (source, moved_to) in enumerate(edits)
+                for t in range(profile.entries[source] + 1)
+            }
+            asks = list(expected) * 2
+            rng.shuffle(asks)
+            for i, t in asks:
+                got = outcome(rcv_winner, counts[i], t)
+                assert got == expected[i, t], (edits[i], t, options)
+
+
+@pytest.mark.parametrize("moved_to", [None, ("R", "H")], ids=["remove", "move"])
+@pytest.mark.parametrize(
+    "t_of", [lambda n: -3, lambda n: -1, lambda n: n + 1, lambda n: 10**9],
+    ids=["-3", "-1", "count+1", "1e9"],
+)
+def test_edit_size_outside_source_count_rejected(table1, moved_to, t_of):
+    """t counts ballots of the source type, so it lies in 0..count: a
+    negative t would add ballots to a removal and a larger one would count
+    negative ballots. t = 0 is the unedited profile."""
+    source = (("H",), False)
+    count = EditCount(PrefixTrie(table1, RcvOptions()), source, moved_to)
+    n = table1.entries[source]
+    with pytest.raises(ValidationError, match=rf"edit size -?\d+ is outside 0\.\.{n}"):
+        rcv_winner(count, t_of(n))
+    assert rcv_winner(count, 0) == rcv_tabulate(table1).winner
+    assert rcv_winner(count, n) in table1.roster.ids()
+
+
+@pytest.mark.parametrize(
+    "value, slope, rise",
+    [
+        (5, 0, math.inf), (0, 0, math.inf), (4, 1, math.inf), (-4, -3, math.inf),
+        (0, 1, 0), (0, -2, 0), (1, -1, 0), (1, -3, 0), (2, -2, 0),
+        (3, -1, 2), (3, -2, 1), (-5, 2, 2), (-7, 3, 2), (6, -3, 1),
+    ],
+)
+def test_steady_keeps_sign(value, slope, rise):
+    """How far t may rise with value + slope * rise keeping value's sign,
+    zero included: a zero that moves changes sign at once."""
+    sign = lambda x: (x > 0) - (x < 0)
+    assert _steady(value, slope) == rise
+    if rise != math.inf:
+        assert sign(value + slope * rise) == sign(value) != sign(value + slope * (rise + 1))
+
+
+def test_segment_stops_at_the_edit_size_and_short_of_an_empty_profile(monkeypatch):
+    """A segment never reaches past the source count, and a removal's never
+    reaches the t that empties the profile, whose count is an error. Every t
+    of a segment, both ends included, is answered without a count."""
+    roster = CandidateRoster(tuple(Candidate(c, c) for c in "AB"))
+    lone = PreferenceProfile(roster, {(("A", "B"), False): 5})
+    count = EditCount(PrefixTrie(lone, RcvOptions()), (("A", "B"), False), None)
+    assert rcv_winner(count, 1) == "A"
+    assert count.segment == (1, 4, "A")
+    with pytest.raises(ValidationError, match="cannot tabulate an empty profile"):
+        rcv_winner(count, 5)
+    moved = EditCount(PrefixTrie(lone, RcvOptions()), (("A", "B"), False), ("B", "A"))
+    assert rcv_winner(moved, 0) == "A"
+    assert moved.segment == (0, 2, "A")
+    assert rcv_winner(moved, 4) == "B"
+    assert moved.segment == (4, 5, "B")
+    monkeypatch.setattr(methods, "_evaluate", None)
+    assert [rcv_winner(moved, t) for t in (4, 5, 4)] == ["B", "B", "B"]
+
+
+@pytest.mark.parametrize("case", ["table1", "synthetic-buggy"])
+def test_scan_counts_match_reference_at_full_size(case, table1, synthetic_profile, monkeypatch):
+    """Every rcv_winner call of the four edit searches on a full fixture,
+    answered from the shared trie and the segments, against the reference
+    round loop counting the edited profile from scratch at that t."""
+    profile, options = {
+        "table1": (table1, RcvOptions()),
+        "synthetic-buggy": (synthetic_profile, RcvOptions(buggy_first_round=True)),
+    }[case]
+    calls = []
+
+    def checked(count, t):
+        source = (count.rankings[0], count.flagged)
+        moved_to = count.rankings[1] if len(count.rankings) == 2 else None
+        expected = outcome(reference_winner, profile, options, source, moved_to, t)
+        assert outcome(rcv_winner, count, t) == expected, (source, moved_to, t)
+        calls.append(t)
+        return rcv_winner(count, t)
+
+    monkeypatch.setattr(forensics, "rcv_winner", checked)
+    for direction in Direction:
+        search_monotonicity(profile, options, direction)
+    search_noshow(profile, options)
+    search_compromise(profile, options)
+    assert len(calls) == {"table1": 87945, "synthetic-buggy": 86234}[case]

@@ -35,8 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GATE = {
     Path("src/rcv_forensics/methods.py"): (
         (
-            "_Piles", "_writein_batch", "_decide", "rcv_tabulate", "EditCount", "rcv_winner",
-            "plurality_runoff",
+            "_Piles", "_writein_batch", "_decide", "rcv_tabulate", "PrefixTrie", "EditCount",
+            "_steady", "_evaluate", "rcv_winner", "plurality_runoff",
         ),
         ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
     ),
@@ -72,6 +72,12 @@ EQUIVALENT = {
     "and w.count >= 1 [col 87: 1->0]": (
         "a count of 0 replays the unedited profile, whose winner is the original, "
         "so verify_witness returns False"
+    ),
+    "EditCount: self.segment = (1, 0, None) [col 24: 1->2]": (
+        "the initial segment only has to be empty, and (2, 0) is as empty as (1, 0)"
+    ),
+    "EditCount: self.segment = (1, 0, None) [col 27: 0->-1]": (
+        "the initial segment only has to be empty, and (1, -1) is as empty as (1, 0)"
     ),
     "sanitize_ballot: candidate = slot[0] [col 25: 0->-1]": (
         "the line runs only on a slot of one candidate, where slot[0] is slot[-1]"
