@@ -78,6 +78,7 @@ from .sanitize import (
     sanitize_all,
     sanitize_ballot,
     sanitize_ballots,
+    sanitize_patterns,
     sanitize_stats,
 )
 

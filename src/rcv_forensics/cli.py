@@ -57,6 +57,7 @@ from .sanitize import (
     emit_clean_cvr,
     sanitize_all,
     sanitize_ballots,
+    sanitize_patterns,
     sanitize_stats,
 )
 
@@ -240,8 +241,9 @@ def _condorcet(profile: PreferenceProfile) -> dict:
 def cmd_sanitize(args) -> int:
     ballots, roster = _load(args, raw=True)
     policy = _policy_from_args(args)
-    cleaned = sanitize_ballots(ballots, policy, roster)
-    stats = sanitize_stats(zip(ballots, cleaned), roster)
+    patterns = sanitize_patterns(ballots, policy, roster)
+    stats = sanitize_stats(patterns, roster)
+    cleaned = sanitize_ballots(ballots, patterns)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as sink:
             emit_clean_cvr(cleaned, sink)

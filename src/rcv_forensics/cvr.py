@@ -8,6 +8,13 @@ overvote. Trailing empty slots may be omitted on input (``"ranks": []`` omits
 every slot); emitted files always write every slot. An optional boolean
 ``raw_first_invalid`` states that the as-cast first rank held no valid
 candidate, which cleaned ranks no longer show. Each ``ballot_id`` appears once.
+
+A parse validates and canonicalizes each distinct ``ranks`` array once: one
+call keeps a table from each array it has accepted to its canonical slots,
+which the ballots of that array share. The table lives only as long as the
+call, so no roster's validation reaches another parse, and an error still
+names the first bad line. The writer likewise encodes what follows the
+``ballot_id`` (``cvr_tail``) apart from the id, so equal ballots can share it.
 """
 
 from __future__ import annotations
@@ -138,7 +145,53 @@ def _decode_roster(doc: object) -> CandidateRoster:
     return roster
 
 
-def _parse_line(line_no: int, line: str, roster: CandidateRoster) -> RawBallot:
+def _parsed_ballot(
+    ballot_id: str, slots: tuple[tuple[str, ...], ...], raw_first_invalid: bool | None
+) -> RawBallot:
+    """A RawBallot of slots that are canonical already, built without
+    ``__post_init__``'s sort of every slot. Fields are set one by one, as the
+    dataclass's own ``__init__`` does: going through ``__dict__`` would make
+    every ballot build a dict object, which about doubles its size."""
+    ballot = object.__new__(RawBallot)
+    object.__setattr__(ballot, "ballot_id", ballot_id)
+    object.__setattr__(ballot, "slots", slots)
+    object.__setattr__(ballot, "raw_first_invalid", raw_first_invalid)
+    return ballot
+
+
+def _slots(
+    line_no: int, ballot_id: str, ranks: list, roster: CandidateRoster, patterns: dict
+) -> tuple[tuple[str, ...], ...]:
+    """The canonical slots of a line's ranks array, validated once per array.
+
+    ``patterns`` maps each array accepted so far, as a tuple of tuples, to its
+    canonical slots. A JSON value equals a str only if it is a str, so a hit
+    is an array of the very ids that were accepted; the key is built only
+    from arrays of arrays, since a string or an object slot would turn into
+    the same tuple as an array of its letters or keys.
+    """
+    key = None
+    if all(isinstance(slot, list) for slot in ranks):
+        key = tuple(map(tuple, ranks))
+        try:
+            slots = patterns.get(key)
+        except TypeError:  # a slot holds an array or an object: refused below
+            key = slots = None
+        if slots is not None:
+            return slots
+    for slot in ranks:
+        if not isinstance(slot, list) or not all(isinstance(c, str) for c in slot):
+            raise ParseError(f"line {line_no}: each rank slot must be an array of candidate ids")
+        for cid in slot:
+            if cid not in roster:
+                raise ParseError(f"ballot {ballot_id!r}: unknown candidate id {cid!r}")
+    slots = tuple(tuple(sorted(set(slot))) for slot in ranks)
+    if key is not None:
+        patterns[key] = slots
+    return slots
+
+
+def _parse_line(line_no: int, line: str, roster: CandidateRoster, patterns: dict) -> RawBallot:
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -153,15 +206,10 @@ def _parse_line(line_no: int, line: str, roster: CandidateRoster) -> RawBallot:
     ranks = doc.get("ranks")
     if not isinstance(ranks, list):
         raise ParseError(f"line {line_no}: 'ranks' must be an array of arrays")
-    for slot in ranks:
-        if not isinstance(slot, list) or not all(isinstance(c, str) for c in slot):
-            raise ParseError(f"line {line_no}: each rank slot must be an array of candidate ids")
-        for cid in slot:
-            if cid not in roster:
-                raise ParseError(f"ballot {ballot_id!r}: unknown candidate id {cid!r}")
+    slots = _slots(line_no, ballot_id, ranks, roster, patterns)
     if "raw_first_invalid" in doc:
         _boolean(doc["raw_first_invalid"], f"line {line_no}: raw_first_invalid")
-    return RawBallot(ballot_id, tuple(ranks), doc.get("raw_first_invalid"))
+    return _parsed_ballot(ballot_id, slots, doc.get("raw_first_invalid"))
 
 
 def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
@@ -169,13 +217,17 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
 
     Blank lines are skipped; the returned count equals the non-blank line count.
     A repeated ballot_id is a ParseError naming both ballots by position.
+    Each distinct ``ranks`` array is validated and canonicalized once per
+    call, and the ballots that repeat it share one ``slots`` tuple; every
+    line is still read in order, so an error names the first bad line.
     """
     ballots = []
+    patterns: dict = {}
     try:
         for line_no, line in enumerate(source, start=1):
             if not line.strip():
                 continue
-            ballots.append(_parse_line(line_no, line, roster))
+            ballots.append(_parse_line(line_no, line, roster, patterns))
     except UnicodeDecodeError as exc:
         raise ParseError(f"CVR is not UTF-8 text: {exc.reason}") from exc
     # checked once, on a sorted list of ids: the parse holds no id set
@@ -187,18 +239,24 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
     return ballots
 
 
-def cvr_line(ballot_id: str, slots: Iterable, raw_first_invalid: bool | None) -> str:
-    """One ballot as a CVR line: every slot, and the flag unless it is None."""
-    doc = {"ballot_id": ballot_id, "ranks": [list(slot) for slot in slots]}
+def cvr_tail(slots: Iterable, raw_first_invalid: bool | None) -> str:
+    """What follows the ballot_id in a CVR line: every slot, and the flag
+    unless it is None. Ballots with equal slots and flag share it."""
+    doc = {"ranks": [list(slot) for slot in slots]}
     if raw_first_invalid is not None:
         doc["raw_first_invalid"] = raw_first_invalid
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return "," + json.dumps(doc, separators=(",", ":"))[1:] + "\n"
+
+
+def cvr_line(ballot_id: str, tail: str) -> str:
+    """One ballot as a CVR line: its ballot_id, then its ``cvr_tail``."""
+    return '{"ballot_id":' + json.dumps(ballot_id) + tail
 
 
 def emit_cvr(ballots: Iterable[RawBallot], sink: IO[str]) -> None:
     """Write ballots in the line-oriented CVR format, one JSON object per line."""
     for ballot in ballots:
-        sink.write(cvr_line(ballot.ballot_id, ballot.slots, ballot.raw_first_invalid))
+        sink.write(cvr_line(ballot.ballot_id, cvr_tail(ballot.slots, ballot.raw_first_invalid)))
 
 
 def roster_to_json_dict(roster: CandidateRoster) -> dict:

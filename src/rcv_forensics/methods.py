@@ -490,32 +490,35 @@ def bucklin_topk(profile: PreferenceProfile, k: int) -> tuple[dict[str, int], st
 def _find_majority_cycle(
     candidates: tuple[str, ...], beats: dict[tuple[str, str], bool]
 ) -> tuple[str, ...] | None:
-    color: dict[str, int] = {}
-    stack: list[str] = []
+    """The first majority cycle a depth-first search meets, visiting
+    candidates in roster order, rotated to start at its earliest candidate.
 
-    def dfs(v: str) -> tuple[str, ...] | None:
-        color[v] = 1
-        stack.append(v)
-        for w in candidates:
-            if w == v or not beats[(v, w)]:
-                continue
-            if color.get(w, 0) == 1:
-                cycle = tuple(stack[stack.index(w) :])
-                return cycle
-            if color.get(w, 0) == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        color[v] = 2
-        stack.pop()
-        return None
-
-    for v in candidates:
-        if color.get(v, 0) == 0:
-            cycle = dfs(v)
-            if cycle:
-                start = min(range(len(cycle)), key=lambda i: candidates.index(cycle[i]))
-                return cycle[start:] + cycle[:start]
+    The search keeps its own stack of paths, so a cycle through every
+    candidate of a large roster needs no recursion.
+    """
+    done: set[str] = set()
+    for root in candidates:
+        if root in done:
+            continue
+        # the path from root, and for each node on it the candidates it has yet to try
+        path, on_path, todo = [root], {root}, [iter(candidates)]
+        while path:
+            v = path[-1]
+            for w in todo[-1]:
+                if w == v or not beats[(v, w)] or w in done:
+                    continue
+                if w in on_path:
+                    cycle = tuple(path[path.index(w) :])
+                    start = min(range(len(cycle)), key=lambda i: candidates.index(cycle[i]))
+                    return cycle[start:] + cycle[:start]
+                path.append(w)
+                on_path.add(w)
+                todo.append(iter(candidates))
+                break
+            else:
+                done.add(path.pop())
+                on_path.discard(v)
+                todo.pop()
     return None
 
 

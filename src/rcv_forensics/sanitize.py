@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .cvr import CandidateRoster, RawBallot, cvr_line
+from .cvr import CandidateRoster, RawBallot, cvr_line, cvr_tail
 from .profiles import PreferenceProfile, ProfileKey
 
 
@@ -63,6 +63,12 @@ class CleanBallot:
     ballot_id: str
     ranking: tuple[str, ...]
     raw_first_invalid: bool
+
+
+# a raw ballot's (slots, raw_first_invalid): all that its sanitized form depends on
+RawPattern = tuple[tuple[tuple[str, ...], ...], bool | None]
+# each pattern: the sanitized form of its first ballot, and its ballot count
+PatternTable = dict[RawPattern, tuple[CleanBallot, int]]
 
 
 @dataclass(frozen=True)
@@ -112,20 +118,43 @@ def _skipped_then_ranked(slots: tuple[tuple[str, ...], ...]) -> bool:
     return () in slots and any(slots[slots.index(()) + 1 :])
 
 
-def sanitize_stats(
-    pairs: Iterable[tuple[RawBallot, CleanBallot]], roster: CandidateRoster
-) -> SanitizeStats:
-    """Statistics of raw ballots paired with their sanitized forms, streaming."""
+def sanitize_patterns(
+    ballots: Iterable[RawBallot], policy: SanitizePolicy, roster: CandidateRoster
+) -> PatternTable:
+    """The pattern table of raw ballots: each distinct ``(slots,
+    raw_first_invalid)``, in order of first appearance, with the sanitized
+    form of its first ballot and the number of ballots that have it.
+
+    A ballot's sanitized ranking and flag depend on nothing else, so
+    ``sanitize_ballot`` runs once per pattern.
+    """
+    table: dict[RawPattern, list] = {}
+    for raw in ballots:
+        pattern = (raw.slots, raw.raw_first_invalid)
+        row = table.get(pattern)
+        if row is None:
+            table[pattern] = [raw, 1]
+        else:
+            row[1] += 1
+    return {
+        pattern: (sanitize_ballot(raw, policy, roster), n)
+        for pattern, (raw, n) in table.items()
+    }
+
+
+def sanitize_stats(patterns: PatternTable, roster: CandidateRoster) -> SanitizeStats:
+    """Statistics of raw ballots from their pattern table: each pattern is
+    tested once and counts once for every ballot that has it."""
     officials = set(roster.official_ids())
     total = overvote = skipped = invalid_first = 0
-    for raw, clean in pairs:
-        total += 1
-        if any(len(slot) > 1 for slot in raw.slots):
-            overvote += 1
-        if _skipped_then_ranked(raw.slots):
-            skipped += 1
+    for (slots, _), (clean, n) in patterns.items():
+        total += n
+        if any(len(slot) > 1 for slot in slots):
+            overvote += n
+        if _skipped_then_ranked(slots):
+            skipped += n
         if clean.raw_first_invalid and any(c in officials for c in clean.ranking):
-            invalid_first += 1
+            invalid_first += n
     return SanitizeStats(total, overvote, skipped, invalid_first)
 
 
@@ -135,28 +164,37 @@ def sanitize_all(
     """Sanitize every ballot, aggregate into a profile, and report statistics,
     without holding the sanitized ballots.
 
-    No ballot is dropped: the aggregated total always equals the input count.
+    The work is done once per distinct raw pattern of this call
+    (``sanitize_patterns``) and weighted by the pattern's ballot count; the
+    patterns keep the order of their first ballots, so the profile lists its
+    entries in the order their first ballots appear. No ballot is dropped: the
+    aggregated total always equals the input count.
     """
+    patterns = sanitize_patterns(ballots, policy, roster)
     counts: dict[ProfileKey, int] = {}
-
-    def cleaned():
-        for raw in ballots:
-            clean = sanitize_ballot(raw, policy, roster)
-            key = (clean.ranking, clean.raw_first_invalid)
-            counts[key] = counts.get(key, 0) + 1
-            yield raw, clean
-
-    stats = sanitize_stats(cleaned(), roster)
-    return PreferenceProfile(roster, counts), stats
+    for clean, n in patterns.values():
+        key = (clean.ranking, clean.raw_first_invalid)
+        counts[key] = counts.get(key, 0) + n
+    return PreferenceProfile(roster, counts), sanitize_stats(patterns, roster)
 
 
-def sanitize_ballots(
-    ballots: Sequence[RawBallot], policy: SanitizePolicy, roster: CandidateRoster
-) -> list[CleanBallot]:
-    return [sanitize_ballot(b, policy, roster) for b in ballots]
+def sanitize_ballots(ballots: Iterable[RawBallot], patterns: PatternTable) -> list[CleanBallot]:
+    """Each ballot's sanitized form, read from its pattern's entry in the
+    ballots' pattern table: the ballots of one pattern share one ranking."""
+    cleaned = []
+    for raw in ballots:
+        clean, _ = patterns[(raw.slots, raw.raw_first_invalid)]
+        cleaned.append(CleanBallot(raw.ballot_id, clean.ranking, clean.raw_first_invalid))
+    return cleaned
 
 
 def emit_clean_cvr(ballots: Iterable[CleanBallot], sink: IO[str]) -> None:
-    """Write cleaned ballots as CVR lines of singleton slots, with their flag."""
+    """Write cleaned ballots as CVR lines of singleton slots, with their flag.
+    Ballots with one ranking and flag share one encoded line tail."""
+    tails: dict[ProfileKey, str] = {}
     for b in ballots:
-        sink.write(cvr_line(b.ballot_id, [(c,) for c in b.ranking], b.raw_first_invalid))
+        key = (b.ranking, b.raw_first_invalid)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = cvr_tail([(c,) for c in b.ranking], b.raw_first_invalid)
+        sink.write(cvr_line(b.ballot_id, tail))

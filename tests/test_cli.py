@@ -816,6 +816,24 @@ def test_deeply_nested_json_is_data_error(capsys, tmp_path, kind):
     assert "Traceback" not in err
 
 
+def test_long_majority_cycle_exits_cleanly(capsys, tmp_path):
+    """Three ballots over 1,101 candidates make a majority cycle through all
+    of them (c0 > c1 > ... > c1100 > c0), deeper than the interpreter's
+    recursion limit: the cycle search must report it, not overflow."""
+    ids = [f"c{i}" for i in range(1101)]
+    roster = tmp_path / "roster.json"
+    roster.write_text(json.dumps({"candidates": [{"id": c, "name": c} for c in ids]}))
+    cvr = tmp_path / "votes.jsonl"
+    with open(cvr, "w", encoding="utf-8") as sink:
+        for n, order in enumerate((ids, ids[-1:] + ids[:-1], ids[1:] + ids[:1])):
+            sink.write(json.dumps({"ballot_id": f"b{n}", "ranks": [[c] for c in order]}) + "\n")
+    code, out, err = run(
+        capsys, "tabulate", "--method", "condorcet", "--input", str(cvr), "--roster", str(roster)
+    )
+    assert (code, err) == (0, "")
+    assert "majority cycle: " + " > ".join(ids + ids[:1]) + "\n" in out
+
+
 class TestEmptyProfile:
     @pytest.fixture
     def empty_source(self, tmp_path):

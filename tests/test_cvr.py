@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -204,6 +205,163 @@ def test_round_trip_identity_random(slots, flag):
     sink = io.StringIO()
     emit_cvr(ballots, sink)
     assert parse_cvr(io.StringIO(sink.getvalue()), roster) == ballots
+
+
+def reference_parse_cvr(source, roster) -> list[RawBallot]:
+    """The per-line parse that ``parse_cvr`` replaced: every line's ranks are
+    validated and canonicalized anew, with no table of patterns. It is the
+    only copy and exists to check ``parse_cvr``; ballot ids are taken to be
+    unique, so it has no repeated-id check."""
+    ballots = []
+    for line_no, line in enumerate(source, start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {line_no}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"line {line_no}: nested too deeply to parse") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(f"line {line_no}: expected a JSON object")
+        ballot_id = doc.get("ballot_id")
+        if not isinstance(ballot_id, str) or not ballot_id:
+            raise ParseError(f"line {line_no}: missing or invalid ballot_id")
+        ranks = doc.get("ranks")
+        if not isinstance(ranks, list):
+            raise ParseError(f"line {line_no}: 'ranks' must be an array of arrays")
+        for slot in ranks:
+            if not isinstance(slot, list) or not all(isinstance(c, str) for c in slot):
+                raise ParseError(f"line {line_no}: each rank slot must be an array of candidate ids")
+            for cid in slot:
+                if cid not in roster:
+                    raise ParseError(f"ballot {ballot_id!r}: unknown candidate id {cid!r}")
+        if "raw_first_invalid" in doc and not isinstance(doc["raw_first_invalid"], bool):
+            raise ParseError(f"line {line_no}: raw_first_invalid must be true or false")
+        ballots.append(RawBallot(ballot_id, tuple(ranks), doc.get("raw_first_invalid")))
+    return ballots
+
+
+# ids "1" and "H" let a JSON 1, true or "H"-as-a-string slot meet an accepted "1" or ["H"]
+MEMO_ROSTER = load_roster(
+    io.StringIO(
+        '{"candidates":[{"id":"H","name":"H"},{"id":"M","name":"M"},{"id":"1","name":"One"},'
+        '{"id":"W","name":"W","writein":true}]}'
+    )
+)
+GOOD_RANKS = [
+    [["H"], ["M"]], [["M", "H"], ["1"]], [["H", "M"], ["1"]], [[], ["W"], ["H", "H"]],
+    [["1"]], [], [[]], [["W"]],
+]
+BAD_RANKS = [
+    ["H"], ["H", ["M"]], [{"H": 1}], [[1]], [[True]], [[None]], [[1.0]], [[["H"]]],
+    [[{"H": 1}]], [["X"]], [["H"], ["X"]], [["X"], "H"], [["H"], "M"], "H", None, {"H": 1},
+]
+BAD_LINES = ["not json", "[]", '{"ranks":[["H"]]}', '{"ballot_id":7,"ranks":[]}', "{"]
+
+
+def outcome(parse, text):
+    """What a parse gives: each ballot as (ballot_id, slots, flag), or its
+    ParseError message."""
+    try:
+        ballots = parse(io.StringIO(text), MEMO_ROSTER)
+    except ParseError as exc:
+        return str(exc)
+    return [(b.ballot_id, b.slots, b.raw_first_invalid) for b in ballots]
+
+
+def random_cvr(rng):
+    """Lines drawn from a few ranks arrays, so most of them repeat an earlier
+    line's array; about one file in two also holds a malformed line."""
+    pool = rng.sample(GOOD_RANKS, rng.randint(1, 4))
+    bad_at = rng.randrange(40) if rng.random() < 0.5 else None
+    lines = []
+    for n in range(rng.randint(1, 40)):
+        if n == bad_at:
+            if rng.random() < 0.2:
+                lines.append(rng.choice(BAD_LINES))
+                continue
+            ranks = rng.choice(BAD_RANKS + pool)
+            flag = rng.choice(["", ',"raw_first_invalid":"true"', ',"raw_first_invalid":0'])
+        else:
+            ranks = rng.choice(pool)
+            flag = rng.choice(["", ',"raw_first_invalid":true', ',"raw_first_invalid":false'])
+        lines.append(f'{{"ballot_id":"b{n}","ranks":{json.dumps(ranks)}{flag}}}')
+        if rng.random() < 0.05:
+            lines.append("")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_matches_reference(seed):
+    """The parse validates each distinct ranks array once; on files that repeat
+    a few arrays, with a malformed line in about half of them, it gives the
+    reference's ballots, or the reference's error for the first bad line."""
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(400):
+        text = random_cvr(rng)
+        expected = outcome(reference_parse_cvr, text)
+        kinds.add(type(expected))
+        assert outcome(parse_cvr, text) == expected
+    assert kinds == {list, str}
+
+
+@pytest.mark.parametrize(
+    "accepted, refused, message",
+    [
+        ('[["H"]]', '["H"]', "line 2: each rank slot must be an array of candidate ids"),
+        ('[["H"]]', '[{"H":1}]', "line 2: each rank slot must be an array of candidate ids"),
+        ('[["1"]]', "[[1]]", "line 2: each rank slot must be an array of candidate ids"),
+        ('[["1"]]', "[[true]]", "line 2: each rank slot must be an array of candidate ids"),
+        ('[["H"]]', '[[["H"]]]', "line 2: each rank slot must be an array of candidate ids"),
+        (
+            '[["H"]]', '[["H"]],"raw_first_invalid":1',
+            "line 2: raw_first_invalid must be true or false",
+        ),
+    ],
+    ids=["string-slot", "object-slot", "number-id", "true-id", "unhashable", "flag-on-hit"],
+)
+def test_pattern_table_collisions_refused(accepted, refused, message):
+    """A line whose ranks would meet an accepted array in a naive table, or
+    that hits the table with a bad flag, is refused like any other."""
+    text = (
+        f'{{"ballot_id":"b1","ranks":{accepted}}}\n'
+        f'{{"ballot_id":"b2","ranks":{refused}}}\n'
+    )
+    assert outcome(reference_parse_cvr, text) == message
+    with pytest.raises(ParseError) as caught:
+        parse_cvr(io.StringIO(text), MEMO_ROSTER)
+    assert str(caught.value) == message
+
+
+def test_unknown_id_first_seen_late_named():
+    lines = [f'{{"ballot_id":"b{n}","ranks":[["H"],["M"]]}}' for n in range(50)]
+    lines.append('{"ballot_id":"late","ranks":[["H"],["M","X"]]}')
+    with pytest.raises(ParseError, match=r"^ballot 'late': unknown candidate id 'X'$"):
+        parse_cvr(io.StringIO("\n".join(lines)), MEMO_ROSTER)
+
+
+def test_equal_ranks_share_one_slots_tuple():
+    text = (
+        '{"ballot_id":"a","ranks":[["M","H"],[]]}\n'
+        '{"ballot_id":"b","ranks":[["1"]]}\n'
+        '{"ballot_id":"c","ranks":[["M","H"],[]]}\n'
+    )
+    a, b, c = parse_cvr(io.StringIO(text), MEMO_ROSTER)
+    assert a.slots == c.slots == (("H", "M"), ())
+    assert a.slots is c.slots and a.slots is not b.slots
+
+
+def test_pattern_table_is_per_call():
+    """An array accepted under one roster is checked again under the next:
+    no validation outlives its parse."""
+    text = '{"ballot_id":"b1","ranks":[["H"],["M"]]}\n'
+    (ballot,) = parse_cvr(io.StringIO(text), MEMO_ROSTER)
+    assert ballot.slots == (("H",), ("M",))
+    only_h = load_roster(io.StringIO('{"candidates":[{"id":"H","name":"H"}]}'))
+    with pytest.raises(ParseError, match=r"^ballot 'b1': unknown candidate id 'M'$"):
+        parse_cvr(io.StringIO(text), only_h)
 
 
 class TestRawBallot:

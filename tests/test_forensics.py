@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import random
 import types
 
@@ -19,7 +20,9 @@ from rcv_forensics import (
     TiePolicy,
     ValidationError,
     brute_force_oracle,
+    emit_cvr,
     find_spoilers,
+    fixture_roster,
     prefers,
     rcv_tabulate,
     search_compromise,
@@ -28,6 +31,8 @@ from rcv_forensics import (
     verify_witness,
 )
 import rcv_forensics.forensics as forensics
+from rcv_forensics.cli import main
+from rcv_forensics.cvr import roster_to_json_dict
 import rcv_forensics.methods as methods
 from rcv_forensics.forensics import _shift
 from rcv_forensics.profiles import PreferenceProfile
@@ -327,19 +332,35 @@ def test_table1_scan_work_pinned(table1, monkeypatch):
     assert (witnesses, boundaries) == (10, 27)
 
 
-def test_scans_leave_no_reference_cycles(table1):
+def test_scans_leave_no_reference_cycles(synthetic_raw, tmp_path):
     """An exception's traceback holds the frames it passed through, and so
     the edit count and its trie: a TieError kept past its except block would
-    tie them into a cycle that only the collector frees. Table 1's scans hit
-    tie boundaries, so with the collector off they must leave it nothing."""
-    gc.collect()
-    gc.disable()
-    try:
-        for search in TABLE1_SEARCHES.values():
-            assert search(table1).boundaries
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    tie them into a cycle that only the collector frees, as would a
+    recursive closure. A whole in-process audit, with the collector off,
+    must leave it nothing: Table 1's scans hit tie boundaries, and the
+    synthetic CVR also goes through the parse and the sanitize. The text
+    report is used: ``json.dumps`` with an indent builds recursive closures
+    of its own."""
+    cvr, roster = tmp_path / "cvr.jsonl", tmp_path / "roster.json"
+    with open(cvr, "w", encoding="utf-8") as sink:
+        emit_cvr(synthetic_raw, sink)
+    roster.write_text(json.dumps(roster_to_json_dict(fixture_roster("oakland-full-synthetic"))))
+    report = tmp_path / "audit.txt"
+    for source in (
+        ["--fixture", "oakland-table1"],
+        ["--input", str(cvr), "--roster", str(roster), "--buggy-first-round"],
+    ):
+        argv = ["audit", *source, "--checks", "all", "--output", str(report)]
+        assert main(argv) == 0  # once first, so that what the process caches is built
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        text = report.read_text()
+        assert "majority cycle:" in text and "tie boundary: shift-down" in text
 
 
 class TestOracle:

@@ -21,6 +21,7 @@ from rcv_forensics import (
     plurality_runoff,
     rcv_tabulate,
 )
+import rcv_forensics.methods as methods
 from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import make_random_profile
@@ -246,6 +247,37 @@ class TestBucklin:
             bucklin_topk(table1, 0)
 
 
+def reference_majority_cycle(candidates, beats):
+    """The recursive depth-first cycle search that ``_find_majority_cycle``
+    replaced; the only copy, kept to check the iterative one."""
+    color = {}
+    stack = []
+
+    def dfs(v):
+        color[v] = 1
+        stack.append(v)
+        for w in candidates:
+            if w == v or not beats[(v, w)]:
+                continue
+            if color.get(w, 0) == 1:
+                return tuple(stack[stack.index(w) :])
+            if color.get(w, 0) == 0:
+                found = dfs(w)
+                if found:
+                    return found
+        color[v] = 2
+        stack.pop()
+        return None
+
+    for v in candidates:
+        if color.get(v, 0) == 0:
+            cycle = dfs(v)
+            if cycle:
+                start = min(range(len(cycle)), key=lambda i: candidates.index(cycle[i]))
+                return cycle[start:] + cycle[:start]
+    return None
+
+
 class TestCondorcet:
     def test_table1_cycle(self, table1):
         report = condorcet_analysis(table1.pairwise_matrix())
@@ -260,6 +292,20 @@ class TestCondorcet:
         assert report.condorcet_winner == "A"
         assert report.cycle is None
         assert report.minimax_scores["A"] == 0
+
+    def test_cycle_search_matches_recursive_reference(self):
+        """The cycle search keeps its own stack; on random beat relations
+        (some pairs tied, so neither beats the other) it finds the same
+        cycle, in the same rotation, as the recursive search it replaced."""
+        rng = random.Random(5)
+        for _ in range(2000):
+            ids = tuple("ABCDEFG"[: rng.randint(1, 7)])
+            beats = {}
+            for i, x in enumerate(ids):
+                for y in ids[i + 1 :]:
+                    side = rng.randrange(3)
+                    beats[(x, y)], beats[(y, x)] = side == 0, side == 1
+            assert methods._find_majority_cycle(ids, beats) == reference_majority_cycle(ids, beats)
 
     def test_consistency_no_cycle_through_winner(self):
         rng = random.Random(13)

@@ -1,3 +1,7 @@
+import io
+import json
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +14,17 @@ from rcv_forensics import (
     OvervotePolicy,
     RawBallot,
     SanitizePolicy,
+    SanitizeStats,
     SkipPolicy,
+    emit_clean_cvr,
     fixture_roster,
     load_builtin_fixture,
     sanitize_all,
     sanitize_ballot,
+    sanitize_ballots,
+    sanitize_patterns,
 )
+import rcv_forensics.sanitize as sanitize_module
 
 ABCDE = CandidateRoster(tuple(Candidate(c, c) for c in "ABCDE"))
 OAKLAND = fixture_roster("oakland-full-synthetic")
@@ -180,3 +189,79 @@ def test_aggregation_conserves_ballots(ballot_slots, policy):
     ]
     profile, stats = sanitize_all(ballots, policy, ABCDE)
     assert profile.total() == len(ballots) == stats.total
+
+
+def reference_sanitize_all(ballots, policy, roster):
+    """The per-ballot fold that ``sanitize_all`` replaced: every ballot is
+    sanitized, tested and counted on its own. The only copy; it exists to
+    check the pattern table."""
+    officials = set(roster.official_ids())
+    counts = {}
+    total = overvote = skipped = invalid_first = 0
+    for raw in ballots:
+        clean = sanitize_ballot(raw, policy, roster)
+        key = (clean.ranking, clean.raw_first_invalid)
+        counts[key] = counts.get(key, 0) + 1
+        total += 1
+        if any(len(slot) > 1 for slot in raw.slots):
+            overvote += 1
+        if () in raw.slots and any(raw.slots[raw.slots.index(()) + 1 :]):
+            skipped += 1
+        if clean.raw_first_invalid and any(c in officials for c in clean.ranking):
+            invalid_first += 1
+    return list(counts.items()), SanitizeStats(total, overvote, skipped, invalid_first)
+
+
+def random_raw_ballots(rng):
+    """Ballots of the Oakland roster drawn from a few slot patterns, some with
+    a stated flag; ids are unique and some need escaping in JSON."""
+    ids = ("H", "M", "R", "WI1", "WI2")
+    pool = [
+        tuple(tuple(rng.sample(ids, rng.choice((0, 1, 1, 1, 2)))) for _ in range(rng.randint(0, 4)))
+        for _ in range(rng.randint(1, 6))
+    ]
+    flags = (None, None, True, False)
+    return [
+        RawBallot(rng.choice(("b", 'q"', "é\\")) + str(n), rng.choice(pool), rng.choice(flags))
+        for n in range(rng.randint(0, 30))
+    ]
+
+
+@pytest.mark.parametrize(
+    "policy", [ALAMEDA, MINNEAPOLIS, ALASKA], ids=["alameda", "minneapolis", "alaska"]
+)
+def test_pattern_table_matches_per_ballot_fold(policy):
+    """Profile entries (in order), stats, per-ballot clean forms and clean CVR
+    bytes from the pattern table equal those of one ballot at a time."""
+    rng = random.Random(7)
+    for _ in range(300):
+        ballots = random_raw_ballots(rng)
+        profile, stats = sanitize_all(ballots, policy, OAKLAND)
+        expected = reference_sanitize_all(ballots, policy, OAKLAND)
+        assert (list(profile.entries.items()), stats) == expected
+        cleaned = sanitize_ballots(ballots, sanitize_patterns(ballots, policy, OAKLAND))
+        assert cleaned == [sanitize_ballot(b, policy, OAKLAND) for b in ballots]
+        sink = io.StringIO()
+        emit_clean_cvr(cleaned, sink)
+        assert sink.getvalue() == "".join(
+            json.dumps(
+                {"ballot_id": c.ballot_id, "ranks": [[x] for x in c.ranking],
+                 "raw_first_invalid": c.raw_first_invalid},
+                separators=(",", ":"),
+            ) + "\n"
+            for c in cleaned
+        )
+
+
+def test_sanitizes_each_raw_pattern_once(synthetic_raw, monkeypatch):
+    calls = []
+    original = sanitize_module.sanitize_ballot
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(sanitize_module, "sanitize_ballot", counted)
+    profile, _ = sanitize_all(synthetic_raw, ALAMEDA, OAKLAND)
+    patterns = {(b.slots, b.raw_first_invalid) for b in synthetic_raw}
+    assert len(calls) == len(patterns) < len(synthetic_raw) == profile.total()

@@ -36,7 +36,7 @@ GATE = {
     Path("src/rcv_forensics/methods.py"): (
         (
             "_Piles", "_writein_batch", "_decide", "rcv_tabulate", "PrefixTrie", "EditCount",
-            "_steady", "_evaluate", "rcv_winner", "plurality_runoff",
+            "_steady", "_evaluate", "rcv_winner", "plurality_runoff", "_find_majority_cycle",
         ),
         ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
     ),
@@ -45,11 +45,14 @@ GATE = {
         ("tests/test_forensics.py",),
     ),
     Path("src/rcv_forensics/sanitize.py"): (
-        ("sanitize_ballot",),
+        (
+            "sanitize_ballot", "sanitize_patterns", "sanitize_stats", "sanitize_all",
+            "sanitize_ballots", "emit_clean_cvr",
+        ),
         ("tests/test_sanitize.py", "tests/test_cvr.py"),
     ),
     Path("src/rcv_forensics/cvr.py"): (
-        ("_parse_line", "parse_cvr", "_decode_roster"),
+        ("_parsed_ballot", "_slots", "_parse_line", "parse_cvr", "cvr_tail", "_decode_roster"),
         ("tests/test_cvr.py",),
     ),
 }
