@@ -9,19 +9,25 @@ every slot); emitted files always write every slot. An optional boolean
 ``raw_first_invalid`` states that the as-cast first rank held no valid
 candidate, which cleaned ranks no longer show. Each ``ballot_id`` appears once.
 
-A parse validates and canonicalizes each distinct ``ranks`` array once: one
-call keeps a table from each array it has accepted to its canonical slots,
-which the ballots of that array share. The table lives only as long as the
-call, so no roster's validation reaches another parse, and an error still
-names the first bad line. The writer likewise encodes what follows the
-``ballot_id`` (``cvr_tail``) apart from the id, so equal ballots can share it.
+A parse decodes and validates each distinct line tail once. The tail is the
+text of a line after its leading ``ballot_id`` string; two lines with one tail
+are one ballot under two ids. One call keeps a table from each tail it has
+accepted to its canonical slots and flag, which the ballots of that tail
+share. A line that opens otherwise, or whose tail is new, gets the full parse,
+so an error still names the first bad line; a tail that states a
+``ballot_id`` of its own, which would override the one before it, is never
+reused. The table lives only as long as the call, so no roster's validation
+reaches another parse. The writer likewise encodes the tail (``cvr_tail``)
+apart from the id, so equal ballots can share it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import pairwise
+from json.decoder import scanstring
 from typing import IO, Iterable
 
 
@@ -160,38 +166,21 @@ def _parsed_ballot(
 
 
 def _slots(
-    line_no: int, ballot_id: str, ranks: list, roster: CandidateRoster, patterns: dict
+    line_no: int, ballot_id: str, ranks: list, roster: CandidateRoster
 ) -> tuple[tuple[str, ...], ...]:
-    """The canonical slots of a line's ranks array, validated once per array.
-
-    ``patterns`` maps each array accepted so far, as a tuple of tuples, to its
-    canonical slots. A JSON value equals a str only if it is a str, so a hit
-    is an array of the very ids that were accepted; the key is built only
-    from arrays of arrays, since a string or an object slot would turn into
-    the same tuple as an array of its letters or keys.
-    """
-    key = None
-    if all(isinstance(slot, list) for slot in ranks):
-        key = tuple(map(tuple, ranks))
-        try:
-            slots = patterns.get(key)
-        except TypeError:  # a slot holds an array or an object: refused below
-            key = slots = None
-        if slots is not None:
-            return slots
+    """The canonical slots of a line's ranks array, each id checked against
+    the roster. Only the full parse runs it, so a call checks each distinct
+    line tail once (see ``parse_cvr``)."""
     for slot in ranks:
         if not isinstance(slot, list) or not all(isinstance(c, str) for c in slot):
             raise ParseError(f"line {line_no}: each rank slot must be an array of candidate ids")
         for cid in slot:
             if cid not in roster:
                 raise ParseError(f"ballot {ballot_id!r}: unknown candidate id {cid!r}")
-    slots = tuple(tuple(sorted(set(slot))) for slot in ranks)
-    if key is not None:
-        patterns[key] = slots
-    return slots
+    return tuple(tuple(sorted(set(slot))) for slot in ranks)
 
 
-def _parse_line(line_no: int, line: str, roster: CandidateRoster, patterns: dict) -> RawBallot:
+def _parse_line(line_no: int, line: str, roster: CandidateRoster) -> RawBallot:
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -206,10 +195,38 @@ def _parse_line(line_no: int, line: str, roster: CandidateRoster, patterns: dict
     ranks = doc.get("ranks")
     if not isinstance(ranks, list):
         raise ParseError(f"line {line_no}: 'ranks' must be an array of arrays")
-    slots = _slots(line_no, ballot_id, ranks, roster, patterns)
+    slots = _slots(line_no, ballot_id, ranks, roster)
     if "raw_first_invalid" in doc:
         _boolean(doc["raw_first_invalid"], f"line {line_no}: raw_first_invalid")
     return _parsed_ballot(ballot_id, slots, doc.get("raw_first_invalid"))
+
+
+# JSON whitespace only: \s would also match \x0b and \u00a0, which JSON refuses
+_ID_OPENING = re.compile(r'\{[ \t\n\r]*"ballot_id"[ \t\n\r]*:[ \t\n\r]*"')
+
+
+def _split(line: str) -> tuple[str, str] | tuple[None, None]:
+    """A line's leading ballot_id and its tail, the text after the id's
+    closing quote; (None, None) unless the line opens with a non-empty
+    ``ballot_id`` string. The id is read by the scanner ``json.loads`` uses,
+    so its escapes and its control-character rule are the same."""
+    opening = _ID_OPENING.match(line)
+    if opening is None:
+        return None, None
+    try:
+        ballot_id, end = scanstring(line, opening.end())
+    except ValueError:
+        return None, None
+    if not ballot_id:
+        return None, None
+    return ballot_id, line[end:]
+
+
+def _states_id(tail: str) -> bool:
+    """Whether the tail of an accepted line holds a ``ballot_id`` member of
+    its own, which overrides the one before it. The tail of an accepted line
+    is JSON whitespace, a comma, then members and the closing brace."""
+    return "ballot_id" in json.loads("{" + tail.lstrip()[1:])
 
 
 def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
@@ -217,17 +234,33 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
 
     Blank lines are skipped; the returned count equals the non-blank line count.
     A repeated ballot_id is a ParseError naming both ballots by position.
-    Each distinct ``ranks`` array is validated and canonicalized once per
-    call, and the ballots that repeat it share one ``slots`` tuple; every
-    line is still read in order, so an error names the first bad line.
+    Each distinct line tail (``_split``) is decoded and validated once per
+    call, and the ballots that repeat it share one ``slots`` tuple; a line
+    with a new tail, or with no leading ballot_id, gets the full parse, so an
+    error names the first bad line. A tail is checked for an id of its own
+    (``_states_id``) when it is first seen again, so a tail that never
+    repeats costs no decode beyond its line's.
     """
     ballots = []
-    patterns: dict = {}
+    # tail -> [slots, flag, checked] of an accepted line; None once the tail states an id
+    tails: dict = {}
     try:
         for line_no, line in enumerate(source, start=1):
+            ballot_id, tail = _split(line)
+            known = tails.get(tail)
+            if known is not None and not known[2]:
+                known[2] = True
+                if _states_id(tail):
+                    tails[tail] = known = None
+            if known is not None:
+                ballots.append(_parsed_ballot(ballot_id, known[0], known[1]))
+                continue
             if not line.strip():
                 continue
-            ballots.append(_parse_line(line_no, line, roster, patterns))
+            ballot = _parse_line(line_no, line, roster)
+            ballots.append(ballot)
+            if tail is not None and tail not in tails:
+                tails[tail] = [ballot.slots, ballot.raw_first_invalid, False]
     except UnicodeDecodeError as exc:
         raise ParseError(f"CVR is not UTF-8 text: {exc.reason}") from exc
     # checked once, on a sorted list of ids: the parse holds no id set

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cvr import Candidate, CandidateRoster, RawBallot
+from .cvr import Candidate, CandidateRoster, RawBallot, _parsed_ballot
 from .profiles import PreferenceProfile, Ranking
 
 
@@ -76,13 +76,13 @@ def _synthetic_raw_ballots() -> list[RawBallot]:
         reduced[(cid,)] -= to_writein + to_skip
 
     ballots: list[RawBallot] = []
-    serial = 0
 
     def add(slots: tuple[tuple[str, ...], ...], count: int) -> None:
-        nonlocal serial
-        for _ in range(count):
-            serial += 1
-            ballots.append(RawBallot(f"syn-{serial:05d}", slots))
+        slots = RawBallot("", slots).slots  # canonical once per pattern, shared by its ballots
+        first = len(ballots) + 1
+        ballots.extend(
+            _parsed_ballot(f"syn-{n:05d}", slots, None) for n in range(first, first + count)
+        )
 
     for ranking, count in reduced.items():
         add(tuple((cid,) for cid in ranking), count)

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from rcv_forensics import (
     parse_cvr,
     sanitize_ballot,
 )
+from rcv_forensics.cvr import cvr_line, cvr_tail
 
 OAKLAND_ROSTER_JSON = json.dumps(
     {
@@ -208,10 +210,9 @@ def test_round_trip_identity_random(slots, flag):
 
 
 def reference_parse_cvr(source, roster) -> list[RawBallot]:
-    """The per-line parse that ``parse_cvr`` replaced: every line's ranks are
-    validated and canonicalized anew, with no table of patterns. It is the
-    only copy and exists to check ``parse_cvr``; ballot ids are taken to be
-    unique, so it has no repeated-id check."""
+    """The per-line parse that ``parse_cvr`` replaced: every line is decoded
+    and its ranks validated and canonicalized anew, with no table of tails.
+    It is the only copy and exists to check ``parse_cvr``."""
     ballots = []
     for line_no, line in enumerate(source, start=1):
         if not line.strip():
@@ -239,14 +240,21 @@ def reference_parse_cvr(source, roster) -> list[RawBallot]:
         if "raw_first_invalid" in doc and not isinstance(doc["raw_first_invalid"], bool):
             raise ParseError(f"line {line_no}: raw_first_invalid must be true or false")
         ballots.append(RawBallot(ballot_id, tuple(ranks), doc.get("raw_first_invalid")))
+    repeated = sorted(
+        ballot_id for ballot_id, n in Counter(b.ballot_id for b in ballots).items() if n > 1
+    )
+    if repeated:
+        first, second = [n for n, b in enumerate(ballots, 1) if b.ballot_id == repeated[0]][:2]
+        raise ParseError(f"CVR ballots #{first} and #{second} share ballot_id {repeated[0]!r}")
     return ballots
 
 
-# ids "1" and "H" let a JSON 1, true or "H"-as-a-string slot meet an accepted "1" or ["H"]
+# ids "1" and "H" let a JSON 1, true or "H"-as-a-string slot meet an accepted "1" or ["H"];
+# "José" is written as \u00e9 by the CVR writer
 MEMO_ROSTER = load_roster(
     io.StringIO(
         '{"candidates":[{"id":"H","name":"H"},{"id":"M","name":"M"},{"id":"1","name":"One"},'
-        '{"id":"W","name":"W","writein":true}]}'
+        '{"id":"W","name":"W","writein":true},{"id":"Jos\u00e9","name":"J"}]}'
     )
 )
 GOOD_RANKS = [
@@ -258,6 +266,21 @@ BAD_RANKS = [
     [[{"H": 1}]], [["X"]], [["H"], ["X"]], [["X"], "H"], [["H"], "M"], "H", None, {"H": 1},
 ]
 BAD_LINES = ["not json", "[]", '{"ranks":[["H"]]}', '{"ballot_id":7,"ranks":[]}', "{"]
+FLAGS = ["", ',"raw_first_invalid":true', ',"raw_first_invalid":false']
+BAD_FLAGS = [',"raw_first_invalid":"true"', ',"raw_first_invalid":0']
+# how a line opens before its id: the first four put the id first, and most lines take one of
+# the first three
+OPENINGS = [
+    '{"ballot_id":', '{"ballot_id": ', '{ "ballot_id" : ', '{\r"ballot_id"\t:', ' {"ballot_id":',
+    '\t{"ballot_id":', '{"ballot\\u005fid":', '{"ranks":[],"ballot_id":',
+]
+BAD_OPENINGS = ['\ufeff{"ballot_id":', '{"ballot_id"\u00a0:', '{"ballot_id":\u00a0']
+# what follows a line's number in its id
+ID_SUFFIXES = ["", '\\"', "\\\\", "\\u0041", "\\u00e9", "\u00e9"]
+BAD_IDS = ["", "b\t", "b\x0b"]
+# how a line ends after its ranks and flag; the last two restate the id
+ENDS = ["}", "}\r", "} ", ',"ballot_id":"r"}', ',"ballot\\u005fid":"r"}']
+BAD_ENDS = ["} x", "}}", ',"ballot_id":""}']
 
 
 def outcome(parse, text):
@@ -272,21 +295,33 @@ def outcome(parse, text):
 
 def random_cvr(rng):
     """Lines drawn from a few ranks arrays, so most of them repeat an earlier
-    line's array; about one file in two also holds a malformed line."""
+    line's tail. Ids carry escapes, lines open and end in several ways, and
+    now and then a tail states an id of its own. About one file in two also
+    holds a malformed line. It is wrong in one part, so that its tail may be
+    one the parse has accepted, or in two, so that the parse must report the
+    same one of them as the reference."""
     pool = rng.sample(GOOD_RANKS, rng.randint(1, 4))
+    separators = rng.choice([(",", ":"), (", ", ": ")])
     bad_at = rng.randrange(40) if rng.random() < 0.5 else None
     lines = []
     for n in range(rng.randint(1, 40)):
+        bad = set()
         if n == bad_at:
             if rng.random() < 0.2:
                 lines.append(rng.choice(BAD_LINES))
                 continue
-            ranks = rng.choice(BAD_RANKS + pool)
-            flag = rng.choice(["", ',"raw_first_invalid":"true"', ',"raw_first_invalid":0'])
-        else:
-            ranks = rng.choice(pool)
-            flag = rng.choice(["", ',"raw_first_invalid":true', ',"raw_first_invalid":false'])
-        lines.append(f'{{"ballot_id":"b{n}","ranks":{json.dumps(ranks)}{flag}}}')
+            bad = set(rng.sample(["ranks", "flag", "opening", "id", "end"], rng.randint(1, 2)))
+        ranks = rng.choice(BAD_RANKS if "ranks" in bad else pool)
+        flag = rng.choice(BAD_FLAGS if "flag" in bad else FLAGS)
+        opening = rng.choice(
+            BAD_OPENINGS if "opening" in bad else OPENINGS[:3] if rng.random() < 0.8 else OPENINGS
+        )
+        ballot_id = rng.choice(BAD_IDS) if "id" in bad else f"b{n}" + rng.choice(ID_SUFFIXES)
+        end = rng.choice(BAD_ENDS if "end" in bad else ENDS[:1] if rng.random() < 0.9 else ENDS)
+        ranks_text = json.dumps(ranks, separators=separators)
+        lines.append(
+            f'{opening}"{ballot_id}"{separators[0]}"ranks"{separators[1]}{ranks_text}{flag}{end}'
+        )
         if rng.random() < 0.05:
             lines.append("")
     return "\n".join(lines)
@@ -294,8 +329,8 @@ def random_cvr(rng):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_parse_matches_reference(seed):
-    """The parse validates each distinct ranks array once; on files that repeat
-    a few arrays, with a malformed line in about half of them, it gives the
+    """The parse decodes each distinct line tail once; on files that repeat a
+    few tails, with a malformed line in about half of them, it gives the
     reference's ballots, or the reference's error for the first bad line."""
     rng = random.Random(seed)
     kinds = set()
@@ -342,20 +377,66 @@ def test_unknown_id_first_seen_late_named():
         parse_cvr(io.StringIO("\n".join(lines)), MEMO_ROSTER)
 
 
-def test_equal_ranks_share_one_slots_tuple():
-    text = (
-        '{"ballot_id":"a","ranks":[["M","H"],[]]}\n'
-        '{"ballot_id":"b","ranks":[["1"]]}\n'
-        '{"ballot_id":"c","ranks":[["M","H"],[]]}\n'
-    )
+# CVR lines as writers make them: compact, ``json.dumps``'s spaced default,
+# and this package's own writer, which escapes non-ASCII ids
+LINE_FORMS = {
+    "compact": lambda ballot_id, ranks: json.dumps(
+        {"ballot_id": ballot_id, "ranks": ranks}, separators=(",", ":")
+    ) + "\n",
+    "spaced": lambda ballot_id, ranks: json.dumps({"ballot_id": ballot_id, "ranks": ranks}) + "\n",
+    "cvr_line": lambda ballot_id, ranks: cvr_line(ballot_id, cvr_tail(ranks, None)),
+}
+
+
+@pytest.mark.parametrize("form", LINE_FORMS)
+def test_equal_ranks_share_one_slots_tuple(form):
+    write = LINE_FORMS[form]
+    text = write("a", [["M", "José"], []]) + write("b", [["1"]]) + write("c", [["M", "José"], []])
     a, b, c = parse_cvr(io.StringIO(text), MEMO_ROSTER)
-    assert a.slots == c.slots == (("H", "M"), ())
+    assert a.slots == c.slots == (("José", "M"), ())
     assert a.slots is c.slots and a.slots is not b.slots
 
 
+@pytest.mark.parametrize("form", LINE_FORMS)
+def test_each_tail_decoded_once(form, monkeypatch):
+    """A CVR of k distinct tails runs k line decodes, one for the first line
+    of each tail, and k checks of those tails for an id of their own when
+    they repeat; a line that repeats a tail is not decoded."""
+    write = LINE_FORMS[form]
+    patterns = [[["José"]], [["H"], ["José"]], [["José", "H"]]]
+    lines = [write(f"b{n}", patterns[n % 3]) for n in range(30)]
+    assert "\\u00e9" in lines[0]
+    decoded = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    ballots = parse_cvr(io.StringIO("".join(lines)), MEMO_ROSTER)
+    monkeypatch.undo()
+    assert [text for text in decoded if text in lines] == lines[:3] and len(decoded) == 6
+    assert [(b.ballot_id, b.slots) for b in ballots] == [
+        (f"b{n}", RawBallot("", tuple(patterns[n % 3])).slots) for n in range(30)
+    ]
+
+
+def test_unrepeated_tail_not_checked_for_an_id(monkeypatch):
+    """A tail seen once is decoded only as part of its line; the check for an
+    id of its own waits until the tail repeats."""
+    lines = [f'{{"ballot_id":"b{n}","ranks":[["H"],["M"]],"n":{n}}}\n' for n in range(5)]
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, *a, **k: decoded.append(text) or loads(text))
+    ballots = parse_cvr(io.StringIO("".join(lines)), MEMO_ROSTER)
+    monkeypatch.undo()
+    assert decoded == lines and len(ballots) == 5
+
+
 def test_pattern_table_is_per_call():
-    """An array accepted under one roster is checked again under the next:
-    no validation outlives its parse."""
+    """A tail accepted under one roster is checked again under the next: no
+    validation outlives its parse."""
     text = '{"ballot_id":"b1","ranks":[["H"],["M"]]}\n'
     (ballot,) = parse_cvr(io.StringIO(text), MEMO_ROSTER)
     assert ballot.slots == (("H",), ("M",))

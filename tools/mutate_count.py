@@ -52,7 +52,10 @@ GATE = {
         ("tests/test_sanitize.py", "tests/test_cvr.py"),
     ),
     Path("src/rcv_forensics/cvr.py"): (
-        ("_parsed_ballot", "_slots", "_parse_line", "parse_cvr", "cvr_tail", "_decode_roster"),
+        (
+            "_parsed_ballot", "_slots", "_parse_line", "_split", "_states_id", "parse_cvr",
+            "cvr_tail", "_decode_roster",
+        ),
         ("tests/test_cvr.py",),
     ),
 }
