@@ -10,7 +10,9 @@ outcomes into witness runs and tie boundaries, returned as one ``EditScan``.
 prefix of the profile is counted once for all its edits, and one
 ``methods.EditCount`` per edit. ``rcv_winner`` is still called at every t,
 but only a t outside the constant-outcome segment of the last full count
-walks the rounds.
+walks the rounds, and each round it walks is decided once per trie node for
+all the edits whose two rows count for the same candidates there at the
+same t.
 Searches scan only ballot types already present in the profile and only
 single-position (adjacent) shifts.
 The t-scan is linear because the winner as a function of t need not be

@@ -16,14 +16,18 @@ methods or raises ``TieError``.
 
 The t-scans count many edits of one profile, each at every t. A
 ``PrefixTrie`` piles the whole profile once and keeps, per elimination
-prefix reached, that round's tallies; every edit of the profile shares it.
-An ``EditCount`` holds one edit: t ballots of a source type move to another
-ranking or are removed, which takes t from the tally where the source row
-counts and adds t where the destination row counts. While the elimination
-path is fixed every tally is therefore affine in t, so one full count at t
-(``_evaluate``, O(rounds x candidates)) also finds the last t' up to which
-no comparison that decided a round changes sign. ``rcv_winner(count, t)``
-answers any t inside that constant-outcome segment without counting.
+prefix reached, that round's tallies and a memo of the round's decisions;
+every edit of the profile shares it. An ``EditCount`` holds one edit: t
+ballots of a source type move to another ranking or are removed, which
+takes t from the tally where the source row counts and adds t where the
+destination row counts. While the elimination path is fixed every tally is
+therefore affine in t, so one full count at t (``_evaluate``) also finds the
+last t' up to which no comparison that decided a round changes sign.
+``rcv_winner(count, t)`` answers any t inside that constant-outcome segment
+without counting. A round at a prefix depends only on the candidates the
+two rows count for there and on t, so the edits of a search that share
+those (as ballot types with the same top choices do) share the round:
+``_round`` decides it, O(candidates), once per distinct key at each node.
 """
 
 from __future__ import annotations
@@ -299,10 +303,12 @@ class PrefixTrie:
 
     All rows are piled once, after the write-in batch. Each prefix reached
     so far (the losers in order) is a node of a trie rooted at round 1:
-    (tallies, hold, children by loser, piles), where hold marks buggy round
-    1, in which flagged ballots are pending. A child is built from its
-    parent's piles by walking out the one new loser, the first time some
-    count reaches it."""
+    (tallies, hold, children by loser, piles, memo), where hold marks buggy
+    round 1, in which flagged ballots are pending, and memo maps a round key
+    (see ``_evaluate``) to the ``_round`` decision of that round. A child is
+    built from its parent's piles by walking out the one new loser, the
+    first time some count reaches it. The memo lives as long as the trie,
+    one search."""
 
     __slots__ = ("entries", "total", "tie_policy", "root")
 
@@ -315,12 +321,12 @@ class PrefixTrie:
         self.total = piles.total
         self.tie_policy = options.tie_policy
         hold = options.buggy_first_round
-        self.root = (piles.standing(hold)[0], hold, {}, piles) if piles.piles else None
+        self.root = (piles.standing(hold)[0], hold, {}, piles, {}) if piles.piles else None
 
     def child(self, node: tuple, loser: str) -> tuple:
         """node's child for loser, built and kept on first use."""
         piles = node[3].without(loser)
-        new = node[2][loser] = (piles.standing(False)[0], False, {}, piles)
+        new = node[2][loser] = (piles.standing(False)[0], False, {}, piles, {})
         return new
 
 
@@ -331,12 +337,12 @@ class EditCount:
     segment is (lo, hi, outcome): every t in lo..hi has the outcome of the
     last full count, a winner or the (tied, context) of its TieError."""
 
-    __slots__ = ("trie", "rankings", "flagged", "source", "segment")
+    __slots__ = ("trie", "ranking", "flagged", "moved_to", "source", "segment")
 
     def __init__(self, trie: PrefixTrie, source: tuple[Ranking, bool], moved_to: Ranking | None):
-        ranking, self.flagged = source
+        self.ranking, self.flagged = source
         self.trie = trie
-        self.rankings = (ranking,) if moved_to is None else (ranking, moved_to)
+        self.moved_to = moved_to
         self.source = trie.entries[source]
         self.segment = (1, 0, None)
 
@@ -351,17 +357,50 @@ def _steady(value: int, slope: int) -> float:
     return (abs(value) - 1) // abs(slope)
 
 
+def _round(
+    base: dict[str, int], key: tuple | None, tie_policy: TiePolicy, round_no: int
+) -> tuple[float, bool | None, object]:
+    """One round of an edit at a prefix whose tallies are base: key is
+    (source, destination, t), t ballots leaving the source candidate's
+    tally for the destination's (None is no one), or None when no tally
+    moves. Returns (rise, won, outcome): rise is how far t may grow with
+    every tally difference that moves with t and the leader's majority
+    margin keeping its sign, which fixes the round's decision; won and
+    outcome are ``_decide``'s, or None and the (tied, context) of its
+    TieError."""
+    tallies, slopes = base, {}
+    if key is not None:
+        source, dest, t = key
+        tallies = base.copy()
+        for cid, slope in ((source, -1), (dest, 1)):
+            if cid is not None:
+                slopes[cid] = slope
+                tallies[cid] += slope * t
+    continuing = sum(tallies.values())
+    leader = max(tallies, key=tallies.__getitem__)
+    margin_slope = 2 * slopes.get(leader, 0) - sum(slopes.values())
+    rise = _steady(2 * tallies[leader] - continuing, margin_slope)
+    for a, slope in slopes.items():
+        for b, n in tallies.items():
+            rise = min(rise, _steady(tallies[a] - n, slope - slopes.get(b, 0)))
+    try:
+        won, cid = _decide(tallies, continuing, tie_policy, round_no)
+    except TieError as exc:  # keep only its fields: the memo outlives the call
+        return rise, None, (exc.tied, exc.context)
+    return rise, won, cid
+
+
 def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
-    """Count count's edit at t in full: each round copies its prefix's
-    tallies, takes t from where the source row counts and adds t where the
-    destination row counts (a flagged row held in buggy round 1 counts for
-    no one), and applies the round rule. Returns the segment (t, hi,
-    outcome): while the elimination path is fixed every tally is affine in
-    t, so hi is the last t' for which every tally difference that moves with
-    t and each round leader's majority margin keep their sign, which fixes
-    the outcome of every round."""
+    """Count count's edit at t in full: walk the trie from round 1, and at
+    each node find the candidates the source and destination rows count for
+    (a flagged row held in buggy round 1 counts for no one) and take that
+    round's decision from the node's memo, deciding it with ``_round`` on a
+    miss; so a round costs O(candidates) once per distinct key per node.
+    Returns the segment (t, hi, outcome): while the elimination path is
+    fixed every tally is affine in t, so hi is the last t' up to which every
+    round keeps its decision, and so the outcome."""
     trie = count.trie
-    removal = len(count.rankings) == 1
+    removal = count.moved_to is None
     total = trie.total - t if removal else trie.total
     if total == 0:
         raise ValidationError("cannot tabulate an empty profile")
@@ -371,31 +410,24 @@ def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
     room = count.source - t  # how far past t the segment reaches
     if removal:  # short of the t that empties the profile
         room = min(room, total - 1)
+    ranking, moved_to = count.ranking, count.moved_to or ()
     round_no = 1
     while True:
-        base, hold, children, _ = node
-        tallies = base.copy()
-        slopes: dict[str, int] = {}
+        base, hold, children, _, memo = node
+        key = None
         if not (hold and count.flagged):
-            for ranking, slope in zip(count.rankings, (-1, 1)):
-                cid = next((c for c in ranking if c in tallies), None)
-                if cid is not None:
-                    slopes[cid] = slopes.get(cid, 0) + slope
-                    tallies[cid] += slope * t
-        continuing = sum(tallies.values())
-        leader = max(tallies, key=tallies.__getitem__)
-        margin_slope = 2 * slopes.get(leader, 0) - sum(slopes.values())
-        room = min(room, _steady(2 * tallies[leader] - continuing, margin_slope))
-        for a, slope in slopes.items():
-            for b, n in tallies.items():
-                room = min(room, _steady(tallies[a] - n, slope - slopes.get(b, 0)))
-        try:
-            won, cid = _decide(tallies, continuing, trie.tie_policy, round_no)
-        except TieError as exc:  # keep only its fields: a held traceback pins the trie
-            return t, t + room, (exc.tied, exc.context)
-        if won:
-            return t, t + room, cid
-        node = children.get(cid) or trie.child(node, cid)
+            source = next((c for c in ranking if c in base), None)
+            dest = next((c for c in moved_to if c in base), None)
+            if source != dest:
+                key = (source, dest, t)
+        decision = memo.get(key)
+        if decision is None:
+            decision = memo[key] = _round(base, key, trie.tie_policy, round_no)
+        rise, won, outcome = decision
+        room = min(room, rise)
+        if won is not False:  # a winner, or the (tied, context) of a tie
+            return t, t + room, outcome
+        node = children.get(outcome) or trie.child(node, outcome)
         round_no += 1
 
 
@@ -524,21 +556,23 @@ def _find_majority_cycle(
 
 def condorcet_analysis(matrix: PairwiseMatrix) -> CondorcetReport:
     """Condorcet winner (if any), a strict-majority cycle (if any), and the
-    minimax score of each candidate (worst head-to-head loss margin)."""
-    ids = matrix.candidates
-    beats = {
-        (x, y): matrix.n(x, y) > matrix.n(y, x) for x in ids for y in ids if x != y
-    }
+    minimax score of each candidate (worst head-to-head loss margin). Each
+    unordered pair's margin is read once and settles both directions."""
+    ids, counts = matrix.candidates, matrix.counts
+    beats: dict[tuple[str, str], bool] = {}
+    minimax = dict.fromkeys(ids, 0)
+    for i, x in enumerate(ids):
+        for y in ids[i + 1 :]:
+            margin = counts[(x, y)] - counts[(y, x)]
+            beats[(x, y)], beats[(y, x)] = margin > 0, margin < 0
+            minimax[x] = max(minimax[x], -margin)
+            minimax[y] = max(minimax[y], margin)
     winner = None
     for x in ids:
         if all(beats[(x, y)] for y in ids if y != x):
             winner = x
             break
     cycle = None if winner else _find_majority_cycle(ids, beats)
-    minimax = {
-        x: max((max(0, matrix.n(y, x) - matrix.n(x, y)) for y in ids if y != x), default=0)
-        for x in ids
-    }
     return CondorcetReport(winner, cycle, minimax)
 
 

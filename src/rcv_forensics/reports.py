@@ -61,10 +61,10 @@ def scores_to_dict(method: str, scores: dict[str, int], winner: str | None, **ex
 
 
 def condorcet_to_dict(matrix: PairwiseMatrix, report: CondorcetReport, best: str | None) -> dict:
-    ids = matrix.candidates
+    ids, counts = matrix.candidates, matrix.counts
     return {
         "method": "condorcet",
-        "pairwise": {x: {y: matrix.n(x, y) for y in ids if y != x} for x in ids},
+        "pairwise": {x: {y: counts[(x, y)] for y in ids if y != x} for x in ids},
         **to_jsonable(report),
         "minimax_best": best,
     }

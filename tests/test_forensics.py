@@ -307,27 +307,31 @@ def test_table1_scan_work_pinned(table1, monkeypatch):
     20,376 / 10,956 / 26,432 / 30,181 calls for the downward, upward,
     no-show and compromise searches. Of those, 30 / 14 / 43 / 60 walk the
     rounds (``methods._evaluate``); every other call falls inside the
-    constant-outcome segment of the last one that did. With the spoiler
-    search, as in ``audit --checks all``, they find 10 witnesses and 27 tie
-    boundaries."""
-    calls, full = [], []
-    counted, evaluate = forensics.rcv_winner, methods._evaluate
+    constant-outcome segment of the last one that did. Those walks decide
+    25 / 14 / 28 / 42 rounds (``methods._round``); every other round they
+    pass is a repeat of a decided one at the same trie node, taken from its
+    memo. With the spoiler search, as in ``audit --checks all``, they find
+    10 witnesses and 27 tie boundaries."""
+    calls, full, decided = [], [], []
+    counted, evaluate, decide = forensics.rcv_winner, methods._evaluate, methods._round
     monkeypatch.setattr(forensics, "rcv_winner", lambda *a: calls.append(1) or counted(*a))
     monkeypatch.setattr(methods, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
+    monkeypatch.setattr(methods, "_round", lambda *a: decided.append(1) or decide(*a))
     work, witnesses, boundaries = {}, 0, 0
     for name, search in TABLE1_SEARCHES.items():
         calls.clear()
         full.clear()
+        decided.clear()
         scan = search(table1)
-        work[name] = (len(calls), len(full))
+        work[name] = (len(calls), len(full), len(decided))
         witnesses += len(scan.witnesses)
         boundaries += len(scan.boundaries)
     spoilers = find_spoilers(table1, OPTS)
     witnesses += len(spoilers.witnesses)
     boundaries += len(spoilers.tie_subsets)
     assert work == {
-        "downward": (20376, 30), "upward": (10956, 14),
-        "noshow": (26432, 43), "compromise": (30181, 60),
+        "downward": (20376, 30, 25), "upward": (10956, 14, 14),
+        "noshow": (26432, 43, 28), "compromise": (30181, 60, 42),
     }
     assert (witnesses, boundaries) == (10, 27)
 
@@ -378,7 +382,7 @@ class TestOracle:
             codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
         shared = {
             "_scan", "_shift", "_promote", "_entries_of", "PrefixTrie", "EditCount",
-            "_evaluate", "_steady", "rcv_winner", "verify_witness",
+            "_evaluate", "_round", "_steady", "rcv_winner", "verify_witness",
         }
         assert names & shared == set()
         assert "rcv_tabulate" in names

@@ -307,6 +307,32 @@ class TestCondorcet:
                     beats[(x, y)], beats[(y, x)] = side == 0, side == 1
             assert methods._find_majority_cycle(ids, beats) == reference_majority_cycle(ids, beats)
 
+    def test_matches_definitions_on_random_profiles(self):
+        """Who beats whom, the winner, the cycle and the minimax scores,
+        against a reference read straight off n(x, y) for every ordered
+        pair. Small counts make exactly tied pairs common, so a tie counted
+        as a win or a loss shows."""
+        rng = random.Random(17)
+        ties = 0
+        for _ in range(600):
+            matrix = make_random_profile(rng, max_types=5, max_count=3).pairwise_matrix()
+            ids, n = matrix.candidates, matrix.n
+            beats = {(x, y): n(x, y) > n(y, x) for x in ids for y in ids if x != y}
+            winner = next(
+                (x for x in ids if all(beats[(x, y)] for y in ids if y != x)), None
+            )
+            expected = methods.CondorcetReport(
+                winner,
+                None if winner else reference_majority_cycle(ids, beats),
+                {
+                    x: max([n(y, x) - n(x, y) for y in ids if y != x] + [0])
+                    for x in ids
+                },
+            )
+            assert condorcet_analysis(matrix) == expected
+            ties += sum(n(x, y) == n(y, x) for x in ids for y in ids if x < y)
+        assert ties > 100
+
     def test_consistency_no_cycle_through_winner(self):
         rng = random.Random(13)
         for _ in range(100):

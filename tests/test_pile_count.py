@@ -96,6 +96,8 @@ def _transfers(entries, eliminated, removed, held=False):
 
 
 def reference_tabulate(roster, entries, options, record):
+    """The winner, and its rounds when recording, else the number of the
+    round it won in."""
     total = sum(count for _, _, count in entries)
     if total == 0:
         raise ValidationError("cannot tabulate an empty profile")
@@ -120,7 +122,7 @@ def reference_tabulate(roster, entries, options, record):
         if 2 * tallies[winner] > total - exhausted - pending or len(tallies) == 1:
             if record:
                 rounds.append(RoundRecord(round_no, tallies, (), exhausted, pending, ()))
-            return winner, rounds if record else None
+            return winner, rounds if record else round_no
         low = min(tallies.values())
         tied = [cid for cid, votes in tallies.items() if votes == low]
         if len(tied) > 1 and options.tie_policy is TiePolicy.ERROR:
@@ -341,8 +343,7 @@ def test_scan_counts_match_reference_at_full_size(case, table1, synthetic_profil
     calls = []
 
     def checked(count, t):
-        source = (count.rankings[0], count.flagged)
-        moved_to = count.rankings[1] if len(count.rankings) == 2 else None
+        source, moved_to = (count.ranking, count.flagged), count.moved_to
         expected = outcome(reference_winner, profile, options, source, moved_to, t)
         assert outcome(rcv_winner, count, t) == expected, (source, moved_to, t)
         calls.append(t)
@@ -354,3 +355,72 @@ def test_scan_counts_match_reference_at_full_size(case, table1, synthetic_profil
     search_noshow(profile, options)
     search_compromise(profile, options)
     assert len(calls) == {"table1": 87945, "synthetic-buggy": 86234}[case]
+
+
+MULTIROUND_OPTIONS = [
+    RcvOptions(),
+    RcvOptions(tie_policy=TiePolicy.ELIMINATE_LEX_SMALLEST),
+    RcvOptions(buggy_first_round=True),
+]
+
+
+def multiround_profile(seed):
+    """A profile shaped like a real multi-round contest: 7 candidates, every
+    bullet vote and 143 longer rankings, 150 types of 1 to 5 ballots, a
+    quarter of them flagged. Drawn again until its count takes at least five
+    rounds with no elimination tie under each option set below."""
+    rng = random.Random(seed)
+    ids = "ABCDEFG"
+    roster = CandidateRoster(tuple(Candidate(c, c) for c in ids))
+    while True:
+        rankings = dict.fromkeys((c,) for c in ids)
+        while len(rankings) < 150:
+            rankings.setdefault(tuple(rng.sample(ids, rng.randint(2, len(ids)))))
+        profile = PreferenceProfile(
+            roster,
+            {(r, rng.random() < 0.25): rng.randint(1, 5) for r in rankings},
+        )
+        try:
+            if all(len(rcv_tabulate(profile, o).rounds) >= 5 for o in MULTIROUND_OPTIONS):
+                return profile
+        except TieError:
+            pass
+
+
+@pytest.mark.parametrize("options", MULTIROUND_OPTIONS, ids=["error", "lex", "buggy"])
+def test_round_memo_matches_reference_at_full_size(options, monkeypatch):
+    """The four edit searches on a 7-candidate, five-round profile, where
+    many edits share a round's key at a trie node: every rcv_winner answer
+    against the reference round loop at that t, and fewer round decisions
+    (``_round``) than the full counts walked rounds, so answers came from
+    the node memos."""
+    profile = multiround_profile(23)
+    reference = {}  # (source, moved_to, t) -> (outcome, rounds counted)
+
+    def checked(count, t):
+        key = (count.ranking, count.flagged), count.moved_to, t
+        if key not in reference:
+            entries = edited_entries(profile, *key)
+            try:
+                winner, last = reference_tabulate(profile.roster, entries, options, False)
+                reference[key] = ("ok", winner), last
+            except TieError as exc:
+                reference[key] = ("tie", exc.tied, str(exc)), int(exc.context.split()[1])
+        assert outcome(rcv_winner, count, t) == reference[key][0], key
+        return rcv_winner(count, t)
+
+    full, decided = [], []
+    evaluate, decide = methods._evaluate, methods._round
+
+    def counted(count, t):
+        full.append(((count.ranking, count.flagged), count.moved_to, t))
+        return evaluate(count, t)
+
+    monkeypatch.setattr(forensics, "rcv_winner", checked)
+    monkeypatch.setattr(methods, "_evaluate", counted)
+    monkeypatch.setattr(methods, "_round", lambda *a: decided.append(1) or decide(*a))
+    for direction in Direction:
+        search_monotonicity(profile, options, direction)
+    search_noshow(profile, options)
+    search_compromise(profile, options)
+    assert len(decided) < sum(reference[key][1] for key in full)

@@ -36,7 +36,8 @@ GATE = {
     Path("src/rcv_forensics/methods.py"): (
         (
             "_Piles", "_writein_batch", "_decide", "rcv_tabulate", "PrefixTrie", "EditCount",
-            "_steady", "_evaluate", "rcv_winner", "plurality_runoff", "_find_majority_cycle",
+            "_steady", "_round", "_evaluate", "rcv_winner", "plurality_runoff",
+            "_find_majority_cycle", "condorcet_analysis",
         ),
         ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
     ),
