@@ -16,9 +16,10 @@ accepted to its canonical slots and flag, which the ballots of that tail
 share. A line that opens otherwise, or whose tail is new, gets the full parse,
 so an error still names the first bad line; a tail that states a
 ``ballot_id`` of its own, which would override the one before it, is never
-reused. The table lives only as long as the call, so no roster's validation
-reaches another parse. The writer likewise encodes the tail (``cvr_tail``)
-apart from the id, so equal ballots can share it.
+reused. The full parse in turn checks each distinct rank slot once, and equal
+slots are one tuple object. These tables live only as long as the call, so no
+roster's validation reaches another parse. The writer likewise encodes the
+tail (``cvr_tail``) apart from the id, so equal ballots can share it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import re
 from dataclasses import dataclass
 from itertools import pairwise
 from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable
 
 
@@ -166,21 +168,36 @@ def _parsed_ballot(
 
 
 def _slots(
-    line_no: int, ballot_id: str, ranks: list, roster: CandidateRoster
+    line_no: int, ballot_id: str, ranks: list, roster: CandidateRoster, seen: dict
 ) -> tuple[tuple[str, ...], ...]:
     """The canonical slots of a line's ranks array, each id checked against
-    the roster. Only the full parse runs it, so a call checks each distinct
-    line tail once (see ``parse_cvr``)."""
+    the roster. ``seen`` is the parse's table from each slot accepted so far,
+    as a tuple, to its canonical tuple; a list slot found there skips its
+    checks and its sort, and equal canonical slots are one tuple object. Only
+    the full parse runs it (see ``parse_cvr``)."""
+    slots = []
     for slot in ranks:
+        # a string or an object slot would meet an accepted one as a tuple: tuple("HM")
+        if isinstance(slot, list):
+            try:
+                canonical = seen.get(tuple(slot))
+            except TypeError:  # an unhashable member, which the checks below refuse
+                canonical = None
+            if canonical is not None:
+                slots.append(canonical)
+                continue
         if not isinstance(slot, list) or not all(isinstance(c, str) for c in slot):
             raise ParseError(f"line {line_no}: each rank slot must be an array of candidate ids")
         for cid in slot:
             if cid not in roster:
                 raise ParseError(f"ballot {ballot_id!r}: unknown candidate id {cid!r}")
-    return tuple(tuple(sorted(set(slot))) for slot in ranks)
+        canonical = tuple(sorted(set(slot)))
+        seen[tuple(slot)] = canonical = seen.setdefault(canonical, canonical)
+        slots.append(canonical)
+    return tuple(slots)
 
 
-def _parse_line(line_no: int, line: str, roster: CandidateRoster) -> RawBallot:
+def _parse_line(line_no: int, line: str, roster: CandidateRoster, seen: dict) -> RawBallot:
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -195,7 +212,7 @@ def _parse_line(line_no: int, line: str, roster: CandidateRoster) -> RawBallot:
     ranks = doc.get("ranks")
     if not isinstance(ranks, list):
         raise ParseError(f"line {line_no}: 'ranks' must be an array of arrays")
-    slots = _slots(line_no, ballot_id, ranks, roster)
+    slots = _slots(line_no, ballot_id, ranks, roster, seen)
     if "raw_first_invalid" in doc:
         _boolean(doc["raw_first_invalid"], f"line {line_no}: raw_first_invalid")
     return _parsed_ballot(ballot_id, slots, doc.get("raw_first_invalid"))
@@ -225,7 +242,11 @@ def _split(line: str) -> tuple[str, str] | tuple[None, None]:
 def _states_id(tail: str) -> bool:
     """Whether the tail of an accepted line holds a ``ballot_id`` member of
     its own, which overrides the one before it. The tail of an accepted line
-    is JSON whitespace, a comma, then members and the closing brace."""
+    is JSON whitespace, a comma, then members and the closing brace. A member
+    name is ``ballot_id`` only as that text or spelled with a ``\\`` escape,
+    so a tail holding neither is not decoded."""
+    if "ballot_id" not in tail and "\\" not in tail:
+        return False
     return "ballot_id" in json.loads("{" + tail.lstrip()[1:])
 
 
@@ -237,13 +258,16 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
     Each distinct line tail (``_split``) is decoded and validated once per
     call, and the ballots that repeat it share one ``slots`` tuple; a line
     with a new tail, or with no leading ballot_id, gets the full parse, so an
-    error names the first bad line. A tail is checked for an id of its own
-    (``_states_id``) when it is first seen again, so a tail that never
-    repeats costs no decode beyond its line's.
+    error names the first bad line. Within that parse each distinct rank slot
+    is checked once per call (``_slots``), and equal slots are one tuple. A
+    tail is checked for an id of its own (``_states_id``) when it is first
+    seen again; only a tail holding the text ``ballot_id`` or an escape is
+    decoded for it.
     """
     ballots = []
     # tail -> [slots, flag, checked] of an accepted line; None once the tail states an id
     tails: dict = {}
+    seen_slots: dict = {}  # the slot table of ``_slots``
     try:
         for line_no, line in enumerate(source, start=1):
             ballot_id, tail = _split(line)
@@ -257,7 +281,7 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
                 continue
             if not line.strip():
                 continue
-            ballot = _parse_line(line_no, line, roster)
+            ballot = _parse_line(line_no, line, roster, seen_slots)
             ballots.append(ballot)
             if tail is not None and tail not in tails:
                 tails[tail] = [ballot.slots, ballot.raw_first_invalid, False]
@@ -282,8 +306,10 @@ def cvr_tail(slots: Iterable, raw_first_invalid: bool | None) -> str:
 
 
 def cvr_line(ballot_id: str, tail: str) -> str:
-    """One ballot as a CVR line: its ballot_id, then its ``cvr_tail``."""
-    return '{"ballot_id":' + json.dumps(ballot_id) + tail
+    """One ballot as a CVR line: its ballot_id, then its ``cvr_tail``. The id
+    is encoded by the function ``json.dumps`` calls on a string, so the bytes
+    are the same."""
+    return '{"ballot_id":' + encode_basestring_ascii(ballot_id) + tail
 
 
 def emit_cvr(ballots: Iterable[RawBallot], sink: IO[str]) -> None:

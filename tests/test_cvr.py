@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rcv_forensics import (
     ALAMEDA,
@@ -209,6 +209,18 @@ def test_round_trip_identity_random(slots, flag):
     assert parse_cvr(io.StringIO(sink.getvalue()), roster) == ballots
 
 
+@given(st.text())
+@example('q"uote')
+@example("back\\slash\\")
+@example("ctl\t\n\r\x00\x1f\x7f")
+@example("Jos\u00e9 \u5019\u9009")
+@example("\U0001f5f3 \ud800")
+def test_cvr_line_id_bytes_match_json_dumps(ballot_id):
+    """The writer encodes an id as ``json.dumps`` does, escapes and all."""
+    tail = cvr_tail([("H",)], None)
+    assert cvr_line(ballot_id, tail) == '{"ballot_id":' + json.dumps(ballot_id) + tail
+
+
 def reference_parse_cvr(source, roster) -> list[RawBallot]:
     """The per-line parse that ``parse_cvr`` replaced: every line is decoded
     and its ranks validated and canonicalized anew, with no table of tails.
@@ -259,11 +271,14 @@ MEMO_ROSTER = load_roster(
 )
 GOOD_RANKS = [
     [["H"], ["M"]], [["M", "H"], ["1"]], [["H", "M"], ["1"]], [[], ["W"], ["H", "H"]],
-    [["1"]], [], [[]], [["W"]],
+    [["1"]], [], [[]], [["W"]], [["M"], ["H"]], [["H", "M", "H"], [], ["M", "H"]],
 ]
 BAD_RANKS = [
     ["H"], ["H", ["M"]], [{"H": 1}], [[1]], [[True]], [[None]], [[1.0]], [[["H"]]],
     [[{"H": 1}]], [["X"]], [["H"], ["X"]], [["X"], "H"], [["H"], "M"], "H", None, {"H": 1},
+    # slots that meet an accepted slot as a tuple, or follow one that is accepted
+    [["H", "M"], "HM"], [["M", "H"], {"H": 1, "M": 2}], [["1"], [1]], [["M"], ["M", "X"]],
+    [[], ["H"], [["H"]]],
 ]
 BAD_LINES = ["not json", "[]", '{"ranks":[["H"]]}', '{"ballot_id":7,"ranks":[]}', "{"]
 FLAGS = ["", ',"raw_first_invalid":true', ',"raw_first_invalid":false']
@@ -354,12 +369,19 @@ def test_parse_matches_reference(seed):
             '[["H"]]', '[["H"]],"raw_first_invalid":1',
             "line 2: raw_first_invalid must be true or false",
         ),
+        ('[["H","M"]]', '["HM"]', "line 2: each rank slot must be an array of candidate ids"),
+        ('[["H"]]', '[["H"],[1]]', "line 2: each rank slot must be an array of candidate ids"),
+        ('[["H"]]', '[["H"],["X"]]', "ballot 'b2': unknown candidate id 'X'"),
     ],
-    ids=["string-slot", "object-slot", "number-id", "true-id", "unhashable", "flag-on-hit"],
+    ids=[
+        "string-slot", "object-slot", "number-id", "true-id", "unhashable", "flag-on-hit",
+        "string-slot-as-tuple", "bad-slot-after-hit", "unknown-id-after-hit",
+    ],
 )
 def test_pattern_table_collisions_refused(accepted, refused, message):
-    """A line whose ranks would meet an accepted array in a naive table, or
-    that hits the table with a bad flag, is refused like any other."""
+    """A line whose ranks or slots would meet an accepted array or slot in a
+    naive table (``tuple("HM") == ("H", "M")``), or that hits the table and
+    is bad in another part, is refused like any other."""
     text = (
         f'{{"ballot_id":"b1","ranks":{accepted}}}\n'
         f'{{"ballot_id":"b2","ranks":{refused}}}\n'
@@ -371,8 +393,13 @@ def test_pattern_table_collisions_refused(accepted, refused, message):
 
 
 def test_unknown_id_first_seen_late_named():
-    lines = [f'{{"ballot_id":"b{n}","ranks":[["H"],["M"]]}}' for n in range(50)]
-    lines.append('{"ballot_id":"late","ranks":[["H"],["M","X"]]}')
+    """Fifty lines of ten tails, all made of three slots, hit the slot table
+    again and again; a new slot after those hits is still checked."""
+    lines = [
+        f'{{"ballot_id":"b{n}","ranks":' + json.dumps([["H"], ["M"]] + [[]] * (n % 10)) + "}"
+        for n in range(50)
+    ]
+    lines.append('{"ballot_id":"late","ranks":[["H"],[],["M"],["M","X"]]}')
     with pytest.raises(ParseError, match=r"^ballot 'late': unknown candidate id 'X'$"):
         parse_cvr(io.StringIO("\n".join(lines)), MEMO_ROSTER)
 
@@ -398,14 +425,24 @@ def test_equal_ranks_share_one_slots_tuple(form):
 
 
 @pytest.mark.parametrize("form", LINE_FORMS)
-def test_each_tail_decoded_once(form, monkeypatch):
-    """A CVR of k distinct tails runs k line decodes, one for the first line
-    of each tail, and k checks of those tails for an id of their own when
-    they repeat; a line that repeats a tail is not decoded."""
+def test_equal_slots_share_one_tuple(form):
+    """Equal slots are one tuple object across lines of different tails,
+    whatever the order or repetition of their ids."""
     write = LINE_FORMS[form]
-    patterns = [[["José"]], [["H"], ["José"]], [["José", "H"]]]
-    lines = [write(f"b{n}", patterns[n % 3]) for n in range(30)]
-    assert "\\u00e9" in lines[0]
+    text = "".join(
+        write(f"b{n}", ranks)
+        for n, ranks in enumerate(
+            [[["M", "H"]], [["H", "M"], []], [[], ["H", "M", "H"]], [["H"], ["M", "H"]]]
+        )
+    )
+    a, b, c, d = (ballot.slots for ballot in parse_cvr(io.StringIO(text), MEMO_ROSTER))
+    assert a[0] == ("H", "M") and a[0] is b[0] is c[1] is d[1]
+    assert b[1] == () and b[1] is c[0]
+
+
+def counted_parse(text, monkeypatch):
+    """What a parse with MEMO_ROSTER gives (see ``outcome``), and the texts
+    it decoded."""
     decoded = []
     loads = json.loads
 
@@ -414,35 +451,78 @@ def test_each_tail_decoded_once(form, monkeypatch):
         return loads(text, *args, **kwargs)
 
     monkeypatch.setattr(json, "loads", counting_loads)
-    ballots = parse_cvr(io.StringIO("".join(lines)), MEMO_ROSTER)
-    monkeypatch.undo()
+    try:
+        return outcome(parse_cvr, text), decoded
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("form", LINE_FORMS)
+def test_each_tail_decoded_once(form, monkeypatch):
+    """A CVR of k distinct tails runs k line decodes, one for the first line
+    of each tail; a line that repeats a tail is not decoded. These tails
+    escape "é", and an escape could spell ``ballot_id``, so each is decoded
+    once more when it first repeats, to check it for an id of its own: 2k
+    decodes in all."""
+    write = LINE_FORMS[form]
+    patterns = [[["José"]], [["H"], ["José"]], [["José", "H"]]]
+    lines = [write(f"b{n}", patterns[n % 3]) for n in range(30)]
+    assert "\\u00e9" in lines[0]
+    parsed, decoded = counted_parse("".join(lines), monkeypatch)
     assert [text for text in decoded if text in lines] == lines[:3] and len(decoded) == 6
-    assert [(b.ballot_id, b.slots) for b in ballots] == [
+    assert [(ballot_id, slots) for ballot_id, slots, _ in parsed] == [
         (f"b{n}", RawBallot("", tuple(patterns[n % 3])).slots) for n in range(30)
     ]
 
 
+@pytest.mark.parametrize("form", LINE_FORMS)
+def test_ascii_tail_not_checked_for_an_id(form, monkeypatch):
+    """A tail with neither an escape nor the text ``ballot_id`` cannot state
+    an id of its own, so k distinct tails run k decodes in all."""
+    write = LINE_FORMS[form]
+    patterns = [[["1"]], [["H"], ["1"]], [["1", "H"]]]
+    lines = [write(f"b{n}", patterns[n % 3]) for n in range(30)]
+    parsed, decoded = counted_parse("".join(lines), monkeypatch)
+    assert decoded == lines[:3]
+    assert parsed == outcome(reference_parse_cvr, "".join(lines))
+
+
+@pytest.mark.parametrize("name", ["ballot_id", "ballot\\u005fid"], ids=["literal", "escaped"])
+@pytest.mark.parametrize("form", LINE_FORMS)
+def test_tail_that_restates_id_parsed_in_full(form, name, monkeypatch):
+    """A tail that states a ``ballot_id`` of its own, in either spelling, is
+    never reused: each of its lines is decoded whole, so its later id counts
+    and the repeat is refused as the reference refuses it."""
+    write = LINE_FORMS[form]
+    lines = [write(f"b{n}", [["H"]]).rstrip("}\n") + f',"{name}":"r"}}\n' for n in range(3)]
+    text = "".join(lines)
+    parsed, decoded = counted_parse(text, monkeypatch)
+    assert parsed == outcome(reference_parse_cvr, text) == (
+        "CVR ballots #1 and #2 share ballot_id 'r'"
+    )
+    # each line, and the tail once when it first repeats
+    assert [text for text in decoded if text in lines] == lines and len(decoded) == 4
+
+
 def test_unrepeated_tail_not_checked_for_an_id(monkeypatch):
     """A tail seen once is decoded only as part of its line; the check for an
-    id of its own waits until the tail repeats."""
-    lines = [f'{{"ballot_id":"b{n}","ranks":[["H"],["M"]],"n":{n}}}\n' for n in range(5)]
-    decoded = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda text, *a, **k: decoded.append(text) or loads(text))
-    ballots = parse_cvr(io.StringIO("".join(lines)), MEMO_ROSTER)
-    monkeypatch.undo()
-    assert decoded == lines and len(ballots) == 5
+    id of its own, which an escape calls for, waits until the tail repeats."""
+    lines = [f'{{"ballot_id":"b{n}","ranks":[["H"],["M"]],"n":"\\u00e9{n}"}}\n' for n in range(5)]
+    parsed, decoded = counted_parse("".join(lines), monkeypatch)
+    assert decoded == lines and len(parsed) == 5
 
 
 def test_pattern_table_is_per_call():
-    """A tail accepted under one roster is checked again under the next: no
-    validation outlives its parse."""
+    """A tail or a slot accepted under one roster is checked again under the
+    next: no validation outlives its parse."""
     text = '{"ballot_id":"b1","ranks":[["H"],["M"]]}\n'
     (ballot,) = parse_cvr(io.StringIO(text), MEMO_ROSTER)
     assert ballot.slots == (("H",), ("M",))
     only_h = load_roster(io.StringIO('{"candidates":[{"id":"H","name":"H"}]}'))
     with pytest.raises(ParseError, match=r"^ballot 'b1': unknown candidate id 'M'$"):
         parse_cvr(io.StringIO(text), only_h)
+    with pytest.raises(ParseError, match=r"^ballot 'b2': unknown candidate id 'M'$"):
+        parse_cvr(io.StringIO('{"ballot_id":"b2","ranks":[["M"],["H"]]}\n'), only_h)
 
 
 class TestRawBallot:

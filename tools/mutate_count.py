@@ -5,6 +5,7 @@ Usage, from the root of a checkout:
 
     python3 tools/mutate_count.py           # run every mutant, print survivors
     python3 tools/mutate_count.py --list    # print the mutants without running
+    python3 tools/mutate_count.py --module src/rcv_forensics/cvr.py   # one GATE row
 
 GATE names, per module, the definitions to mutate and the tests that must
 kill their mutants. Each mutant changes one spot in one of those
@@ -55,7 +56,7 @@ GATE = {
     Path("src/rcv_forensics/cvr.py"): (
         (
             "_parsed_ballot", "_slots", "_parse_line", "_split", "_states_id", "parse_cvr",
-            "cvr_tail", "_decode_roster",
+            "cvr_tail", "cvr_line", "_decode_roster",
         ),
         ("tests/test_cvr.py",),
     ),
@@ -183,12 +184,21 @@ def _run_tests(copy: Path, tests: tuple[str, ...]) -> tuple[bool, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true", help="print the mutants and exit")
+    parser.add_argument(
+        "--module", type=Path, metavar="PATH",
+        help="run only this GATE row, a path from the root such as src/rcv_forensics/cvr.py",
+    )
     args = parser.parse_args(argv)
+    gate = GATE
+    if args.module is not None:
+        if args.module not in GATE:
+            parser.error(f"--module must be one of: {', '.join(map(str, GATE))}")
+        gate = {args.module: GATE[args.module]}
 
-    sources = {module: (ROOT / module).read_text(encoding="utf-8") for module in GATE}
+    sources = {module: (ROOT / module).read_text(encoding="utf-8") for module in gate}
     every = [  # (module, tests, id, description, mutated source)
         (module, tests, *m)
-        for module, (targets, tests) in GATE.items()
+        for module, (targets, tests) in gate.items()
         for m in mutants(sources[module], targets)
     ]
     if args.list:
@@ -205,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(src, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy(src, copy / part)
-        passed, last = _run_tests(copy, tuple(t for _, tests in GATE.values() for t in tests))
+        passed, last = _run_tests(copy, tuple(t for _, tests in gate.values() for t in tests))
         if not passed:
             print(f"the unmutated tests fail: {last}")
             return 2
