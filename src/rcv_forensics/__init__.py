@@ -12,6 +12,7 @@ from .cvr import (
     CandidateRoster,
     ParseError,
     RawBallot,
+    RawBallots,
     ValidationError,
     emit_cvr,
     load_roster,
@@ -70,6 +71,7 @@ from .sanitize import (
     MINNEAPOLIS,
     POLICY_PRESETS,
     CleanBallot,
+    CleanBallots,
     OvervotePolicy,
     SanitizePolicy,
     SanitizeStats,

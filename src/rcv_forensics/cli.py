@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import reports
-from .cvr import ParseError, ValidationError, load_roster, parse_cvr
+from .cvr import ParseError, RawBallots, ValidationError, load_roster, parse_cvr
 from .fixtures import (
     FIXTURE_NAMES,
     UnknownFixtureError,
@@ -187,9 +187,9 @@ class UsageError(Exception):
 
 
 def _load(args, raw: bool = False):
-    """Raw ballots and their roster if raw is set, else the sanitized profile,
-    which must not be empty; the only place that checks the source flags and
-    tells a profile fixture from a raw one."""
+    """The table of raw ballots (``RawBallots``) and their roster if raw is
+    set, else the sanitized profile, which must not be empty; the only place
+    that checks the source flags and tells a profile fixture from a raw one."""
     if bool(args.fixture) == bool(args.input):
         raise UsageError(f"{args.command}: exactly one of --fixture or --input is required")
     if args.input and not args.roster:
@@ -205,7 +205,7 @@ def _load(args, raw: bool = False):
     if raw:
         if roster is None:
             raise UsageError(f"fixture {args.fixture!r} is an aggregated profile, not raw ballots")
-        return loaded, roster
+        return RawBallots.of(loaded), roster
     profile = loaded if roster is None else sanitize_all(loaded, _policy_from_args(args), roster)[0]
     if profile.total() == 0:
         raise ValidationError("cannot tabulate an empty profile")

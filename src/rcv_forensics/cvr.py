@@ -9,12 +9,15 @@ every slot); emitted files always write every slot. An optional boolean
 ``raw_first_invalid`` states that the as-cast first rank held no valid
 candidate, which cleaned ranks no longer show. Each ``ballot_id`` appears once.
 
-A parse decodes and validates each distinct line tail once. The tail is the
-text of a line after its leading ``ballot_id`` string; two lines with one tail
-are one ballot under two ids. One call keeps a table from each tail it has
-accepted to its canonical slots and flag, which the ballots of that tail
-share. A line that opens otherwise, or whose tail is new, gets the full parse,
-so an error still names the first bad line; a tail that states a
+A parse returns a ``RawBallots`` table, not a list of ballots: each line's
+``ballot_id``, the index of its ``(slots, raw_first_invalid)`` pattern, and the
+distinct patterns. A ``RawBallot`` is built only when the table is indexed or
+iterated. A parse decodes and validates each distinct line tail once. The tail
+is the text of a line after its leading ``ballot_id`` string; two lines with
+one tail are one ballot under two ids, and a repeat costs the parse one id and
+one index. One call keeps a table from each tail it has accepted to its
+pattern. A line that opens otherwise, or whose tail is new, gets the full
+parse, so an error still names the first bad line; a tail that states a
 ``ballot_id`` of its own, which would override the one before it, is never
 reused. The full parse in turn checks each distinct rank slot once, and equal
 slots are one tuple object. These tables live only as long as the call, so no
@@ -25,9 +28,11 @@ tail (``cvr_tail``) apart from the id, so equal ballots can share it.
 from __future__ import annotations
 
 import json
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable
@@ -167,6 +172,57 @@ def _parsed_ballot(
     return ballot
 
 
+class RawBallots(Sequence[RawBallot]):
+    """Raw ballots as a table: ``ids`` holds each ballot's ``ballot_id`` and
+    ``kinds`` the index of its pattern, both in ballot order; ``patterns``
+    holds each distinct ``(slots, raw_first_invalid, first)``, where first is
+    the position of its first ballot, in order of first appearance. A
+    ``RawBallot`` is built only when one is asked for, and ballots of one
+    pattern share its slots tuple."""
+
+    __slots__ = ("ids", "kinds", "patterns")
+
+    def __init__(self, ids: list[str], kinds: list[int], patterns: list[tuple]) -> None:
+        self.ids = ids
+        self.kinds = kinds
+        self.patterns = patterns
+
+    @classmethod
+    def of(cls, ballots: Iterable[RawBallot]) -> RawBallots:
+        """The table of any ballots; a table is returned as it is."""
+        if isinstance(ballots, cls):
+            return ballots
+        table, index = cls([], [], []), {}
+        for ballot in ballots:
+            table._add(index, ballot.ballot_id, ballot.slots, ballot.raw_first_invalid)
+        return table
+
+    def _add(
+        self, index: dict, ballot_id: str, slots: tuple, raw_first_invalid: bool | None
+    ) -> int:
+        """Append a ballot and return its kind; ``index`` maps each pattern
+        of the table, as ``(slots, raw_first_invalid)``, to its kind."""
+        kind = index.setdefault((slots, raw_first_invalid), len(self.patterns))
+        if kind == len(self.patterns):
+            self.patterns.append((slots, raw_first_invalid, len(self.ids)))
+        self.ids.append(ballot_id)
+        self.kinds.append(kind)
+        return kind
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, position: int) -> RawBallot:
+        slots, raw_first_invalid, _ = self.patterns[self.kinds[position]]
+        return _parsed_ballot(self.ids[position], slots, raw_first_invalid)
+
+    def __iter__(self):
+        patterns = self.patterns
+        for ballot_id, kind in zip(self.ids, self.kinds):
+            slots, raw_first_invalid, _ = patterns[kind]
+            yield _parsed_ballot(ballot_id, slots, raw_first_invalid)
+
+
 def _slots(
     line_no: int, ballot_id: str, ranks: list, roster: CandidateRoster, seen: dict
 ) -> tuple[tuple[str, ...], ...]:
@@ -197,7 +253,11 @@ def _slots(
     return tuple(slots)
 
 
-def _parse_line(line_no: int, line: str, roster: CandidateRoster, seen: dict) -> RawBallot:
+def _parse_line(
+    line_no: int, line: str, roster: CandidateRoster, seen: dict
+) -> tuple[str, tuple[tuple[str, ...], ...], bool | None]:
+    """A line's ballot_id, canonical slots and stated flag, or the
+    ParseError that names what is wrong with it."""
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -215,11 +275,14 @@ def _parse_line(line_no: int, line: str, roster: CandidateRoster, seen: dict) ->
     slots = _slots(line_no, ballot_id, ranks, roster, seen)
     if "raw_first_invalid" in doc:
         _boolean(doc["raw_first_invalid"], f"line {line_no}: raw_first_invalid")
-    return _parsed_ballot(ballot_id, slots, doc.get("raw_first_invalid"))
+    return ballot_id, slots, doc.get("raw_first_invalid")
 
 
 # JSON whitespace only: \s would also match \x0b and \u00a0, which JSON refuses
 _ID_OPENING = re.compile(r'\{[ \t\n\r]*"ballot_id"[ \t\n\r]*:[ \t\n\r]*"')
+# the same opening and an id of no quote, backslash or control character, which
+# ``scanstring`` reads as it stands; then the tail
+_PLAIN_ID = re.compile(_ID_OPENING.pattern + r'([^"\\\x00-\x1f]+)"(.*)', re.DOTALL)
 
 
 def _split(line: str) -> tuple[str, str] | tuple[None, None]:
@@ -250,50 +313,56 @@ def _states_id(tail: str) -> bool:
     return "ballot_id" in json.loads("{" + tail.lstrip()[1:])
 
 
-def parse_cvr(source: IO[str], roster: CandidateRoster) -> list[RawBallot]:
-    """Parse a newline-delimited CVR stream into raw ballots, in file order.
+def parse_cvr(source: IO[str], roster: CandidateRoster) -> RawBallots:
+    """Parse a newline-delimited CVR stream into a table of raw ballots, in
+    file order; a ``RawBallot`` is built only when the table is indexed or
+    iterated.
 
-    Blank lines are skipped; the returned count equals the non-blank line count.
-    A repeated ballot_id is a ParseError naming both ballots by position.
-    Each distinct line tail (``_split``) is decoded and validated once per
-    call, and the ballots that repeat it share one ``slots`` tuple; a line
-    with a new tail, or with no leading ballot_id, gets the full parse, so an
-    error names the first bad line. Within that parse each distinct rank slot
-    is checked once per call (``_slots``), and equal slots are one tuple. A
-    tail is checked for an id of its own (``_states_id``) when it is first
-    seen again; only a tail holding the text ``ballot_id`` or an escape is
-    decoded for it.
+    Blank lines are skipped; the table's length equals the non-blank line
+    count. A repeated ballot_id is a ParseError naming both ballots by
+    position. Each distinct line tail (``_split``) is decoded and validated
+    once per call, and a line that repeats it adds only its id and its
+    pattern's index to the table; a line with a new tail, or with no leading
+    ballot_id, gets the full parse, so an error names the first bad line.
+    Within that parse each distinct rank slot is checked once per call
+    (``_slots``), and equal slots are one tuple. A tail is checked for an id
+    of its own (``_states_id``) when it is first seen again; only a tail
+    holding the text ``ballot_id`` or an escape is decoded for it.
     """
-    ballots = []
-    # tail -> [slots, flag, checked] of an accepted line; None once the tail states an id
+    table = RawBallots([], [], [])
+    ids, kinds = table.ids, table.kinds
+    index: dict = {}  # the pattern index of ``RawBallots._add``
+    # tail -> [kind, checked] of an accepted line; None once the tail states an id
     tails: dict = {}
     seen_slots: dict = {}  # the slot table of ``_slots``
+    plain_id = _PLAIN_ID.match
     try:
         for line_no, line in enumerate(source, start=1):
-            ballot_id, tail = _split(line)
+            plain = plain_id(line)
+            ballot_id, tail = _split(line) if plain is None else plain.groups()
             known = tails.get(tail)
-            if known is not None and not known[2]:
-                known[2] = True
+            if known is not None and not known[1]:
+                known[1] = True
                 if _states_id(tail):
                     tails[tail] = known = None
             if known is not None:
-                ballots.append(_parsed_ballot(ballot_id, known[0], known[1]))
+                ids.append(ballot_id)
+                kinds.append(known[0])
                 continue
             if not line.strip():
                 continue
-            ballot = _parse_line(line_no, line, roster, seen_slots)
-            ballots.append(ballot)
+            kind = table._add(index, *_parse_line(line_no, line, roster, seen_slots))
             if tail is not None and tail not in tails:
-                tails[tail] = [ballot.slots, ballot.raw_first_invalid, False]
+                tails[tail] = [kind, False]
     except UnicodeDecodeError as exc:
         raise ParseError(f"CVR is not UTF-8 text: {exc.reason}") from exc
     # checked once, on a sorted list of ids: the parse holds no id set
-    ids = sorted(ballot.ballot_id for ballot in ballots)
-    repeated = next((a for a, b in pairwise(ids) if a == b), None)
-    if repeated is not None:
-        first, second = [n for n, b in enumerate(ballots, 1) if b.ballot_id == repeated][:2]
+    ordered = sorted(ids)
+    if any(map(operator.eq, ordered, islice(ordered, 1, None))):
+        repeated = next(a for a, b in pairwise(ordered) if a == b)
+        first, second = [n for n, i in enumerate(ids, 1) if i == repeated][:2]
         raise ParseError(f"CVR ballots #{first} and #{second} share ballot_id {repeated!r}")
-    return ballots
+    return table
 
 
 def cvr_tail(slots: Iterable, raw_first_invalid: bool | None) -> str:

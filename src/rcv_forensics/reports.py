@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
+from json.encoder import encode_basestring_ascii
 
 from .cvr import CandidateRoster
 from .fixtures import PublishedClaim
@@ -27,8 +27,72 @@ from .methods import CondorcetReport
 from .profiles import PairwiseMatrix
 
 
+def _float(value: float) -> str:
+    """A float as ``json.dumps`` writes it, NaN and the infinities included."""
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key(key) -> str:
+    """A dict key as the string ``json.dumps`` makes of it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    nested one level below ``newline`` (a line break and the indent of the
+    enclosing level). A module-level function, not a closure, so a call
+    leaves no reference cycle behind."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(_key(key)) + ": " + _encode(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The JSON report: the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True)`` and a line break."""
+    return _encode(doc, "\n") + "\n"
 
 
 def label(roster: CandidateRoster, cid: str) -> str:

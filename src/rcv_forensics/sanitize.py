@@ -15,10 +15,12 @@ worst case to an empty ranking.
 from __future__ import annotations
 
 import enum
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
-from .cvr import CandidateRoster, RawBallot, cvr_line, cvr_tail
+from .cvr import CandidateRoster, RawBallot, RawBallots, cvr_line, cvr_tail
 from .profiles import PreferenceProfile, ProfileKey
 
 
@@ -126,19 +128,14 @@ def sanitize_patterns(
     form of its first ballot and the number of ballots that have it.
 
     A ballot's sanitized ranking and flag depend on nothing else, so
-    ``sanitize_ballot`` runs once per pattern.
+    ``sanitize_ballot`` runs once per pattern of the ballots' table
+    (``RawBallots.of``), and the counts are those of the table's kinds.
     """
-    table: dict[RawPattern, list] = {}
-    for raw in ballots:
-        pattern = (raw.slots, raw.raw_first_invalid)
-        row = table.get(pattern)
-        if row is None:
-            table[pattern] = [raw, 1]
-        else:
-            row[1] += 1
+    table = RawBallots.of(ballots)
+    counts = Counter(table.kinds)
     return {
-        pattern: (sanitize_ballot(raw, policy, roster), n)
-        for pattern, (raw, n) in table.items()
+        (slots, raw_first_invalid): (sanitize_ballot(table[first], policy, roster), counts[kind])
+        for kind, (slots, raw_first_invalid, first) in enumerate(table.patterns)
     }
 
 
@@ -159,7 +156,7 @@ def sanitize_stats(patterns: PatternTable, roster: CandidateRoster) -> SanitizeS
 
 
 def sanitize_all(
-    ballots: Sequence[RawBallot], policy: SanitizePolicy, roster: CandidateRoster
+    ballots: Iterable[RawBallot], policy: SanitizePolicy, roster: CandidateRoster
 ) -> tuple[PreferenceProfile, SanitizeStats]:
     """Sanitize every ballot, aggregate into a profile, and report statistics,
     without holding the sanitized ballots.
@@ -178,23 +175,45 @@ def sanitize_all(
     return PreferenceProfile(roster, counts), sanitize_stats(patterns, roster)
 
 
-def sanitize_ballots(ballots: Iterable[RawBallot], patterns: PatternTable) -> list[CleanBallot]:
+class CleanBallots(Sequence[CleanBallot]):
+    """Sanitized ballots as a table, in the shape of ``RawBallots``: ``ids``
+    and ``kinds`` are the raw table's, and ``forms`` holds the sanitized form
+    of each raw pattern. A ``CleanBallot`` is built only when one is asked
+    for."""
+
+    __slots__ = ("ids", "kinds", "forms")
+
+    def __init__(self, ids: list[str], kinds: list[int], forms: list[CleanBallot]) -> None:
+        self.ids = ids
+        self.kinds = kinds
+        self.forms = forms
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, position: int) -> CleanBallot:
+        form = self.forms[self.kinds[position]]
+        return CleanBallot(self.ids[position], form.ranking, form.raw_first_invalid)
+
+
+def sanitize_ballots(ballots: Iterable[RawBallot], patterns: PatternTable) -> CleanBallots:
     """Each ballot's sanitized form, read from its pattern's entry in the
-    ballots' pattern table: the ballots of one pattern share one ranking."""
-    cleaned = []
-    for raw in ballots:
-        clean, _ = patterns[(raw.slots, raw.raw_first_invalid)]
-        cleaned.append(CleanBallot(raw.ballot_id, clean.ranking, clean.raw_first_invalid))
-    return cleaned
+    ballots' pattern table: one lookup per pattern of the ballots' table, and
+    the ballots of one pattern share its ranking."""
+    table = RawBallots.of(ballots)
+    forms = [patterns[slots, raw_first_invalid][0] for slots, raw_first_invalid, _ in table.patterns]
+    return CleanBallots(table.ids, table.kinds, forms)
 
 
-def emit_clean_cvr(ballots: Iterable[CleanBallot], sink: IO[str]) -> None:
-    """Write cleaned ballots as CVR lines of singleton slots, with their flag.
-    Ballots with one ranking and flag share one encoded line tail."""
-    tails: dict[ProfileKey, str] = {}
-    for b in ballots:
-        key = (b.ranking, b.raw_first_invalid)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = cvr_tail([(c,) for c in b.ranking], b.raw_first_invalid)
-        sink.write(cvr_line(b.ballot_id, tail))
+def emit_clean_cvr(ballots: CleanBallots, sink: IO[str]) -> None:
+    """Write sanitized ballots as CVR lines of singleton slots, with their
+    flag, from each ballot's id and pattern: one line tail is encoded per
+    distinct ranking and flag, and no ballot object is built."""
+    encoded: dict[ProfileKey, str] = {}
+    tails = []
+    for form in ballots.forms:
+        key = (form.ranking, form.raw_first_invalid)
+        if key not in encoded:
+            encoded[key] = cvr_tail([(c,) for c in form.ranking], form.raw_first_invalid)
+        tails.append(encoded[key])
+    sink.writelines(map(cvr_line, ballots.ids, map(tails.__getitem__, ballots.kinds)))

@@ -884,6 +884,48 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     assert {"cli.tabulate", "fixtures.load", "sanitize.sanitize_all", "methods.compare"} <= names
 
 
+def test_benchmark_tracer_counts_ingest(monkeypatch, tmp_path):
+    """The traced benchmark counts ingest work from what ``cli.parse_cvr``
+    returns (its ``len``) and what ``cli.sanitize_all`` takes (its ballots'
+    ``slots``) and returns (the profile's ``entries``). A traced sanitize,
+    tabulate and audit of a small CVR must give those counters their
+    values, so an ingest change that breaks the contract fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    roster, cvr = tmp_path / "roster.json", tmp_path / "votes.jsonl"
+    roster.write_text(ROSTER_JSON)
+    cvr.write_text(
+        '{"ballot_id":"b1","ranks":[["A"],["B"]]}\n'
+        '{"ballot_id":"b2","ranks":[["A"],["B"]]}\n'
+        "\n"
+        '{"ballot_id":"b3","ranks":[["B"],["A"]]}\n'
+        '{"ballot_id":"b4","ranks":[["C"],["B"]]}\n'
+        '{"ballot_id":"b5","ranks":[["A"],[],["C"]]}\n'
+        '{"ballot_id":"b6","ranks":[["A"],["B"]],"raw_first_invalid":true}\n'
+    )
+    source = ["--input", str(cvr), "--roster", str(roster)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv in (
+            ["sanitize", *source, "--output", os.devnull],
+            ["tabulate", *source, "--method", "rcv", "--output", os.devnull],
+            ["audit", *source, "--checks", "all", "--output", os.devnull],
+        ):
+            assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    # three parses of six ballots; four distinct slots tuples, and five
+    # (ranking, flag) types once b1, b2 and b6 are told apart by b6's flag
+    assert {key: metrics[key] for key in (
+        "cvr.lines", "sanitize.ballots", "sanitize.distinct_raw", "sanitize.profile_types",
+    )} == {
+        "cvr.lines": 18, "sanitize.ballots": 6, "sanitize.distinct_raw": 4,
+        "sanitize.profile_types": 5,
+    }
+
+
 # The robustness property: argv mostly made of the command's real flags, with
 # junk values and tokens mixed in. Sources are cheap (table2-examples and
 # small generated files), so each example runs in milliseconds.

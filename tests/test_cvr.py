@@ -10,6 +10,7 @@ from rcv_forensics import (
     ALAMEDA,
     ParseError,
     RawBallot,
+    RawBallots,
     UnknownFixtureError,
     ValidationError,
     emit_cvr,
@@ -19,7 +20,7 @@ from rcv_forensics import (
     parse_cvr,
     sanitize_ballot,
 )
-from rcv_forensics.cvr import cvr_line, cvr_tail
+from rcv_forensics.cvr import _PLAIN_ID, _split, cvr_line, cvr_tail
 
 OAKLAND_ROSTER_JSON = json.dumps(
     {
@@ -142,7 +143,7 @@ class TestParseCvr:
         ]
         sink = io.StringIO()
         emit_cvr(ballots, sink)
-        assert parse_cvr(io.StringIO(sink.getvalue()), roster) == ballots
+        assert list(parse_cvr(io.StringIO(sink.getvalue()), roster)) == ballots
 
     @pytest.mark.parametrize("value, flag", [("true", True), ("false", False)])
     def test_stated_flag_read(self, roster, value, flag):
@@ -206,7 +207,7 @@ def test_round_trip_identity_random(slots, flag):
     ballots = [RawBallot("x", tuple(tuple(s) for s in slots), flag)]
     sink = io.StringIO()
     emit_cvr(ballots, sink)
-    assert parse_cvr(io.StringIO(sink.getvalue()), roster) == ballots
+    assert list(parse_cvr(io.StringIO(sink.getvalue()), roster)) == ballots
 
 
 @given(st.text())
@@ -314,7 +315,8 @@ def random_cvr(rng):
     now and then a tail states an id of its own. About one file in two also
     holds a malformed line. It is wrong in one part, so that its tail may be
     one the parse has accepted, or in two, so that the parse must report the
-    same one of them as the reference."""
+    same one of them as the reference. Now and then a line takes an earlier
+    line's id."""
     pool = rng.sample(GOOD_RANKS, rng.randint(1, 4))
     separators = rng.choice([(",", ":"), (", ", ": ")])
     bad_at = rng.randrange(40) if rng.random() < 0.5 else None
@@ -331,7 +333,9 @@ def random_cvr(rng):
         opening = rng.choice(
             BAD_OPENINGS if "opening" in bad else OPENINGS[:3] if rng.random() < 0.8 else OPENINGS
         )
-        ballot_id = rng.choice(BAD_IDS) if "id" in bad else f"b{n}" + rng.choice(ID_SUFFIXES)
+        # now and then an earlier line's number, which may repeat its id
+        number = rng.randrange(n + 1) if rng.random() < 0.03 else n
+        ballot_id = rng.choice(BAD_IDS) if "id" in bad else f"b{number}" + rng.choice(ID_SUFFIXES)
         end = rng.choice(BAD_ENDS if "end" in bad else ENDS[:1] if rng.random() < 0.9 else ENDS)
         ranks_text = json.dumps(ranks, separators=separators)
         lines.append(
@@ -342,19 +346,73 @@ def random_cvr(rng):
     return "\n".join(lines)
 
 
+def check_table(table):
+    """A parse's table is the table of its own ballots: the same ids, kinds
+    and patterns as ``RawBallots.of`` gives for them, and the same ballot at
+    each position whether it is iterated or indexed."""
+    ballots = list(table)
+    again = RawBallots.of(ballots)
+    assert (table.ids, table.kinds, table.patterns) == (again.ids, again.kinds, again.patterns)
+    assert [table[n] for n in range(len(table))] == ballots
+    assert RawBallots.of(table) is table
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_parse_matches_reference(seed):
     """The parse decodes each distinct line tail once; on files that repeat a
-    few tails, with a malformed line in about half of them, it gives the
-    reference's ballots, or the reference's error for the first bad line."""
+    few tails, with a malformed line in about half of them and now and then
+    a repeated id, it gives the reference's ballots, or the reference's
+    error for the first bad line or the first repeated id."""
     rng = random.Random(seed)
     kinds = set()
+    duplicates = 0
     for _ in range(400):
         text = random_cvr(rng)
         expected = outcome(reference_parse_cvr, text)
         kinds.add(type(expected))
+        duplicates += "share ballot_id" in expected
         assert outcome(parse_cvr, text) == expected
-    assert kinds == {list, str}
+        if isinstance(expected, list):
+            table = parse_cvr(io.StringIO(text), MEMO_ROSTER)
+            assert list(table) == reference_parse_cvr(io.StringIO(text), MEMO_ROSTER)
+            check_table(table)
+    assert kinds == {list, str} and duplicates
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_plain_id_matches_split(seed):
+    """The parse reads an id with no quote, backslash or control character
+    by one match; on the random files' lines, whatever it matches, it reads
+    as ``_split`` does. It matches a fair share of them; the ids of the
+    others carry escapes, which ``_split`` reads."""
+    rng = random.Random(seed)
+    lines = [line for _ in range(200) for line in random_cvr(rng).splitlines(keepends=True)]
+    matched = 0
+    for line in lines:
+        plain = _PLAIN_ID.match(line)
+        if plain is not None:
+            matched += 1
+            assert plain.groups() == _split(line)
+    assert len(lines) > matched > len(lines) / 5
+
+
+@given(st.sampled_from(OPENINGS + BAD_OPENINGS), st.text(), st.text())
+@example('{"ballot_id":', "b1", ',"ranks":[]}\n')
+@example('{"ballot_id":', 'q\\"', ',"ranks":[]}')
+@example('{"ballot_id":', "ctl\x1f", "}")
+@example('{"ballot_id":', "", "}")
+def test_plain_id_matches_split_on_any_id(opening, raw_id, tail):
+    """An id written as any text between quotes: when it holds no quote,
+    backslash or control character the match reads it and the tail as
+    ``_split`` does, and whatever the match reads in any line, ``_split``
+    reads the same."""
+    line = f'{opening}"{raw_id}"{tail}'
+    plain = _PLAIN_ID.match(line)
+    plain_text = raw_id and not any(c in '"\\' or c < " " for c in raw_id)
+    if plain_text and _split(line) != (None, None):
+        assert plain is not None and plain.groups() == _split(line) == (raw_id, tail)
+    if plain is not None:
+        assert plain.groups() == _split(line)
 
 
 @pytest.mark.parametrize(

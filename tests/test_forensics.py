@@ -342,29 +342,35 @@ def test_scans_leave_no_reference_cycles(synthetic_raw, tmp_path):
     tie them into a cycle that only the collector frees, as would a
     recursive closure. A whole in-process audit, with the collector off,
     must leave it nothing: Table 1's scans hit tie boundaries, and the
-    synthetic CVR also goes through the parse and the sanitize. The text
-    report is used: ``json.dumps`` with an indent builds recursive closures
-    of its own."""
+    synthetic CVR also goes through the parse and the sanitize. Both report
+    formats are written: the JSON writer must not build recursive closures,
+    as ``json.dumps`` with an indent does."""
     cvr, roster = tmp_path / "cvr.jsonl", tmp_path / "roster.json"
     with open(cvr, "w", encoding="utf-8") as sink:
         emit_cvr(synthetic_raw, sink)
     roster.write_text(json.dumps(roster_to_json_dict(fixture_roster("oakland-full-synthetic"))))
-    report = tmp_path / "audit.txt"
+    report = tmp_path / "audit"
     for source in (
         ["--fixture", "oakland-table1"],
         ["--input", str(cvr), "--roster", str(roster), "--buggy-first-round"],
     ):
-        argv = ["audit", *source, "--checks", "all", "--output", str(report)]
-        assert main(argv) == 0  # once first, so that what the process caches is built
-        gc.collect()
-        gc.disable()
-        try:
-            assert main(argv) == 0
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-        text = report.read_text()
-        assert "majority cycle:" in text and "tie boundary: shift-down" in text
+        for fmt in ("text", "json"):
+            argv = ["audit", *source, "--checks", "all", "--format", fmt, "--output", str(report)]
+            assert main(argv) == 0  # once first, so that what the process caches is built
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == 0
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+            if fmt == "text":
+                text = report.read_text()
+                assert "majority cycle:" in text and "tie boundary: shift-down" in text
+            else:
+                doc = json.loads(report.read_text())
+                assert doc["checks"]["condorcet"]["cycle"]
+                assert doc["checks"]["monotonicity"]["downward"]["boundaries"]
 
 
 class TestOracle:

@@ -11,19 +11,25 @@ from rcv_forensics import (
     MINNEAPOLIS,
     Candidate,
     CandidateRoster,
+    POLICY_PRESETS,
     OvervotePolicy,
     RawBallot,
     SanitizePolicy,
     SanitizeStats,
     SkipPolicy,
     emit_clean_cvr,
+    emit_cvr,
     fixture_roster,
     load_builtin_fixture,
+    parse_cvr,
     sanitize_all,
     sanitize_ballot,
     sanitize_ballots,
     sanitize_patterns,
 )
+import rcv_forensics.cvr as cvr_module
+from rcv_forensics.cli import main
+from rcv_forensics.cvr import roster_to_json_dict
 import rcv_forensics.sanitize as sanitize_module
 
 ABCDE = CandidateRoster(tuple(Candidate(c, c) for c in "ABCDE"))
@@ -227,30 +233,66 @@ def random_raw_ballots(rng):
     ]
 
 
-@pytest.mark.parametrize(
+def reference_clean_cvr(ballots, policy, roster) -> str:
+    """The clean CVR as the per-ballot writer wrote it: each ballot
+    sanitized and encoded whole, on its own."""
+    lines = []
+    for raw in ballots:
+        clean = sanitize_ballot(raw, policy, roster)
+        doc = {
+            "ballot_id": clean.ballot_id,
+            "ranks": [[x] for x in clean.ranking],
+            "raw_first_invalid": clean.raw_first_invalid,
+        }
+        lines.append(json.dumps(doc, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+POLICIES = pytest.mark.parametrize(
     "policy", [ALAMEDA, MINNEAPOLIS, ALASKA], ids=["alameda", "minneapolis", "alaska"]
 )
+
+
+@POLICIES
 def test_pattern_table_matches_per_ballot_fold(policy):
     """Profile entries (in order), stats, per-ballot clean forms and clean CVR
-    bytes from the pattern table equal those of one ballot at a time."""
+    bytes from the pattern table equal those of one ballot at a time, whether
+    the ballots come as a list, as the table a parse of their CVR returns, or
+    as that table's list."""
     rng = random.Random(7)
     for _ in range(300):
         ballots = random_raw_ballots(rng)
-        profile, stats = sanitize_all(ballots, policy, OAKLAND)
         expected = reference_sanitize_all(ballots, policy, OAKLAND)
-        assert (list(profile.entries.items()), stats) == expected
-        cleaned = sanitize_ballots(ballots, sanitize_patterns(ballots, policy, OAKLAND))
-        assert cleaned == [sanitize_ballot(b, policy, OAKLAND) for b in ballots]
         sink = io.StringIO()
-        emit_clean_cvr(cleaned, sink)
-        assert sink.getvalue() == "".join(
-            json.dumps(
-                {"ballot_id": c.ballot_id, "ranks": [[x] for x in c.ranking],
-                 "raw_first_invalid": c.raw_first_invalid},
-                separators=(",", ":"),
-            ) + "\n"
-            for c in cleaned
-        )
+        emit_cvr(ballots, sink)
+        table = parse_cvr(io.StringIO(sink.getvalue()), OAKLAND)
+        for source in (ballots, table, list(table)):
+            profile, stats = sanitize_all(source, policy, OAKLAND)
+            assert (list(profile.entries.items()), stats) == expected
+            cleaned = sanitize_ballots(source, sanitize_patterns(source, policy, OAKLAND))
+            assert list(cleaned) == [sanitize_ballot(b, policy, OAKLAND) for b in ballots]
+            sink = io.StringIO()
+            emit_clean_cvr(cleaned, sink)
+            assert sink.getvalue() == reference_clean_cvr(ballots, policy, OAKLAND)
+
+
+@pytest.mark.parametrize("name", ["alameda", "minneapolis", "alaska"])
+def test_sanitize_command_writes_per_ballot_bytes(name, tmp_path):
+    """The ``sanitize`` command's clean CVR, written from each ballot's id
+    and pattern, has the bytes of the per-ballot writer."""
+    roster = tmp_path / "roster.json"
+    roster.write_text(json.dumps(roster_to_json_dict(OAKLAND)))
+    cvr, cleaned = tmp_path / "votes.jsonl", tmp_path / "clean.jsonl"
+    rng = random.Random(11)
+    for _ in range(20):
+        ballots = random_raw_ballots(rng)
+        with open(cvr, "w", encoding="utf-8") as sink:
+            emit_cvr(ballots, sink)
+        argv = ["sanitize", "--input", str(cvr), "--roster", str(roster),
+                "--policy", name, "--output", str(cleaned)]
+        assert main(argv) == 0
+        expected = reference_clean_cvr(ballots, POLICY_PRESETS[name], OAKLAND)
+        assert cleaned.read_text(encoding="utf-8") == expected
 
 
 def test_sanitizes_each_raw_pattern_once(synthetic_raw, monkeypatch):
@@ -265,3 +307,33 @@ def test_sanitizes_each_raw_pattern_once(synthetic_raw, monkeypatch):
     profile, _ = sanitize_all(synthetic_raw, ALAMEDA, OAKLAND)
     patterns = {(b.slots, b.raw_first_invalid) for b in synthetic_raw}
     assert len(calls) == len(patterns) < len(synthetic_raw) == profile.total()
+
+
+def counting(monkeypatch, module, name):
+    """Calls of ``module.name`` from here on, each as its arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_synthetic_cvr_work_pinned(synthetic_raw, monkeypatch):
+    """The parse of the synthetic CVR builds no ballot object, one pattern
+    per distinct (slots, flag), and its sanitize runs once per pattern: 22
+    ``sanitize_ballot`` calls for 26,569 ballots, each on the first ballot
+    of its pattern."""
+    sink = io.StringIO()
+    emit_cvr(synthetic_raw, sink)
+    built = counting(monkeypatch, cvr_module, "_parsed_ballot")
+    table = parse_cvr(io.StringIO(sink.getvalue()), OAKLAND)
+    assert len(built) == 0 and len(table) == 26569 == len(table.ids) == len(table.kinds)
+    sanitized = counting(monkeypatch, sanitize_module, "sanitize_ballot")
+    profile, stats = sanitize_all(table, ALAMEDA, OAKLAND)
+    assert len(sanitized) == len(table.patterns) == len(built) == 22
+    assert [raw.ballot_id for raw, *_ in sanitized] == [table.ids[p[2]] for p in table.patterns]
+    assert profile.total() == stats.total == 26569

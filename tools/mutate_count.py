@@ -49,13 +49,14 @@ GATE = {
     Path("src/rcv_forensics/sanitize.py"): (
         (
             "sanitize_ballot", "sanitize_patterns", "sanitize_stats", "sanitize_all",
-            "sanitize_ballots", "emit_clean_cvr",
+            "CleanBallots", "sanitize_ballots", "emit_clean_cvr",
         ),
         ("tests/test_sanitize.py", "tests/test_cvr.py"),
     ),
     Path("src/rcv_forensics/cvr.py"): (
         (
-            "_parsed_ballot", "_slots", "_parse_line", "_split", "_states_id", "parse_cvr",
+            "_parsed_ballot", "RawBallots", "_slots", "_parse_line", "_split", "_states_id",
+            "parse_cvr",
             "cvr_tail", "cvr_line", "_decode_roster",
         ),
         ("tests/test_cvr.py",),
