@@ -71,7 +71,6 @@ from .sanitize import (
     MINNEAPOLIS,
     POLICY_PRESETS,
     CleanBallot,
-    CleanBallots,
     OvervotePolicy,
     SanitizePolicy,
     SanitizeStats,
@@ -80,7 +79,6 @@ from .sanitize import (
     sanitize_all,
     sanitize_ballot,
     sanitize_ballots,
-    sanitize_patterns,
     sanitize_stats,
 )
 

@@ -57,7 +57,6 @@ from .sanitize import (
     emit_clean_cvr,
     sanitize_all,
     sanitize_ballots,
-    sanitize_patterns,
     sanitize_stats,
 )
 
@@ -239,16 +238,15 @@ def _condorcet(profile: PreferenceProfile) -> dict:
 
 
 def cmd_sanitize(args) -> int:
-    ballots, roster = _load(args, raw=True)
+    table, roster = _load(args, raw=True)
     policy = _policy_from_args(args)
-    patterns = sanitize_patterns(ballots, policy, roster)
-    stats = sanitize_stats(patterns, roster)
-    cleaned = sanitize_ballots(ballots, patterns)
+    forms = sanitize_ballots(table, policy, roster)
+    stats = sanitize_stats(table, forms, roster)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as sink:
-            emit_clean_cvr(cleaned, sink)
+            emit_clean_cvr(table, forms, sink)
     else:
-        emit_clean_cvr(cleaned, sys.stdout)
+        emit_clean_cvr(table, forms, sys.stdout)
     doc = {
         "schema_version": 1,
         "command": "sanitize",
@@ -379,8 +377,8 @@ def cmd_audit(args) -> int:
 
 def _config_flags(args) -> list[str]:
     """The --config object as flags of the parsed command: keys that name no
-    option of it (and "config" itself) are dropped, true is a bare switch,
-    and false or null leave the option out."""
+    option of it (and "command" and "config") are dropped, true is a bare
+    switch, and false or null leave the option out."""
     with open(args.config, encoding="utf-8") as stream:
         config = json.load(stream)
     if not isinstance(config, dict):
@@ -388,7 +386,9 @@ def _config_flags(args) -> list[str]:
     flags = []
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest == "config" or dest not in vars(args) or value is None or value is False:
+        if dest in ("command", "config") or dest not in vars(args):
+            continue
+        if value is None or value is False:
             continue
         flag = "--" + dest.replace("_", "-")
         flags.append(flag if value is True else f"{flag}={value}")

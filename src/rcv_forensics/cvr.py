@@ -12,17 +12,18 @@ candidate, which cleaned ranks no longer show. Each ``ballot_id`` appears once.
 A parse returns a ``RawBallots`` table, not a list of ballots: each line's
 ``ballot_id``, the index of its ``(slots, raw_first_invalid)`` pattern, and the
 distinct patterns. A ``RawBallot`` is built only when the table is indexed or
-iterated. A parse decodes and validates each distinct line tail once. The tail
-is the text of a line after its leading ``ballot_id`` string; two lines with
-one tail are one ballot under two ids, and a repeat costs the parse one id and
-one index. One call keeps a table from each tail it has accepted to its
-pattern. A line that opens otherwise, or whose tail is new, gets the full
-parse, so an error still names the first bad line; a tail that states a
-``ballot_id`` of its own, which would override the one before it, is never
-reused. The full parse in turn checks each distinct rank slot once, and equal
-slots are one tuple object. These tables live only as long as the call, so no
-roster's validation reaches another parse. The writer likewise encodes the
-tail (``cvr_tail``) apart from the id, so equal ballots can share it.
+iterated; sanitize builds one per pattern, and writes the clean CVR from the
+table's ids and pattern indexes. A parse decodes and validates each distinct
+line tail once. The tail is the text of a line after its leading ``ballot_id``
+string; two lines with one tail are one ballot under two ids, and a repeat
+costs the parse one id and one index. One call keeps a table from each tail it
+has accepted to its pattern. A line that opens otherwise, or whose tail is new,
+gets the full parse, so an error still names the first bad line; a tail that
+states a ``ballot_id`` of its own, which would override the one before it, is
+never reused. The full parse in turn checks each distinct rank slot once, and
+equal slots are one tuple object. These tables live only as long as the call,
+so no roster's validation reaches another parse. The writer likewise encodes
+the tail (``cvr_tail``) apart from the id, so equal ballots can share it.
 """
 
 from __future__ import annotations

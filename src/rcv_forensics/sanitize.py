@@ -10,13 +10,17 @@ Three real rule sets are provided as presets:
 Duplicate candidates never terminate a ballot anywhere: a candidate already
 accepted is simply ignored when met again. Every raw ballot sanitizes, in the
 worst case to an empty ranking.
+
+A ballot table (``RawBallots``) is sanitized once per pattern:
+``sanitize_ballots`` gives one clean form per kind, and the statistics, the
+profile and the clean CVR are built from those forms and the table's ``ids``,
+``kinds`` and ``patterns``.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -67,12 +71,6 @@ class CleanBallot:
     raw_first_invalid: bool
 
 
-# a raw ballot's (slots, raw_first_invalid): all that its sanitized form depends on
-RawPattern = tuple[tuple[tuple[str, ...], ...], bool | None]
-# each pattern: the sanitized form of its first ballot, and its ballot count
-PatternTable = dict[RawPattern, tuple[CleanBallot, int]]
-
-
 @dataclass(frozen=True)
 class SanitizeStats:
     """Per-ballot counts (a ballot with two overvotes increments once)."""
@@ -120,31 +118,31 @@ def _skipped_then_ranked(slots: tuple[tuple[str, ...], ...]) -> bool:
     return () in slots and any(slots[slots.index(()) + 1 :])
 
 
-def sanitize_patterns(
-    ballots: Iterable[RawBallot], policy: SanitizePolicy, roster: CandidateRoster
-) -> PatternTable:
-    """The pattern table of raw ballots: each distinct ``(slots,
-    raw_first_invalid)``, in order of first appearance, with the sanitized
-    form of its first ballot and the number of ballots that have it.
+def sanitize_ballots(
+    table: RawBallots, policy: SanitizePolicy, roster: CandidateRoster
+) -> list[tuple[CleanBallot, int]]:
+    """The clean forms of a ballot table, indexed by kind: the sanitized form
+    of each pattern's first ballot, with the pattern's ballot count.
 
-    A ballot's sanitized ranking and flag depend on nothing else, so
-    ``sanitize_ballot`` runs once per pattern of the ballots' table
-    (``RawBallots.of``), and the counts are those of the table's kinds.
+    A ballot's sanitized ranking and flag depend on nothing but its pattern,
+    so ``sanitize_ballot`` runs once per pattern, and a ballot's clean form is
+    that of its kind under its own ``ballot_id``.
     """
-    table = RawBallots.of(ballots)
     counts = Counter(table.kinds)
-    return {
-        (slots, raw_first_invalid): (sanitize_ballot(table[first], policy, roster), counts[kind])
-        for kind, (slots, raw_first_invalid, first) in enumerate(table.patterns)
-    }
+    return [
+        (sanitize_ballot(table[first], policy, roster), counts[kind])
+        for kind, (_, _, first) in enumerate(table.patterns)
+    ]
 
 
-def sanitize_stats(patterns: PatternTable, roster: CandidateRoster) -> SanitizeStats:
-    """Statistics of raw ballots from their pattern table: each pattern is
+def sanitize_stats(
+    table: RawBallots, forms: list[tuple[CleanBallot, int]], roster: CandidateRoster
+) -> SanitizeStats:
+    """Statistics of a ballot table from its clean forms: each pattern is
     tested once and counts once for every ballot that has it."""
     officials = set(roster.official_ids())
     total = overvote = skipped = invalid_first = 0
-    for (slots, _), (clean, n) in patterns.items():
+    for (slots, _, _), (clean, n) in zip(table.patterns, forms):
         total += n
         if any(len(slot) > 1 for slot in slots):
             overvote += n
@@ -161,59 +159,32 @@ def sanitize_all(
     """Sanitize every ballot, aggregate into a profile, and report statistics,
     without holding the sanitized ballots.
 
-    The work is done once per distinct raw pattern of this call
-    (``sanitize_patterns``) and weighted by the pattern's ballot count; the
+    The work is done once per pattern of the ballots' table
+    (``RawBallots.of``) and weighted by the pattern's ballot count; the
     patterns keep the order of their first ballots, so the profile lists its
     entries in the order their first ballots appear. No ballot is dropped: the
     aggregated total always equals the input count.
     """
-    patterns = sanitize_patterns(ballots, policy, roster)
+    table = RawBallots.of(ballots)
+    forms = sanitize_ballots(table, policy, roster)
     counts: dict[ProfileKey, int] = {}
-    for clean, n in patterns.values():
+    for clean, n in forms:
         key = (clean.ranking, clean.raw_first_invalid)
         counts[key] = counts.get(key, 0) + n
-    return PreferenceProfile(roster, counts), sanitize_stats(patterns, roster)
+    return PreferenceProfile(roster, counts), sanitize_stats(table, forms, roster)
 
 
-class CleanBallots(Sequence[CleanBallot]):
-    """Sanitized ballots as a table, in the shape of ``RawBallots``: ``ids``
-    and ``kinds`` are the raw table's, and ``forms`` holds the sanitized form
-    of each raw pattern. A ``CleanBallot`` is built only when one is asked
-    for."""
-
-    __slots__ = ("ids", "kinds", "forms")
-
-    def __init__(self, ids: list[str], kinds: list[int], forms: list[CleanBallot]) -> None:
-        self.ids = ids
-        self.kinds = kinds
-        self.forms = forms
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, position: int) -> CleanBallot:
-        form = self.forms[self.kinds[position]]
-        return CleanBallot(self.ids[position], form.ranking, form.raw_first_invalid)
-
-
-def sanitize_ballots(ballots: Iterable[RawBallot], patterns: PatternTable) -> CleanBallots:
-    """Each ballot's sanitized form, read from its pattern's entry in the
-    ballots' pattern table: one lookup per pattern of the ballots' table, and
-    the ballots of one pattern share its ranking."""
-    table = RawBallots.of(ballots)
-    forms = [patterns[slots, raw_first_invalid][0] for slots, raw_first_invalid, _ in table.patterns]
-    return CleanBallots(table.ids, table.kinds, forms)
-
-
-def emit_clean_cvr(ballots: CleanBallots, sink: IO[str]) -> None:
-    """Write sanitized ballots as CVR lines of singleton slots, with their
-    flag, from each ballot's id and pattern: one line tail is encoded per
-    distinct ranking and flag, and no ballot object is built."""
+def emit_clean_cvr(
+    table: RawBallots, forms: list[tuple[CleanBallot, int]], sink: IO[str]
+) -> None:
+    """Write a ballot table's sanitized ballots as CVR lines of singleton
+    slots, with their flag, from each ballot's id and kind: one line tail is
+    encoded per distinct ranking and flag, and no ballot object is built."""
     encoded: dict[ProfileKey, str] = {}
     tails = []
-    for form in ballots.forms:
+    for form, _ in forms:
         key = (form.ranking, form.raw_first_invalid)
         if key not in encoded:
             encoded[key] = cvr_tail([(c,) for c in form.ranking], form.raw_first_invalid)
         tails.append(encoded[key])
-    sink.writelines(map(cvr_line, ballots.ids, map(tails.__getitem__, ballots.kinds)))
+    sink.writelines(map(cvr_line, table.ids, map(tails.__getitem__, table.kinds)))

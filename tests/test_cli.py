@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rcv_forensics import fixture_roster, sanitize as sanitize_module
 from rcv_forensics.cli import main
-from rcv_forensics.cvr import roster_to_json_dict
+from rcv_forensics.cvr import emit_cvr, roster_to_json_dict
 
 ROSTER_JSON = json.dumps(
     {
@@ -349,7 +349,10 @@ class TestSanitize:
             == "f62c3eb94ed586a76fc4f6d4776ccf78bd8d62d423cbcfffde26d3c32048cbc0"
         )
 
-    def test_sanitizes_each_ballot_once(self, capsys, monkeypatch):
+    def test_sanitizes_each_ballot_once(self, capsys, monkeypatch, tmp_path, synthetic_raw):
+        """The command sanitizes once per raw pattern, not once per line: six
+        calls for the six distinct ballots of table2, and 22 for the 26,569
+        lines of the synthetic CVR, whose clean CVR keeps its pinned bytes."""
         calls = []
         original = sanitize_module.sanitize_ballot
 
@@ -361,6 +364,22 @@ class TestSanitize:
         code, _, _ = run(capsys, "sanitize", "--fixture", "table2-examples")
         assert code == 0
         assert len(calls) == 6
+        roster, cvr = tmp_path / "roster.json", tmp_path / "votes.jsonl"
+        roster.write_text(json.dumps(roster_to_json_dict(fixture_roster("oakland-full-synthetic"))))
+        with open(cvr, "w", encoding="utf-8") as sink:
+            emit_cvr(synthetic_raw, sink)
+        cleaned = tmp_path / "clean.jsonl"
+        calls.clear()
+        code, _, _ = run(
+            capsys,
+            "sanitize", "--input", str(cvr), "--roster", str(roster), "--output", str(cleaned),
+        )
+        assert code == 0
+        assert len(calls) == 22 and len(cvr.read_text(encoding="utf-8").splitlines()) == 26569
+        assert (
+            hashlib.sha256(cleaned.read_bytes()).hexdigest()
+            == "f62c3eb94ed586a76fc4f6d4776ccf78bd8d62d423cbcfffde26d3c32048cbc0"
+        )
 
     def test_profile_fixture_rejected(self, capsys):
         code, _, err = run(capsys, "sanitize", "--fixture", "oakland-table1")
@@ -692,10 +711,9 @@ class TestConfigFile:
         [
             ({"method": "bucklin", "k": "abc"}, "--k"),
             ({"method": "rcv", "tie_policy": "coinflip"}, "--tie-policy"),
-            ({"method": "rcv", "command": "audit"}, "--command"),
             ({"method": "rcv", "buggy_first_round": "yes", "format": "json"}, "--buggy-first-round"),
         ],
-        ids=["k-not-int", "tie-policy-choice", "command", "switch-with-value"],
+        ids=["k-not-int", "tie-policy-choice", "switch-with-value"],
     )
     def test_bad_value_is_usage_error(self, capsys, tmp_path, extra, flag):
         """Config values are checked like the flags they stand for."""
@@ -719,6 +737,7 @@ class TestConfigFile:
         config = {
             "fixture": "oakland-table1", "method": "rcv", "format": "json",
             "no_such_option": 3, "config": "elsewhere.json", "spoiler_max_size": 0,
+            "command": "audit", "func": "cmd_audit",
         }
         code, out, _ = self._run_config(capsys, tmp_path, config)
         assert code == 0

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 
 import pytest
@@ -12,8 +13,10 @@ from rcv_forensics import (
     Candidate,
     CandidateRoster,
     POLICY_PRESETS,
+    CleanBallot,
     OvervotePolicy,
     RawBallot,
+    RawBallots,
     SanitizePolicy,
     SanitizeStats,
     SkipPolicy,
@@ -25,7 +28,7 @@ from rcv_forensics import (
     sanitize_all,
     sanitize_ballot,
     sanitize_ballots,
-    sanitize_patterns,
+    sanitize_stats,
 )
 import rcv_forensics.cvr as cvr_module
 from rcv_forensics.cli import main
@@ -200,7 +203,7 @@ def test_aggregation_conserves_ballots(ballot_slots, policy):
 def reference_sanitize_all(ballots, policy, roster):
     """The per-ballot fold that ``sanitize_all`` replaced: every ballot is
     sanitized, tested and counted on its own. The only copy; it exists to
-    check the pattern table."""
+    check the clean forms per pattern kind."""
     officials = set(roster.official_ids())
     counts = {}
     total = overvote = skipped = invalid_first = 0
@@ -255,24 +258,30 @@ POLICIES = pytest.mark.parametrize(
 
 @POLICIES
 def test_pattern_table_matches_per_ballot_fold(policy):
-    """Profile entries (in order), stats, per-ballot clean forms and clean CVR
-    bytes from the pattern table equal those of one ballot at a time, whether
-    the ballots come as a list, as the table a parse of their CVR returns, or
-    as that table's list."""
+    """Profile entries (in order), stats, each ballot's clean form and clean
+    CVR bytes from the clean forms of the ballots' table equal those of one
+    ballot at a time, whether the ballots come as a list, as the table a parse
+    of their CVR returns, or as that table's list."""
     rng = random.Random(7)
     for _ in range(300):
         ballots = random_raw_ballots(rng)
         expected = reference_sanitize_all(ballots, policy, OAKLAND)
         sink = io.StringIO()
         emit_cvr(ballots, sink)
-        table = parse_cvr(io.StringIO(sink.getvalue()), OAKLAND)
-        for source in (ballots, table, list(table)):
+        parsed = parse_cvr(io.StringIO(sink.getvalue()), OAKLAND)
+        for source in (ballots, parsed, list(parsed)):
             profile, stats = sanitize_all(source, policy, OAKLAND)
             assert (list(profile.entries.items()), stats) == expected
-            cleaned = sanitize_ballots(source, sanitize_patterns(source, policy, OAKLAND))
-            assert list(cleaned) == [sanitize_ballot(b, policy, OAKLAND) for b in ballots]
+            table = RawBallots.of(source)
+            forms = sanitize_ballots(table, policy, OAKLAND)
+            assert sanitize_stats(table, forms, OAKLAND) == expected[1]
+            cleaned = [
+                CleanBallot(ballot_id, forms[kind][0].ranking, forms[kind][0].raw_first_invalid)
+                for ballot_id, kind in zip(table.ids, table.kinds)
+            ]
+            assert cleaned == [sanitize_ballot(b, policy, OAKLAND) for b in ballots]
             sink = io.StringIO()
-            emit_clean_cvr(cleaned, sink)
+            emit_clean_cvr(table, forms, sink)
             assert sink.getvalue() == reference_clean_cvr(ballots, policy, OAKLAND)
 
 
@@ -307,6 +316,18 @@ def test_sanitizes_each_raw_pattern_once(synthetic_raw, monkeypatch):
     profile, _ = sanitize_all(synthetic_raw, ALAMEDA, OAKLAND)
     patterns = {(b.slots, b.raw_first_invalid) for b in synthetic_raw}
     assert len(calls) == len(patterns) < len(synthetic_raw) == profile.total()
+
+
+@pytest.mark.parametrize(
+    "argv", ["sanitize", "tabulate --method rcv", "compare", "audit --checks all"],
+    ids=["sanitize", "tabulate", "compare", "audit"],
+)
+def test_counts_kinds_once_per_command(argv, monkeypatch):
+    """A command counts the ballots of each kind of its table once, in
+    ``sanitize_ballots``, and every later step reads those counts."""
+    counted = counting(monkeypatch, sanitize_module, "Counter")
+    assert main([*argv.split(), "--fixture", "table2-examples", "--output", os.devnull]) == 0
+    assert len(counted) == 1
 
 
 def counting(monkeypatch, module, name):

@@ -48,8 +48,8 @@ GATE = {
     ),
     Path("src/rcv_forensics/sanitize.py"): (
         (
-            "sanitize_ballot", "sanitize_patterns", "sanitize_stats", "sanitize_all",
-            "CleanBallots", "sanitize_ballots", "emit_clean_cvr",
+            "sanitize_ballot", "sanitize_ballots", "sanitize_stats", "sanitize_all",
+            "emit_clean_cvr",
         ),
         ("tests/test_sanitize.py", "tests/test_cvr.py"),
     ),
