@@ -17,13 +17,14 @@ table's ids and pattern indexes. A parse decodes and validates each distinct
 line tail once. The tail is the text of a line after its leading ``ballot_id``
 string; two lines with one tail are one ballot under two ids, and a repeat
 costs the parse one id and one index. One call keeps a table from each tail it
-has accepted to its pattern. A line that opens otherwise, or whose tail is new,
-gets the full parse, so an error still names the first bad line; a tail that
-states a ``ballot_id`` of its own, which would override the one before it, is
-never reused. The full parse in turn checks each distinct rank slot once, and
-equal slots are one tuple object. These tables live only as long as the call,
-so no roster's validation reaches another parse. The writer likewise encodes
-the tail (``cvr_tail``) apart from the id, so equal ballots can share it.
+has accepted to its pattern. A line that opens otherwise, whose id holds an
+escape, or whose tail is new, gets the full parse, so an error still names the
+first bad line; a tail that states a ``ballot_id`` of its own, which would
+override the one before it, is never reused. The full parse in turn checks each
+distinct rank slot once, and equal slots are one tuple object. These tables
+live only as long as the call, so no roster's validation reaches another parse.
+The writer likewise encodes the tail (``cvr_tail``) apart from the id, so equal
+ballots can share it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice, pairwise
-from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable
 
@@ -279,28 +279,12 @@ def _parse_line(
     return ballot_id, slots, doc.get("raw_first_invalid")
 
 
-# JSON whitespace only: \s would also match \x0b and \u00a0, which JSON refuses
-_ID_OPENING = re.compile(r'\{[ \t\n\r]*"ballot_id"[ \t\n\r]*:[ \t\n\r]*"')
-# the same opening and an id of no quote, backslash or control character, which
-# ``scanstring`` reads as it stands; then the tail
-_PLAIN_ID = re.compile(_ID_OPENING.pattern + r'([^"\\\x00-\x1f]+)"(.*)', re.DOTALL)
-
-
-def _split(line: str) -> tuple[str, str] | tuple[None, None]:
-    """A line's leading ballot_id and its tail, the text after the id's
-    closing quote; (None, None) unless the line opens with a non-empty
-    ``ballot_id`` string. The id is read by the scanner ``json.loads`` uses,
-    so its escapes and its control-character rule are the same."""
-    opening = _ID_OPENING.match(line)
-    if opening is None:
-        return None, None
-    try:
-        ballot_id, end = scanstring(line, opening.end())
-    except ValueError:
-        return None, None
-    if not ballot_id:
-        return None, None
-    return ballot_id, line[end:]
+# a line's opening up to its ballot_id (JSON whitespace only: \s would also
+# match \x0b and \u00a0, which JSON refuses), an id of no quote, backslash or
+# control character, which JSON reads as it stands, then the tail
+_PLAIN_ID = re.compile(
+    r'\{[ \t\n\r]*"ballot_id"[ \t\n\r]*:[ \t\n\r]*"([^"\\\x00-\x1f]+)"(.*)', re.DOTALL
+)
 
 
 def _states_id(tail: str) -> bool:
@@ -321,10 +305,11 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> RawBallots:
 
     Blank lines are skipped; the table's length equals the non-blank line
     count. A repeated ballot_id is a ParseError naming both ballots by
-    position. Each distinct line tail (``_split``) is decoded and validated
-    once per call, and a line that repeats it adds only its id and its
-    pattern's index to the table; a line with a new tail, or with no leading
-    ballot_id, gets the full parse, so an error names the first bad line.
+    position. Each distinct line tail (``_PLAIN_ID``) is decoded and
+    validated once per call, and a line that repeats it adds only its id and
+    its pattern's index to the table; a line with a new tail, or with no
+    leading ballot_id of plain text (an id with an escape, say), gets the
+    full parse, so an error names the first bad line.
     Within that parse each distinct rank slot is checked once per call
     (``_slots``), and equal slots are one tuple. A tail is checked for an id
     of its own (``_states_id``) when it is first seen again; only a tail
@@ -340,7 +325,7 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> RawBallots:
     try:
         for line_no, line in enumerate(source, start=1):
             plain = plain_id(line)
-            ballot_id, tail = _split(line) if plain is None else plain.groups()
+            ballot_id, tail = (None, None) if plain is None else plain.groups()
             known = tails.get(tail)
             if known is not None and not known[1]:
                 known[1] = True

@@ -520,10 +520,11 @@ def bucklin_topk(profile: PreferenceProfile, k: int) -> tuple[dict[str, int], st
 
 
 def _find_majority_cycle(
-    candidates: tuple[str, ...], beats: dict[tuple[str, str], bool]
+    candidates: tuple[str, ...], counts: dict[str, dict[str, int]]
 ) -> tuple[str, ...] | None:
     """The first majority cycle a depth-first search meets, visiting
-    candidates in roster order, rotated to start at its earliest candidate.
+    candidates in roster order, rotated to start at its earliest candidate;
+    v beats w when ``counts[v][w] > counts[w][v]``.
 
     The search keeps its own stack of paths, so a cycle through every
     candidate of a large roster needs no recursion.
@@ -537,7 +538,7 @@ def _find_majority_cycle(
         while path:
             v = path[-1]
             for w in todo[-1]:
-                if w == v or not beats[(v, w)] or w in done:
+                if w == v or counts[v][w] <= counts[w][v] or w in done:
                     continue
                 if w in on_path:
                     cycle = tuple(path[path.index(w) :])
@@ -556,23 +557,23 @@ def _find_majority_cycle(
 
 def condorcet_analysis(matrix: PairwiseMatrix) -> CondorcetReport:
     """Condorcet winner (if any), a strict-majority cycle (if any), and the
-    minimax score of each candidate (worst head-to-head loss margin). Each
-    unordered pair's margin is read once and settles both directions."""
+    minimax score of each candidate (worst head-to-head loss margin), all
+    read from the matrix rows. Each unordered pair's margin is read once and
+    settles both directions."""
     ids, counts = matrix.candidates, matrix.counts
-    beats: dict[tuple[str, str], bool] = {}
-    minimax = dict.fromkeys(ids, 0)
+    # the largest margin by which a rival beats x; below 0 when x beats them all
+    worst = dict.fromkeys(ids, -math.inf)
     for i, x in enumerate(ids):
+        row = counts[x]
         for y in ids[i + 1 :]:
-            margin = counts[(x, y)] - counts[(y, x)]
-            beats[(x, y)], beats[(y, x)] = margin > 0, margin < 0
-            minimax[x] = max(minimax[x], -margin)
-            minimax[y] = max(minimax[y], margin)
-    winner = None
-    for x in ids:
-        if all(beats[(x, y)] for y in ids if y != x):
-            winner = x
-            break
-    cycle = None if winner else _find_majority_cycle(ids, beats)
+            margin = row[y] - counts[y][x]
+            if margin > worst[y]:
+                worst[y] = margin
+            if -margin > worst[x]:
+                worst[x] = -margin
+    winner = next((x for x in ids if worst[x] < 0), None)
+    minimax = {x: max(margin, 0) for x, margin in worst.items()}
+    cycle = None if winner else _find_majority_cycle(ids, counts)
     return CondorcetReport(winner, cycle, minimax)
 
 

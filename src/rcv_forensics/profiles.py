@@ -21,17 +21,19 @@ ProfileKey = tuple[Ranking, bool]
 
 @dataclass(frozen=True)
 class PairwiseMatrix:
-    """Head-to-head counts: n(x, y) = ballots ranking x above y.
+    """Head-to-head counts, one row per candidate: ``counts[x][y]`` = n(x, y),
+    the ballots ranking x above y. Rows, and the keys of each row, follow
+    roster order, and a row leaves out its own candidate.
 
     Unranked candidates sit below every ranked candidate; ballots ranking
     neither of a pair count for neither side.
     """
 
     candidates: tuple[str, ...]
-    counts: dict[tuple[str, str], int]
+    counts: dict[str, dict[str, int]]
 
     def n(self, x: str, y: str) -> int:
-        return self.counts[(x, y)]
+        return self.counts[x][y]
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,16 @@ class PreferenceProfile:
 
     def pairwise_matrix(self) -> PairwiseMatrix:
         ids = self.roster.ids()
-        counts = {(x, y): 0 for x in ids for y in ids if x != y}
+        counts = {x: dict.fromkeys([y for y in ids if y != x], 0) for x in ids}
         for (ranking, _), count in self.entries.items():
             ranked = set(ranking)
+            unranked = [y for y in ids if y not in ranked]
             for i, x in enumerate(ranking):
+                row = counts[x]
                 for y in ranking[i + 1 :]:
-                    counts[(x, y)] += count
-                for y in ids:
-                    if y not in ranked:
-                        counts[(x, y)] += count
+                    row[y] += count
+                for y in unranked:
+                    row[y] += count
         return PairwiseMatrix(ids, counts)
 
     def remove_candidates(self, doomed: Iterable[str]) -> "PreferenceProfile":

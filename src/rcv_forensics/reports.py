@@ -27,34 +27,6 @@ from .methods import CondorcetReport
 from .profiles import PairwiseMatrix
 
 
-def _float(value: float) -> str:
-    """A float as ``json.dumps`` writes it, NaN and the infinities included."""
-    if value != value:
-        return "NaN"
-    if value == float("inf"):
-        return "Infinity"
-    if value == -float("inf"):
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key(key) -> str:
-    """A dict key as the string ``json.dumps`` makes of it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _encode(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
     nested one level below ``newline`` (a line break and the indent of the
@@ -70,8 +42,6 @@ def _encode(value, newline: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _float(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -82,7 +52,7 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "{}"
         items = [
-            encode_basestring_ascii(_key(key)) + ": " + _encode(item, inner)
+            encode_basestring_ascii(key) + ": " + _encode(item, inner)
             for key, item in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
@@ -91,7 +61,9 @@ def _encode(value, newline: str) -> str:
 
 def dumps(doc: dict) -> str:
     """The JSON report: the bytes of ``json.dumps(doc, indent=2,
-    sort_keys=True)`` and a line break."""
+    sort_keys=True)`` and a line break, for a document of what reports hold:
+    dicts keyed by strings, lists, tuples, strings, integers, booleans and
+    None. A float, or a key that is not a string, raises TypeError."""
     return _encode(doc, "\n") + "\n"
 
 
@@ -125,10 +97,9 @@ def scores_to_dict(method: str, scores: dict[str, int], winner: str | None, **ex
 
 
 def condorcet_to_dict(matrix: PairwiseMatrix, report: CondorcetReport, best: str | None) -> dict:
-    ids, counts = matrix.candidates, matrix.counts
     return {
         "method": "condorcet",
-        "pairwise": {x: {y: counts[(x, y)] for y in ids if y != x} for x in ids},
+        "pairwise": matrix.counts,
         **to_jsonable(report),
         "minimax_best": best,
     }

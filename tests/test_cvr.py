@@ -2,6 +2,7 @@ import io
 import json
 import random
 from collections import Counter
+from json.decoder import scanstring
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -20,7 +21,7 @@ from rcv_forensics import (
     parse_cvr,
     sanitize_ballot,
 )
-from rcv_forensics.cvr import _PLAIN_ID, _split, cvr_line, cvr_tail
+from rcv_forensics.cvr import _PLAIN_ID, cvr_line, cvr_tail
 
 OAKLAND_ROSTER_JSON = json.dumps(
     {
@@ -379,12 +380,36 @@ def test_parse_matches_reference(seed):
     assert kinds == {list, str} and duplicates
 
 
+def reference_split(line):
+    """A line's leading ballot_id and its tail, the text after the id's
+    closing quote; (None, None) unless the line opens with a non-empty
+    ``ballot_id`` string. The opening is read step by step with JSON's
+    whitespace, and the id by the scanner ``json.loads`` uses, so its escapes
+    and its control-character rule are the same."""
+    rest = line[1:].lstrip(" \t\n\r") if line.startswith("{") else ""
+    if not rest.startswith('"ballot_id"'):
+        return None, None
+    rest = rest[len('"ballot_id"') :].lstrip(" \t\n\r")
+    if not rest.startswith(":"):
+        return None, None
+    rest = rest[1:].lstrip(" \t\n\r")
+    if not rest.startswith('"'):
+        return None, None
+    try:
+        ballot_id, end = scanstring(rest, 1)
+    except ValueError:
+        return None, None
+    if not ballot_id:
+        return None, None
+    return ballot_id, rest[end:]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_plain_id_matches_split(seed):
     """The parse reads an id with no quote, backslash or control character
     by one match; on the random files' lines, whatever it matches, it reads
-    as ``_split`` does. It matches a fair share of them; the ids of the
-    others carry escapes, which ``_split`` reads."""
+    as ``reference_split`` does. It matches a fair share of them; the ids of
+    the others carry escapes, which only the full parse reads."""
     rng = random.Random(seed)
     lines = [line for _ in range(200) for line in random_cvr(rng).splitlines(keepends=True)]
     matched = 0
@@ -392,7 +417,7 @@ def test_plain_id_matches_split(seed):
         plain = _PLAIN_ID.match(line)
         if plain is not None:
             matched += 1
-            assert plain.groups() == _split(line)
+            assert plain.groups() == reference_split(line)
     assert len(lines) > matched > len(lines) / 5
 
 
@@ -404,15 +429,15 @@ def test_plain_id_matches_split(seed):
 def test_plain_id_matches_split_on_any_id(opening, raw_id, tail):
     """An id written as any text between quotes: when it holds no quote,
     backslash or control character the match reads it and the tail as
-    ``_split`` does, and whatever the match reads in any line, ``_split``
-    reads the same."""
+    ``reference_split`` does, and whatever the match reads in any line,
+    ``reference_split`` reads the same."""
     line = f'{opening}"{raw_id}"{tail}'
     plain = _PLAIN_ID.match(line)
     plain_text = raw_id and not any(c in '"\\' or c < " " for c in raw_id)
-    if plain_text and _split(line) != (None, None):
-        assert plain is not None and plain.groups() == _split(line) == (raw_id, tail)
+    if plain_text and reference_split(line) != (None, None):
+        assert plain is not None and plain.groups() == reference_split(line) == (raw_id, tail)
     if plain is not None:
-        assert plain.groups() == _split(line)
+        assert plain.groups() == reference_split(line)
 
 
 @pytest.mark.parametrize(

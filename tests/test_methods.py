@@ -296,16 +296,21 @@ class TestCondorcet:
     def test_cycle_search_matches_recursive_reference(self):
         """The cycle search keeps its own stack; on random beat relations
         (some pairs tied, so neither beats the other) it finds the same
-        cycle, in the same rotation, as the recursive search it replaced."""
+        cycle, in the same rotation, as the recursive search it replaced.
+        The search reads counts; a side that wins counts 1 to the other's 0,
+        and a tie is equal counts."""
         rng = random.Random(5)
         for _ in range(2000):
             ids = tuple("ABCDEFG"[: rng.randint(1, 7)])
-            beats = {}
+            beats, counts = {}, {x: {} for x in ids}
             for i, x in enumerate(ids):
                 for y in ids[i + 1 :]:
                     side = rng.randrange(3)
                     beats[(x, y)], beats[(y, x)] = side == 0, side == 1
-            assert methods._find_majority_cycle(ids, beats) == reference_majority_cycle(ids, beats)
+                    counts[x][y], counts[y][x] = int(side == 0), int(side == 1)
+            assert methods._find_majority_cycle(ids, counts) == reference_majority_cycle(
+                ids, beats
+            )
 
     def test_matches_definitions_on_random_profiles(self):
         """Who beats whom, the winner, the cycle and the minimax scores,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rcv_forensics import Candidate, CandidateRoster, ParseError, ValidationError, rcv_tabulate
+from rcv_forensics.forensics import prefers
 from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import make_random_profile
@@ -65,6 +66,30 @@ class TestPairwise:
             )
             assert matrix.n(x, y) + matrix.n(y, x) + neither == total
 
+    def test_matches_definition_on_random_profiles(self):
+        """n(x, y) is the summed count of the types that rank x over y, on
+        random profiles with partial rankings, write-ins and flags. Each row
+        holds the roster less its own candidate, in roster order, which is
+        the order the text report prints; half the rosters are reversed, so
+        an order that is only sorted shows."""
+        rng = random.Random(23)
+        for trial in range(300):
+            profile = make_random_profile(rng, max_candidates=4, writein_rate=0.3)
+            if trial % 2:
+                reversed_roster = CandidateRoster(tuple(reversed(profile.roster.candidates)))
+                profile = PreferenceProfile(reversed_roster, profile.entries)
+            ids = profile.roster.ids()
+            matrix = profile.pairwise_matrix()
+            assert matrix.candidates == ids and list(matrix.counts) == list(ids)
+            for x in ids:
+                assert list(matrix.counts[x]) == [y for y in ids if y != x]
+                for y in matrix.counts[x]:
+                    assert matrix.n(x, y) == sum(
+                        count
+                        for (ranking, _), count in profile.entries.items()
+                        if prefers(ranking, x, y)
+                    )
+
 
 class TestRemoveCandidates:
     def test_remove_nothing_is_identity(self, table1):
@@ -123,6 +148,14 @@ class TestReplaceRemoveBallots:
         with pytest.raises(ValidationError):
             table1.remove_ballots(("R", "M"), 935)
 
+    def test_type_not_in_profile_has_no_ballots(self, table1):
+        """A type the profile lacks (Table 1 has no flagged ballots) has no
+        ballots to move or remove."""
+        with pytest.raises(ValidationError, match="only 0 ballots"):
+            table1.remove_ballots(("R", "M"), 1, raw_first_invalid=True)
+        with pytest.raises(ValidationError, match="only 0 ballots"):
+            table1.replace_ballots(("R", "M"), ("M", "R"), 1, raw_first_invalid=True)
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -178,6 +211,9 @@ class TestSerialization:
         doc = synthetic_profile.to_json_dict()
         text = json.dumps(doc, sort_keys=True)
         assert PreferenceProfile.from_json_dict(json.loads(text)) == synthetic_profile
+
+    def test_schema_version(self, table1):
+        assert table1.to_json_dict()["schema_version"] == 1
 
     def test_deterministic_output(self, table1):
         a = json.dumps(table1.to_json_dict(), sort_keys=True)

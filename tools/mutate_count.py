@@ -1,5 +1,5 @@
-"""Mutation gate for the counting core, the pathology searches, ballot
-sanitization and CVR ingest.
+"""Mutation gate for the counting core, the preference profile and its
+edits, the pathology searches, ballot sanitization and CVR ingest.
 
 Usage, from the root of a checkout:
 
@@ -42,6 +42,10 @@ GATE = {
         ),
         ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
     ),
+    Path("src/rcv_forensics/profiles.py"): (
+        ("PreferenceProfile",),
+        ("tests/test_profiles.py", "tests/test_methods.py"),
+    ),
     Path("src/rcv_forensics/forensics.py"): (
         ("_scan", "verify_witness"),
         ("tests/test_forensics.py",),
@@ -55,8 +59,7 @@ GATE = {
     ),
     Path("src/rcv_forensics/cvr.py"): (
         (
-            "_parsed_ballot", "RawBallots", "_slots", "_parse_line", "_split", "_states_id",
-            "parse_cvr",
+            "_parsed_ballot", "RawBallots", "_slots", "_parse_line", "_states_id", "parse_cvr",
             "cvr_tail", "cvr_line", "_decode_roster",
         ),
         ("tests/test_cvr.py",),
@@ -87,6 +90,12 @@ EQUIVALENT = {
     ),
     "EditCount: self.segment = (1, 0, None) [col 27: 0->-1]": (
         "the initial segment only has to be empty, and (1, -1) is as empty as (1, 0)"
+    ),
+    "condorcet_analysis: if margin > worst[y]: [col 15: op0 Gt->GtE]": (
+        "on equality the store writes the value worst[y] already holds"
+    ),
+    "condorcet_analysis: if -margin > worst[x]: [col 15: op0 Gt->GtE]": (
+        "on equality the store writes the value worst[x] already holds"
     ),
     "sanitize_ballot: candidate = slot[0] [col 25: 0->-1]": (
         "the line runs only on a slot of one candidate, where slot[0] is slot[-1]"
