@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import reports
@@ -64,6 +65,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_TIE = 4
+
+# the spoiler search counts each subset of losers up to --spoiler-max-size,
+# C(losers, k) of each size k, one count apiece; an audit that asks for more
+# than this many subsets is refused before any count
+SPOILER_MAX_SUBSETS = 100_000
 
 
 def _add_source_args(sub: argparse.ArgumentParser) -> None:
@@ -329,6 +335,20 @@ def _shift_max(scan, claim) -> int | None:
     )
 
 
+def _check_spoiler_subsets(losers: int, max_size: int) -> None:
+    """Refuse a spoiler search over more than SPOILER_MAX_SUBSETS subsets:
+    C(losers, k) for each size k up to max_size, summed only as far as the
+    bound, so a huge roster costs a few terms."""
+    subsets = 0
+    for size in range(1, min(max_size, losers) + 1):
+        subsets += math.comb(losers, size)
+        if subsets > SPOILER_MAX_SUBSETS:
+            raise UsageError(
+                f"audit: --spoiler-max-size {max_size} over {losers} losing candidates "
+                f"gives more than {SPOILER_MAX_SUBSETS:,} subsets to count"
+            )
+
+
 def cmd_audit(args) -> int:
     if args.checks == "all":
         checks = set(_ALL_CHECKS)
@@ -342,6 +362,8 @@ def cmd_audit(args) -> int:
     if args.spoiler_max_size < 1:
         raise UsageError("audit: --spoiler-max-size must be a positive integer")
     profile = _load(args)
+    if "spoiler" in checks:
+        _check_spoiler_subsets(len(profile.roster.candidates) - 1, args.spoiler_max_size)
     options = _options_from_args(args)
     bodies: dict = {}
     discrepancies: list[dict] = []

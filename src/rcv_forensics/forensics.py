@@ -20,6 +20,14 @@ monotone across elimination-order changes. Consecutive t values with the same
 new winner merge into one witness; a t whose count hits an
 elimination tie is never a witness and is reported separately as a boundary.
 
+``find_spoilers`` removes subsets of losing candidates by elimination, not
+by rebuilding the profile: a candidate struck from every ranking counts as
+one eliminated before round 1 (each ballot moves to its next choice, and one
+left with none is exhausted), so the profile is piled once
+(``methods._piled``) and each subset is counted on a copy of those piles by
+``methods.winner_without``. Only the original winner is a full
+``rcv_tabulate``.
+
 ``brute_force_oracle`` re-derives every report by plain enumeration over the
 public profile edits and full tabulation, for small instances only; it exists
 to pin the searches down, so it deliberately shares none of their scan code.
@@ -33,7 +41,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cvr import ValidationError
-from .methods import EditCount, PrefixTrie, RcvOptions, TieError, rcv_tabulate, rcv_winner
+from .methods import (
+    EditCount, PrefixTrie, RcvOptions, TieError, _piled, rcv_tabulate, rcv_winner, winner_without,
+)
 from .profiles import PreferenceProfile, Ranking
 
 
@@ -280,24 +290,25 @@ def find_spoilers(
     profile: PreferenceProfile, options: RcvOptions, max_subset_size: int = 1
 ) -> SpoilerScan:
     """Remove every nonempty subset of losing candidates up to the given size
-    and report subsets whose removal changes the winner."""
-    base = rcv_tabulate(profile, options)
-    original_winner = base.winner
+    and report subsets whose removal changes the winner. The profile is
+    piled once, and each subset is counted on a copy of those piles by
+    ``winner_without``, which eliminates the subset before round 1."""
+    original_winner = rcv_tabulate(profile, options).winner
     losers = [cid for cid in profile.roster.ids() if cid != original_winner]
+    piles = _piled(profile, options)
     witnesses = []
     tie_subsets = []
     for size in range(1, min(max_subset_size, len(losers)) + 1):
         for subset in itertools.combinations(losers, size):
-            reduced = profile.remove_candidates(subset)
             try:
-                result = rcv_tabulate(reduced, options)
+                winner = winner_without(piles, subset, options.tie_policy)
             except TieError:
                 tie_subsets.append(subset)
                 continue
             except ValidationError:
                 continue  # nothing left to tabulate
-            if result.winner != original_winner:
-                witnesses.append(SpoilerWitness(subset, original_winner, result.winner))
+            if winner != original_winner:
+                witnesses.append(SpoilerWitness(subset, original_winner, winner))
     return SpoilerScan(tuple(witnesses), tuple(tie_subsets))
 
 

@@ -14,6 +14,14 @@ entries). That walk is also the transfer record. ``_decide`` is the IRV round
 rule, and ``_unique`` picks the single best-scoring candidate of the other
 methods or raises ``TieError``.
 
+The spoiler search strikes subsets of losing candidates from a profile.
+Striking a candidate from every ranking moves each row to its next
+continuing choice and leaves a ranking it empties exhausted, which is what
+eliminating the candidate before round 1, with the write-in batch, does; the
+total is the same either way. So ``_piled`` piles the profile once, after
+the write-in batch, and ``winner_without`` counts each subset on a copy of
+those piles: the subset leaves at once and the rounds run without records.
+
 The t-scans count many edits of one profile, each at every t. A
 ``PrefixTrie`` piles the whole profile once and keeps, per elimination
 prefix reached, that round's tallies and a memo of the round's decisions;
@@ -168,14 +176,21 @@ class _Piles:
         tallies = {cid: votes[cid] - held[cid] for cid in self.piles}
         return tallies, sum(map(held.__getitem__, self.piles))
 
-    def without(self, loser: str) -> _Piles:
-        """A copy with loser eliminated, walking only its pile; flagged
-        ballots are no longer held."""
+    def copy(self) -> _Piles:
+        """A copy that can be walked without moving a row of this one; the
+        rows themselves are shared."""
         copy = object.__new__(_Piles)
         copy.piles = {cid: pile.copy() for cid, pile in self.piles.items()}
         copy.votes = self.votes.copy()
-        copy.held = None
+        copy.held = None if self.held is None else self.held.copy()
         copy.exhausted, copy.total = self.exhausted, self.total
+        return copy
+
+    def without(self, loser: str) -> _Piles:
+        """A copy with loser eliminated, walking only its pile; flagged
+        ballots are no longer held."""
+        copy = self.copy()
+        copy.held = None
         copy.eliminate((loser,), record=False)
         return copy
 
@@ -241,6 +256,16 @@ def _writein_batch(roster: CandidateRoster, options: RcvOptions) -> tuple[str, .
     return ()
 
 
+def _piled(profile: PreferenceProfile, options: RcvOptions) -> _Piles:
+    """The profile's entries piled, with the write-in batch walked out: the
+    count as round 1 finds it, flagged totals held in buggy mode."""
+    piles = _Piles(profile.roster.ids(), _entries_of(profile), options.buggy_first_round)
+    batch = _writein_batch(profile.roster, options)
+    if batch:
+        piles.eliminate(batch, record=False)
+    return piles
+
+
 def _decide(
     tallies: dict[str, int], continuing: int, tie_policy: TiePolicy, round_no: int
 ) -> tuple[bool, str]:
@@ -297,6 +322,38 @@ def rcv_tabulate(
         round_no += 1
 
 
+def winner_without(piles: _Piles, removed: Iterable[str], tie_policy: TiePolicy) -> str:
+    """The IRV winner of the profile piled as piles (by ``_piled``) with the
+    removed candidates struck from the roster and from every ranking, or the
+    TieError or ValidationError that ``rcv_tabulate`` of that reduced profile
+    raises; piles is left as it was.
+
+    Striking a candidate moves each of its rows to the row's next continuing
+    choice, and a ranking left empty is exhausted: that is what eliminating
+    the candidate before round 1, in the write-in batch, does. So the
+    removed candidates leave one copy of piles at once, those already walked
+    out with the batch skipped, and the rounds are counted without records.
+    """
+    if piles.total == 0:
+        raise ValidationError("cannot tabulate an empty profile")
+    count = piles.copy()
+    count.eliminate([cid for cid in removed if cid in count.piles], record=False)
+    if not count.piles:
+        raise ValidationError("no candidates left to tabulate")
+    hold = count.held is not None  # buggy mode: flagged ballots pending in round 1
+    round_no = 1
+    while True:
+        tallies, pending = count.standing(hold)
+        won, cid = _decide(
+            tallies, count.total - count.exhausted - pending, tie_policy, round_no
+        )
+        if won:
+            return cid
+        count.eliminate((cid,), record=False)
+        hold = False
+        round_no += 1
+
+
 class PrefixTrie:
     """The elimination prefixes of one profile under one set of options,
     shared by every t-scan edit of it.
@@ -313,10 +370,7 @@ class PrefixTrie:
     __slots__ = ("entries", "total", "tie_policy", "root")
 
     def __init__(self, profile: PreferenceProfile, options: RcvOptions):
-        piles = _Piles(profile.roster.ids(), _entries_of(profile), options.buggy_first_round)
-        batch = _writein_batch(profile.roster, options)
-        if batch:
-            piles.eliminate(batch, record=False)
+        piles = _piled(profile, options)
         self.entries = profile.entries
         self.total = piles.total
         self.tie_policy = options.tie_policy

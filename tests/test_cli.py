@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rcv_forensics import fixture_roster, sanitize as sanitize_module
+import rcv_forensics.cli as cli
 from rcv_forensics.cli import main
 from rcv_forensics.cvr import emit_cvr, roster_to_json_dict
 
@@ -647,6 +648,32 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--config", str(config), "--checks", "spoiler")
         assert code == 2
         assert "--spoiler-max-size" in err
+
+    @pytest.mark.parametrize("size, code", [(3, 2), (1, 0)])
+    def test_spoiler_subsets_bounded(self, capsys, tmp_path, monkeypatch, size, code):
+        """1,101 candidates leave 1,100 losers: 1,100 subsets of one are
+        searched, but C(1100, 3) subsets up to size 3 are refused before the
+        search starts."""
+        ids = [f"c{i}" for i in range(1101)]
+        roster = tmp_path / "roster.json"
+        roster.write_text(json.dumps({"candidates": [{"id": c, "name": c} for c in ids]}))
+        cvr = tmp_path / "votes.jsonl"
+        cvr.write_text('{"ballot_id": "b0", "ranks": [["c0"]]}\n')
+        if code:
+            monkeypatch.setattr(cli, "find_spoilers", lambda *a: pytest.fail("search started"))
+        got, out, err = run(
+            capsys, "audit", "--input", str(cvr), "--roster", str(roster),
+            "--checks", "spoiler", "--spoiler-max-size", str(size),
+        )
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (
+                "error: audit: --spoiler-max-size 3 over 1100 losing candidates "
+                "gives more than 100,000 subsets to count\n"
+            )
+        else:
+            assert err == "" and "spoiler" in out
 
     def test_text_mentions_unresolved_discrepancy(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import random
 import types
@@ -19,6 +20,7 @@ from rcv_forensics import (
     TieError,
     TiePolicy,
     ValidationError,
+    WriteinPolicy,
     brute_force_oracle,
     emit_cvr,
     find_spoilers,
@@ -38,6 +40,7 @@ from rcv_forensics.forensics import _shift
 from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import make_random_profile
+from test_pile_count import multiround_profile
 
 OPTS = RcvOptions()
 BUGGY = RcvOptions(buggy_first_round=True)
@@ -73,6 +76,112 @@ class TestSpoilers:
         )
         report = brute_force_oracle(profile, OPTS)
         assert report.spoilers.witnesses == ()
+
+
+def reference_find_spoilers(profile, options, max_subset_size=1):
+    """The spoiler search as a profile edit: each subset is struck from the
+    roster and every ranking by ``remove_candidates``, and the reduced
+    profile is tabulated in full."""
+    base = rcv_tabulate(profile, options)
+    original_winner = base.winner
+    losers = [cid for cid in profile.roster.ids() if cid != original_winner]
+    witnesses = []
+    tie_subsets = []
+    for size in range(1, min(max_subset_size, len(losers)) + 1):
+        for subset in itertools.combinations(losers, size):
+            reduced = profile.remove_candidates(subset)
+            try:
+                result = rcv_tabulate(reduced, options)
+            except TieError:
+                tie_subsets.append(subset)
+                continue
+            except ValidationError:
+                continue  # nothing left to tabulate
+            if result.winner != original_winner:
+                witnesses.append(SpoilerWitness(subset, original_winner, result.winner))
+    return forensics.SpoilerScan(tuple(witnesses), tuple(tie_subsets))
+
+
+def spoiler_outcome(search, profile, options, size):
+    """A search's SpoilerScan, or the type of the error it raised."""
+    try:
+        return search(profile, options, size)
+    except (TieError, ValidationError) as exc:
+        return type(exc)
+
+
+def random_spoiler_case(rng):
+    """A profile over 2-6 official candidates and 0-2 write-ins, of 1-12
+    flagged or unflagged types that may be empty or rank only write-ins,
+    with options covering both write-in and tie policies and buggy mode."""
+    officials = list("ABCDEF"[: rng.randint(2, 6)])
+    writeins = ["W", "X"][: rng.randint(0, 2)]
+    roster = CandidateRoster(
+        tuple(Candidate(c, c) for c in officials)
+        + tuple(Candidate(c, c, is_writein=True) for c in writeins)
+    )
+    ids = officials + writeins
+    entries = {}
+    for _ in range(rng.randint(1, 12)):
+        key = (tuple(rng.sample(ids, rng.randint(0, len(ids)))), rng.random() < 0.3)
+        entries[key] = entries.get(key, 0) + rng.randint(1, 9)
+    tie_policy = rng.choice(list(TiePolicy))
+    if rng.random() < 0.4:
+        options = RcvOptions(tie_policy=tie_policy, buggy_first_round=True)
+    else:
+        options = RcvOptions(rng.choice(list(WriteinPolicy)), tie_policy)
+    return PreferenceProfile(roster, entries), options
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spoilers_match_reference_on_random_profiles(seed):
+    """Eliminating a subset before round 1 on shared piles gives what
+    striking it from the profile and tabulating gives: the same witnesses
+    and tie subsets, or the same error. The draws include searches that
+    raise or find tied subsets, and subsets whose removal leaves every
+    ranking empty."""
+    rng = random.Random(seed)
+    ties = emptied = 0
+    for _ in range(250):
+        profile, options = random_spoiler_case(rng)
+        size = rng.randint(1, 3)
+        expected = spoiler_outcome(reference_find_spoilers, profile, options, size)
+        assert spoiler_outcome(find_spoilers, profile, options, size) == expected
+        if expected is TieError or expected.tie_subsets:
+            ties += 1
+        elif expected is not ValidationError:
+            ranked = {cid for ranking, _ in profile.entries for cid in ranking}
+            winner = rcv_tabulate(profile, options).winner
+            emptied += winner not in ranked and len(ranked) <= size
+    assert ties and emptied
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_spoilers_match_reference_at_full_size(size, table1, synthetic_profile):
+    """Table 1, the synthetic fixture in buggy mode, whose losers include
+    the write-ins its batch already walked out, and a profile of the
+    generated multi-round benchmark's shape under both tie policies. Size 1
+    is the search's default."""
+    generated = multiround_profile(23)
+    for profile, options in (
+        (table1, OPTS), (synthetic_profile, BUGGY), (generated, OPTS), (generated, LEX),
+    ):
+        expected = reference_find_spoilers(profile, options, size)
+        sized = (size,) if size > 1 else ()  # size 1 through the default
+        assert find_spoilers(profile, options, *sized) == expected
+
+
+def test_spoilers_count_on_shared_piles(table1, monkeypatch):
+    """One spoiler search tabulates only the original profile and rebuilds
+    no profile per subset."""
+    tabulated, rebuilt = [], []
+    tabulate, remove = forensics.rcv_tabulate, PreferenceProfile.remove_candidates
+    monkeypatch.setattr(forensics, "rcv_tabulate", lambda *a: tabulated.append(1) or tabulate(*a))
+    monkeypatch.setattr(
+        PreferenceProfile, "remove_candidates", lambda *a: rebuilt.append(1) or remove(*a)
+    )
+    assert find_spoilers(table1, OPTS, 2).witnesses == (SpoilerWitness(("R",), "H", "M"),)
+    assert (len(tabulated), len(rebuilt)) == (1, 0)
 
 
 class TestMonotonicityTable1:
@@ -389,6 +498,7 @@ class TestOracle:
         shared = {
             "_scan", "_shift", "_promote", "_entries_of", "PrefixTrie", "EditCount",
             "_evaluate", "_round", "_steady", "rcv_winner", "verify_witness",
+            "winner_without", "_piled", "_Piles", "_decide",
         }
         assert names & shared == set()
         assert "rcv_tabulate" in names

@@ -5,9 +5,11 @@ round: ``_count`` counts each round anew and ``_transfers`` walks the
 entries again to record where removed candidates' ballots go. They are the
 only copy of that algorithm and exist to check ``methods.rcv_tabulate`` and
 ``methods.plurality_runoff``, which re-route only the removed candidates'
-piles, and ``methods.rcv_winner``, which counts a t-scan edit from a trie of
+piles, ``methods.rcv_winner``, which counts a t-scan edit from a trie of
 memoized round tallies shared by every edit of a profile, and answers a t
-inside a known constant-outcome segment without counting. Every record,
+inside a known constant-outcome segment without counting, and
+``methods.winner_without``, which counts a profile with candidates struck
+out by eliminating them from the profile's shared piles. Every record,
 winner, tie and error message must agree.
 """
 
@@ -39,9 +41,11 @@ from rcv_forensics.methods import (
     TabulationResult,
     TransferRecord,
     _entries_of,
+    _piled,
     _steady,
     _unique,
     rcv_winner,
+    winner_without,
 )
 from rcv_forensics.cvr import Candidate, CandidateRoster
 from rcv_forensics.profiles import PreferenceProfile
@@ -227,6 +231,34 @@ def test_pile_count_matches_reference(seed):
                 expected = ("ok", TabulationResult("rcv", winner, tuple(rounds), profile.total()))
             assert repr(outcome(rcv_tabulate, profile, options)) == repr(expected)
         assert repr(outcome(plurality_runoff, profile)) == repr(outcome(reference_runoff, profile))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_winner_without_matches_reference(seed):
+    """winner_without on one profile's piles, against the reference round
+    loop on the profile with the same candidates struck out by
+    ``remove_candidates``: the winner, or the error's tied set and message.
+    The subsets of one profile and option set share one set of piles, so a
+    count that moved their rows shows on the next. Striking may empty the
+    roster, leave only write-ins or empty every ranking, and some profiles
+    hold no ballots at all."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        profile = random_case(rng)
+        if rng.random() < 0.05:
+            profile = PreferenceProfile(profile.roster, {})
+        ids = profile.roster.ids()
+        subsets = [tuple(rng.sample(ids, rng.randint(0, len(ids)))) for _ in range(4)]
+        for options in OPTIONS:
+            piles = _piled(profile, options)
+            for removed in subsets:
+                reduced = profile.remove_candidates(removed)
+                entries = _entries_of(reduced)
+                expected = outcome(
+                    lambda: reference_tabulate(reduced.roster, entries, options, False)[0]
+                )
+                got = outcome(winner_without, piles, removed, options.tie_policy)
+                assert got == expected, (removed, options)
 
 
 def edited_entries(profile, source, moved_to, t):

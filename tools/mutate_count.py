@@ -36,9 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GATE = {
     Path("src/rcv_forensics/methods.py"): (
         (
-            "_Piles", "_writein_batch", "_decide", "rcv_tabulate", "PrefixTrie", "EditCount",
-            "_steady", "_round", "_evaluate", "rcv_winner", "plurality_runoff",
-            "_find_majority_cycle", "condorcet_analysis",
+            "_Piles", "_writein_batch", "_piled", "_decide", "rcv_tabulate", "winner_without",
+            "PrefixTrie", "EditCount", "_steady", "_round", "_evaluate", "rcv_winner",
+            "plurality_runoff", "_find_majority_cycle", "condorcet_analysis",
         ),
         ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
     ),
@@ -47,7 +47,7 @@ GATE = {
         ("tests/test_profiles.py", "tests/test_methods.py"),
     ),
     Path("src/rcv_forensics/forensics.py"): (
-        ("_scan", "verify_witness"),
+        ("_scan", "find_spoilers", "verify_witness"),
         ("tests/test_forensics.py",),
     ),
     Path("src/rcv_forensics/sanitize.py"): (
@@ -96,6 +96,12 @@ EQUIVALENT = {
     ),
     "condorcet_analysis: if -margin > worst[x]: [col 15: op0 Gt->GtE]": (
         "on equality the store writes the value worst[x] already holds"
+    ),
+    "find_spoilers: for size in range(1, min(max_subset_size, len(losers)) + 1): "
+    "[col 22: 1->0]": (
+        "size 0 adds only the empty subset, which counts the unedited profile: its "
+        "winner is the original one, found without a tie, so it is neither a witness "
+        "nor a tie subset"
     ),
     "sanitize_ballot: candidate = slot[0] [col 25: 0->-1]": (
         "the line runs only on a slot of one candidate, where slot[0] is slot[-1]"
