@@ -30,7 +30,10 @@ ballots of a source type move to another ranking or are removed, which
 takes t from the tally where the source row counts and adds t where the
 destination row counts. While the elimination path is fixed every tally is
 therefore affine in t, so one full count at t (``_evaluate``) also finds the
-last t' up to which no comparison that decided a round changes sign.
+last t' up to which no comparison that ``_decide`` makes in a round changes
+sign: a winner's majority margin, or, in a round not won, every majority
+margin and the gap from each candidate to the lowest tallies. Tallies that
+merely pass each other above the lowest decide nothing and end no segment.
 ``rcv_winner(count, t)`` answers any t inside that constant-outcome segment
 without counting. A round at a prefix depends only on the candidates the
 two rows count for there and on t, so the edits of a search that share
@@ -417,11 +420,13 @@ def _round(
     """One round of an edit at a prefix whose tallies are base: key is
     (source, destination, t), t ballots leaving the source candidate's
     tally for the destination's (None is no one), or None when no tally
-    moves. Returns (rise, won, outcome): rise is how far t may grow with
-    every tally difference that moves with t and the leader's majority
-    margin keeping its sign, which fixes the round's decision; won and
-    outcome are ``_decide``'s, or None and the (tied, context) of its
-    TieError."""
+    moves. Returns (rise, won, outcome): won and outcome are ``_decide``'s,
+    or None and the (tied, context) of its TieError, and rise is how far t
+    may grow with every comparison ``_decide`` made keeping its sign, which
+    fixes the decision. A majority winner keeps its majority margin; a
+    round not won keeps every candidate's majority margin and its lowest
+    set, each candidate outside that set staying above the set's members.
+    The other tallies may cross each other: no rule reads their order."""
     tallies, slopes = base, {}
     if key is not None:
         source, dest, t = key
@@ -431,17 +436,27 @@ def _round(
                 slopes[cid] = slope
                 tallies[cid] += slope * t
     continuing = sum(tallies.values())
-    leader = max(tallies, key=tallies.__getitem__)
-    margin_slope = 2 * slopes.get(leader, 0) - sum(slopes.values())
-    rise = _steady(2 * tallies[leader] - continuing, margin_slope)
-    for a, slope in slopes.items():
-        for b, n in tallies.items():
-            rise = min(rise, _steady(tallies[a] - n, slope - slopes.get(b, 0)))
     try:
-        won, cid = _decide(tallies, continuing, tie_policy, round_no)
+        won, outcome = _decide(tallies, continuing, tie_policy, round_no)
     except TieError as exc:  # keep only its fields: the memo outlives the call
-        return rise, None, (exc.tied, exc.context)
-    return rise, won, cid
+        won, outcome = None, (exc.tied, exc.context)
+    if not slopes or len(tallies) == 1:
+        return math.inf, won, outcome
+    total_slope = sum(slopes.values())
+    if won:
+        margin = 2 * tallies[outcome] - continuing
+        return _steady(margin, 2 * slopes.get(outcome, 0) - total_slope), won, outcome
+    low = min(tallies.values())
+    low_slopes = {slopes.get(cid, 0) for cid, n in tallies.items() if n == low}
+    if len(low_slopes) > 1:  # the lowest set splits at t + 1
+        return 0, won, outcome
+    (low_slope,) = low_slopes
+    rise = math.inf
+    for cid, n in tallies.items():
+        slope = slopes.get(cid, 0)
+        majority = _steady(2 * n - continuing, 2 * slope - total_slope)
+        rise = min(rise, majority, _steady(n - low, slope - low_slope))
+    return rise, won, outcome
 
 
 def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:

@@ -76,6 +76,13 @@ def _ranking_text(ranking) -> str:
     return " > ".join(ranking) if ranking else "(empty)"
 
 
+def _ballot_text(finding: dict) -> str:
+    """A finding's ballot type, marked when its as-cast first rank held no
+    valid candidate: two findings can differ in that flag alone."""
+    text = _ranking_text(finding.get("ballot_type"))
+    return text + " [first rank invalid]" if finding.get("raw_first_invalid") else text
+
+
 def _pairs_text(values: dict) -> str:
     return "  ".join(f"{key}={value}" for key, value in values.items())
 
@@ -215,7 +222,7 @@ def _witness_line(witness: dict) -> str:
     fields = dict(
         witness,
         removed=", ".join(witness.get("removed", ())),
-        type=_ranking_text(witness.get("ballot_type")),
+        type=_ballot_text(witness),
         modified=_ranking_text(witness.get("modified_type")),
         verb="down" if witness.get("direction") == "downward" else "up",
     )
@@ -229,7 +236,7 @@ def _boundary_line(boundary: dict) -> str:
     target = f" {boundary['candidate']}" if boundary["candidate"] else ""
     return (
         f"tie boundary: {boundary['edit']}{target} at t={boundary['count']} on "
-        f"{_ranking_text(boundary['ballot_type'])} (tied: {', '.join(boundary['tied'])})"
+        f"{_ballot_text(boundary)} (tied: {', '.join(boundary['tied'])})"
     )
 
 

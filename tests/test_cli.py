@@ -537,6 +537,18 @@ class TestAudit:
         assert discrepancy["computed"] == 299
         assert discrepancy["status"] == "unresolved discrepancy"
 
+    def test_text_marks_an_invalid_first_rank(self, capsys):
+        """table2-examples holds A > B ballots with and without the
+        raw_first_invalid flag, and each gives a tie boundary at t=3: the text
+        report tells the two apart, as the JSON report does."""
+        code, out, _ = run(capsys, "audit", "--fixture", "table2-examples")
+        assert code == 0
+        boundaries = [line for line in out.splitlines() if line.startswith("tie boundary:")]
+        assert boundaries == [
+            "tie boundary: promote B at t=3 on A > B (tied: C, D, E)",
+            "tie boundary: promote B at t=3 on A > B [first rank invalid] (tied: C, D, E)",
+        ]
+
     def test_buggy_noshow_check(self, capsys):
         code, out, _ = run(
             capsys,

@@ -414,10 +414,10 @@ TABLE1_SEARCHES = {
 def test_table1_scan_work_pinned(table1, monkeypatch):
     """The t-scans count Table 1 once per t through ``forensics.rcv_winner``:
     20,376 / 10,956 / 26,432 / 30,181 calls for the downward, upward,
-    no-show and compromise searches. Of those, 30 / 14 / 43 / 60 walk the
+    no-show and compromise searches. Of those, 22 / 8 / 37 / 47 walk the
     rounds (``methods._evaluate``); every other call falls inside the
     constant-outcome segment of the last one that did. Those walks decide
-    25 / 14 / 28 / 42 rounds (``methods._round``); every other round they
+    17 / 8 / 24 / 32 rounds (``methods._round``); every other round they
     pass is a repeat of a decided one at the same trie node, taken from its
     memo. With the spoiler search, as in ``audit --checks all``, they find
     10 witnesses and 27 tie boundaries."""
@@ -439,8 +439,8 @@ def test_table1_scan_work_pinned(table1, monkeypatch):
     witnesses += len(spoilers.witnesses)
     boundaries += len(spoilers.tie_subsets)
     assert work == {
-        "downward": (20376, 30, 25), "upward": (10956, 14, 14),
-        "noshow": (26432, 43, 28), "compromise": (30181, 60, 42),
+        "downward": (20376, 22, 17), "upward": (10956, 8, 8),
+        "noshow": (26432, 37, 24), "compromise": (30181, 47, 32),
     }
     assert (witnesses, boundaries) == (10, 27)
 

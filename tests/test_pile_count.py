@@ -41,7 +41,9 @@ from rcv_forensics.methods import (
     TabulationResult,
     TransferRecord,
     _entries_of,
+    _decide,
     _piled,
+    _round,
     _steady,
     _unique,
     rcv_winner,
@@ -343,6 +345,98 @@ def test_steady_keeps_sign(value, slope, rise):
         assert sign(value + slope * rise) == sign(value) != sign(value + slope * (rise + 1))
 
 
+def _decided(base, source, dest, t, tie_policy):
+    """``_decide`` on base with t ballots moved from source to dest (None
+    is no one): (won, candidate), or None and the TieError's fields."""
+    tallies = dict(base)
+    if source is not None:
+        tallies[source] -= t
+    if dest is not None:
+        tallies[dest] += t
+    try:
+        return _decide(tallies, sum(tallies.values()), tie_policy, 3)
+    except TieError as exc:
+        return None, (exc.tied, exc.context)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_round_rise_keeps_the_decision(seed):
+    """Every t' in t..t + rise of a ``_round`` decides as t does: the same
+    winner or loser, or the same tied set. Tallies of 1 to 5 candidates, a
+    source and a destination that may each be no one (a removal when the
+    destination is), both tie policies and random t; a source's tally never
+    goes below zero, and with no source t' runs 40 past t."""
+    rng = random.Random(seed)
+    checks = 0
+    for _ in range(2500):
+        ids = "ABCDE"[: rng.randint(1, 5)]
+        base = {cid: rng.randint(0, 12) for cid in ids}
+        source, dest = rng.choice([*ids, None]), rng.choice([*ids, None])
+        if source == dest:
+            continue
+        last = base[source] if source is not None else 40
+        t = rng.randint(0, last)
+        if source is None:
+            last += t
+        for tie_policy in TiePolicy:
+            rise, won, decided = _round(base, (source, dest, t), tie_policy, 3)
+            assert (won, decided) == _decided(base, source, dest, t, tie_policy)
+            for later in range(t + 1, min(t + rise, last) + 1):
+                got = _decided(base, source, dest, later, tie_policy)
+                assert got == (won, decided), (base, source, dest, t, later, tie_policy)
+                checks += 1
+    assert checks > 10_000
+
+
+@pytest.mark.parametrize(
+    "base, key, tie_policy, decision",
+    [
+        ({"A": 3}, ("A", None, 1), TiePolicy.ERROR, (math.inf, True, "A")),
+        ({"A": 0}, (None, "A", 0), TiePolicy.ERROR, (math.inf, True, "A")),
+        ({"A": 7, "B": 2}, ("A", "B", 0), TiePolicy.ERROR, (2, True, "A")),
+        ({"A": 5, "B": 4, "C": 1}, ("B", "C", 0), TiePolicy.ERROR, (1, False, "C")),
+        ({"A": 6, "B": 5, "C": 4, "D": 1}, ("B", "C", 0), TiePolicy.ERROR, (3, False, "D")),
+        (
+            {"A": 4, "B": 3, "C": 3}, ("B", "A", 0), TiePolicy.ERROR,
+            (0, None, (("B", "C"), "round 3 elimination")),
+        ),
+        ({"A": 4, "B": 3, "C": 3}, ("B", "A", 0), TiePolicy.ELIMINATE_LEX_SMALLEST, (0, False, "B")),
+        (
+            {"A": 1, "B": 1}, None, TiePolicy.ERROR,
+            (math.inf, None, (("A", "B"), "round 3 elimination")),
+        ),
+    ],
+    ids=[
+        "last-loses", "last-gains", "majority-margin", "lowest-overtaken", "mid-field-swap",
+        "lowest-splits-tie", "lowest-splits-lex", "nothing-moves",
+    ],
+)
+def test_round_rise_ends_at_the_first_flip(base, key, tie_policy, decision):
+    """The rise of a ``_round`` reaches the last t before one of the
+    comparisons ``_decide`` made flips, and no nearer: the last candidate
+    wins whatever moves; a majority winner keeps its margin (t = 2 leaves
+    A 5 of 9, t = 3 A 4); C stays lowest to t = 1 and B takes its place at
+    t = 2; B and C swap at t = 1 above the lowest D, which only B overtakes
+    after t = 3; a tied lowest set whose members move apart splits at once."""
+    assert _round(base, key, tie_policy, 3) == decision
+
+
+def test_mid_field_swap_keeps_one_segment():
+    """Moving ballots from B to C swaps the 2nd and 3rd tallies between t = 0
+    and t = 1, but round 1 reads only D's lowest tally and the majority
+    margins, so one count covers t = 0..3; at t = 4 B ties D for lowest."""
+    roster = CandidateRoster(tuple(Candidate(c, c) for c in "ABCD"))
+    profile = PreferenceProfile(
+        roster,
+        {(("A",), False): 10, (("B",), False): 6, (("C",), False): 5, (("D", "A"), False): 2},
+    )
+    count = EditCount(PrefixTrie(profile, RcvOptions()), (("B",), False), ("C",))
+    assert rcv_winner(count, 0) == "A"
+    assert count.segment == (0, 3, "A")
+    with pytest.raises(TieError, match="round 1 elimination: tie among B, D"):
+        rcv_winner(count, 4)
+
+
 def test_segment_stops_at_the_edit_size_and_short_of_an_empty_profile(monkeypatch):
     """A segment never reaches past the source count, and a removal's never
     reaches the t that empties the profile, whose count is an error. Every t
@@ -367,7 +461,8 @@ def test_segment_stops_at_the_edit_size_and_short_of_an_empty_profile(monkeypatc
 def test_scan_counts_match_reference_at_full_size(case, table1, synthetic_profile, monkeypatch):
     """Every rcv_winner call of the four edit searches on a full fixture,
     answered from the shared trie and the segments, against the reference
-    round loop counting the edited profile from scratch at that t."""
+    round loop counting the edited profile from scratch at that t; and how
+    many of those calls counted in full (``methods._evaluate``)."""
     profile, options = {
         "table1": (table1, RcvOptions()),
         "synthetic-buggy": (synthetic_profile, RcvOptions(buggy_first_round=True)),
@@ -381,12 +476,16 @@ def test_scan_counts_match_reference_at_full_size(case, table1, synthetic_profil
         calls.append(t)
         return rcv_winner(count, t)
 
+    full = []
+    evaluate = methods._evaluate
     monkeypatch.setattr(forensics, "rcv_winner", checked)
+    monkeypatch.setattr(methods, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
     for direction in Direction:
         search_monotonicity(profile, options, direction)
     search_noshow(profile, options)
     search_compromise(profile, options)
     assert len(calls) == {"table1": 87945, "synthetic-buggy": 86234}[case]
+    assert len(full) == {"table1": 114, "synthetic-buggy": 136}[case]
 
 
 MULTIROUND_OPTIONS = [
