@@ -10,9 +10,9 @@ counted for anyone ("pending"); after any elimination they count normally.
 IRV and plurality runoff count with ``_Piles``: each entry sits in the pile
 of its top continuing choice, and removing candidates walks only their piles,
 so a tabulation costs O(entries + ballots moved) rather than O(rounds x
-entries). That walk is also the transfer record. ``_decide`` is the IRV round
-rule, and ``_unique`` picks the single best-scoring candidate of the other
-methods or raises ``TieError``.
+entries). That walk is also the transfer record. ``_irv`` is the one IRV
+round loop and ``_decide`` its round rule; ``_unique`` picks the single
+best-scoring candidate of the other methods or raises ``TieError``.
 
 The spoiler search strikes subsets of losing candidates from a profile.
 Striking a candidate from every ranking moves each row to its next
@@ -20,7 +20,8 @@ continuing choice and leaves a ranking it empties exhausted, which is what
 eliminating the candidate before round 1, with the write-in batch, does; the
 total is the same either way. So ``_piled`` piles the profile once, after
 the write-in batch, and ``winner_without`` counts each subset on a copy of
-those piles: the subset leaves at once and the rounds run without records.
+those piles: the subset leaves at once, and ``_irv`` runs the rounds without
+records, the same round loop as ``rcv_tabulate``'s recorded count.
 
 The t-scans count many edits of one profile, each at every t. A
 ``PrefixTrie`` piles the whole profile once and keeps, per elimination
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cvr import CandidateRoster, ValidationError
+from .cvr import ValidationError
 from .profiles import PairwiseMatrix, PreferenceProfile, Ranking
 
 
@@ -146,8 +147,11 @@ def _entries_of(profile: PreferenceProfile) -> list[Entry]:
 class _Piles:
     """Every entry row in the pile of its top continuing choice, with each
     pile's vote total kept as rows move; a candidate continues while it has
-    a pile. The rows are the caller's and are never mutated. held, when
-    tracked, is each pile's total of flagged ballots."""
+    a pile. The rows are the caller's and are never mutated. held is each
+    pile's total of flagged ballots exactly while round 1's flagged ballots
+    are pending (buggy mode), else None: the walks before round 1 (the
+    write-in batch, a spoiler strike) carry it with their rows, and round
+    1's elimination drops it."""
 
     __slots__ = ("piles", "votes", "held", "exhausted", "total")
 
@@ -169,12 +173,11 @@ class _Piles:
         self.exhausted = exhausted
         self.total = exhausted + sum(votes.values())
 
-    def standing(self, hold: bool) -> tuple[dict[str, int], int]:
+    def standing(self) -> tuple[dict[str, int], int]:
         """Each continuing candidate's tally in roster order, and the pending
-        total: under hold (buggy round 1) flagged ballots are pending, not
-        counted."""
+        total: while held, flagged ballots are pending, not counted."""
         votes, held = self.votes, self.held
-        if not hold:
+        if held is None:
             return {cid: votes[cid] for cid in self.piles}, 0
         tallies = {cid: votes[cid] - held[cid] for cid in self.piles}
         return tallies, sum(map(held.__getitem__, self.piles))
@@ -187,14 +190,6 @@ class _Piles:
         copy.votes = self.votes.copy()
         copy.held = None if self.held is None else self.held.copy()
         copy.exhausted, copy.total = self.exhausted, self.total
-        return copy
-
-    def without(self, loser: str) -> _Piles:
-        """A copy with loser eliminated, walking only its pile; flagged
-        ballots are no longer held."""
-        copy = self.copy()
-        copy.held = None
-        copy.eliminate((loser,), record=False)
         return copy
 
     def eliminate(
@@ -252,20 +247,22 @@ def _unique(scores: dict[str, int], context: str, pick=max) -> str:
     return tied[0]
 
 
-def _writein_batch(roster: CandidateRoster, options: RcvOptions) -> tuple[str, ...]:
-    """The write-ins eliminated at once before round 1, in roster order."""
+def _piled(
+    profile: PreferenceProfile, options: RcvOptions, rounds: list[RoundRecord] | None = None
+) -> _Piles:
+    """The profile's entries piled, with the write-in batch (every write-in,
+    in roster order) walked out at once: the count as round 1 finds it,
+    flagged totals held in buggy mode. When rounds is a list, the batch
+    walk is appended to it as round 0."""
+    roster = profile.roster
+    piles = _Piles(roster.ids(), _entries_of(profile), options.buggy_first_round)
     if options.writein_policy is WriteinPolicy.ELIMINATE_FIRST:
-        return tuple(sorted(roster.writein_ids(), key=roster.index))
-    return ()
-
-
-def _piled(profile: PreferenceProfile, options: RcvOptions) -> _Piles:
-    """The profile's entries piled, with the write-in batch walked out: the
-    count as round 1 finds it, flagged totals held in buggy mode."""
-    piles = _Piles(profile.roster.ids(), _entries_of(profile), options.buggy_first_round)
-    batch = _writein_batch(profile.roster, options)
-    if batch:
-        piles.eliminate(batch, record=False)
+        batch = tuple(sorted(roster.writein_ids(), key=roster.index))
+        if batch:
+            tallies, exhausted = dict(piles.votes), piles.exhausted
+            transfers = piles.eliminate(batch, record=rounds is not None)
+            if rounds is not None:
+                rounds.append(RoundRecord(0, tallies, batch, exhausted, 0, transfers))
     return piles
 
 
@@ -286,43 +283,43 @@ def _decide(
     return False, min(tied)
 
 
+def _irv(count: _Piles, tie_policy: TiePolicy, rounds: list[RoundRecord] | None = None) -> str:
+    """The IRV winner of count, the piles as round 1 finds them: rounds run
+    until a candidate holds a strict majority of the continuing
+    (non-exhausted, non-pending) votes or stands alone. Rows move on count
+    itself. When rounds is a list, each round is appended to it."""
+    if count.total == 0:
+        raise ValidationError("cannot tabulate an empty profile")
+    if not count.piles:
+        raise ValidationError("no candidates left to tabulate")
+    round_no = 1
+    while True:
+        tallies, pending = count.standing()
+        exhausted = count.exhausted
+        won, cid = _decide(tallies, count.total - exhausted - pending, tie_policy, round_no)
+        if won:
+            if rounds is not None:
+                rounds.append(RoundRecord(round_no, tallies, (), exhausted, pending, ()))
+            return cid
+        held, rejoin = count.held, None
+        if held is not None:  # buggy round 1: the held ballots enter the count next round
+            rejoin = {c: held[c] for c in count.piles if c != cid and held[c]}
+        transfers = count.eliminate((cid,), rounds is not None, rejoin)
+        count.held = None
+        if rounds is not None:
+            rounds.append(RoundRecord(round_no, tallies, (cid,), exhausted, pending, transfers))
+        round_no += 1
+
+
 def rcv_tabulate(
     profile: PreferenceProfile, options: RcvOptions | None = None
 ) -> TabulationResult:
     """Run instant-runoff rounds until a candidate holds a strict majority of
     continuing (non-exhausted, non-pending) votes or stands alone."""
     options = options or RcvOptions()
-    roster = profile.roster
-    count = _Piles(roster.ids(), _entries_of(profile), track_held=options.buggy_first_round)
-    if count.total == 0:
-        raise ValidationError("cannot tabulate an empty profile")
     rounds: list[RoundRecord] = []
-    batch = _writein_batch(roster, options)
-    if batch:  # all write-ins leave at once, recorded as round 0
-        tallies, exhausted = dict(count.votes), count.exhausted
-        transfers = count.eliminate(batch, record=True)
-        rounds.append(RoundRecord(0, tallies, batch, exhausted, 0, transfers))
-
-    held = count.held  # buggy mode: flagged ballots stay pending through round 1
-    round_no = 1
-    while True:
-        if not count.piles:
-            raise ValidationError("no candidates left to tabulate")
-        tallies, pending = count.standing(held is not None)
-        exhausted = count.exhausted
-        won, cid = _decide(
-            tallies, count.total - exhausted - pending, options.tie_policy, round_no
-        )
-        if won:
-            rounds.append(RoundRecord(round_no, tallies, (), exhausted, pending, ()))
-            return TabulationResult("rcv", cid, tuple(rounds), profile.total())
-        rejoin = None
-        if held is not None:  # the held ballots enter the count next round
-            rejoin = {c: held[c] for c in count.piles if c != cid and held[c]}
-        transfers = count.eliminate((cid,), record=True, rejoin=rejoin)
-        rounds.append(RoundRecord(round_no, tallies, (cid,), exhausted, pending, transfers))
-        held = None
-        round_no += 1
+    winner = _irv(_piled(profile, options, rounds), options.tie_policy, rounds)
+    return TabulationResult("rcv", winner, tuple(rounds), profile.total())
 
 
 def winner_without(piles: _Piles, removed: Iterable[str], tie_policy: TiePolicy) -> str:
@@ -335,26 +332,11 @@ def winner_without(piles: _Piles, removed: Iterable[str], tie_policy: TiePolicy)
     choice, and a ranking left empty is exhausted: that is what eliminating
     the candidate before round 1, in the write-in batch, does. So the
     removed candidates leave one copy of piles at once, those already walked
-    out with the batch skipped, and the rounds are counted without records.
+    out with the batch skipped, and ``_irv`` counts the copy without records.
     """
-    if piles.total == 0:
-        raise ValidationError("cannot tabulate an empty profile")
     count = piles.copy()
     count.eliminate([cid for cid in removed if cid in count.piles], record=False)
-    if not count.piles:
-        raise ValidationError("no candidates left to tabulate")
-    hold = count.held is not None  # buggy mode: flagged ballots pending in round 1
-    round_no = 1
-    while True:
-        tallies, pending = count.standing(hold)
-        won, cid = _decide(
-            tallies, count.total - count.exhausted - pending, tie_policy, round_no
-        )
-        if won:
-            return cid
-        count.eliminate((cid,), record=False)
-        hold = False
-        round_no += 1
+    return _irv(count, tie_policy)
 
 
 class PrefixTrie:
@@ -363,12 +345,11 @@ class PrefixTrie:
 
     All rows are piled once, after the write-in batch. Each prefix reached
     so far (the losers in order) is a node of a trie rooted at round 1:
-    (tallies, hold, children by loser, piles, memo), where hold marks buggy
-    round 1, in which flagged ballots are pending, and memo maps a round key
+    (tallies, children by loser, piles, memo), where memo maps a round key
     (see ``_evaluate``) to the ``_round`` decision of that round. A child is
-    built from its parent's piles by walking out the one new loser, the
-    first time some count reaches it. The memo lives as long as the trie,
-    one search."""
+    built from a copy of its parent's piles by walking out the one new
+    loser, the first time some count reaches it, and holds no flagged
+    ballots. The memo lives as long as the trie, one search."""
 
     __slots__ = ("entries", "total", "tie_policy", "root")
 
@@ -377,13 +358,14 @@ class PrefixTrie:
         self.entries = profile.entries
         self.total = piles.total
         self.tie_policy = options.tie_policy
-        hold = options.buggy_first_round
-        self.root = (piles.standing(hold)[0], hold, {}, piles, {}) if piles.piles else None
+        self.root = (piles.standing()[0], {}, piles, {}) if piles.piles else None
 
     def child(self, node: tuple, loser: str) -> tuple:
         """node's child for loser, built and kept on first use."""
-        piles = node[3].without(loser)
-        new = node[2][loser] = (piles.standing(False)[0], False, {}, piles, {})
+        piles = node[2].copy()
+        piles.eliminate((loser,), record=False)
+        piles.held = None
+        new = node[1][loser] = (piles.standing()[0], {}, piles, {})
         return new
 
 
@@ -462,7 +444,7 @@ def _round(
 def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
     """Count count's edit at t in full: walk the trie from round 1, and at
     each node find the candidates the source and destination rows count for
-    (a flagged row held in buggy round 1 counts for no one) and take that
+    (no one, for a flagged row at a node whose piles are held) and take that
     round's decision from the node's memo, deciding it with ``_round`` on a
     miss; so a round costs O(candidates) once per distinct key per node.
     Returns the segment (t, hi, outcome): while the elimination path is
@@ -482,9 +464,9 @@ def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
     ranking, moved_to = count.ranking, count.moved_to or ()
     round_no = 1
     while True:
-        base, hold, children, _, memo = node
+        base, children, piles, memo = node
         key = None
-        if not (hold and count.flagged):
+        if piles.held is None or not count.flagged:
             source = next((c for c in ranking if c in base), None)
             dest = next((c for c in moved_to if c in base), None)
             if source != dest:

@@ -498,7 +498,7 @@ class TestOracle:
         shared = {
             "_scan", "_shift", "_promote", "_entries_of", "PrefixTrie", "EditCount",
             "_evaluate", "_round", "_steady", "rcv_winner", "verify_witness",
-            "winner_without", "_piled", "_Piles", "_decide",
+            "winner_without", "_piled", "_irv", "_Piles", "_decide",
         }
         assert names & shared == set()
         assert "rcv_tabulate" in names

@@ -10,7 +10,9 @@ memoized round tallies shared by every edit of a profile, and answers a t
 inside a known constant-outcome segment without counting, and
 ``methods.winner_without``, which counts a profile with candidates struck
 out by eliminating them from the profile's shared piles. Every record,
-winner, tie and error message must agree.
+winner, tie and error message must agree. ``rcv_tabulate`` and
+``winner_without`` share one round loop, ``methods._irv``, so the reference
+checks it from both callers.
 """
 
 import math
@@ -42,6 +44,7 @@ from rcv_forensics.methods import (
     TransferRecord,
     _entries_of,
     _decide,
+    _irv,
     _piled,
     _round,
     _steady,
@@ -261,6 +264,54 @@ def test_winner_without_matches_reference(seed):
                 )
                 got = outcome(winner_without, piles, removed, options.tie_policy)
                 assert got == expected, (removed, options)
+
+
+def _descendants(node):
+    """Every node below a PrefixTrie node; a node's children are its field 1."""
+    for child in node[1].values():
+        yield child
+        yield from _descendants(child)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_piles_hold_flagged_ballots_until_round_1_ends(seed):
+    """In buggy mode piles hold round 1's flagged totals exactly until the
+    count's first elimination: ``_piled`` holds them after the write-in
+    batch, ``_irv`` still holds them when it ends in round 1 (a winner, a
+    tie or an error) and has dropped them once it eliminated anyone, and in
+    a PrefixTrie only the root holds them: every child that ``rcv_winner``
+    reaches over a scan of each t holds none. The draws must cover
+    profiles with and without a write-in, counts that end in round 1 and
+    counts that eliminate, and tries with children."""
+    rng = random.Random(seed)
+    buggy = [options for options in OPTIONS if options.buggy_first_round]
+    seen = set()
+    for _ in range(150):
+        profile = random_case(rng)
+        writein = bool(profile.roster.writein_ids())
+        edits = [random_edit(rng, profile) for _ in range(3)]
+        for options in buggy:
+            piles = _piled(profile, options)
+            assert piles.held is not None
+            rounds = []
+            outcome(_irv, piles, options.tie_policy, rounds)
+            eliminated = any(r.number >= 1 and r.eliminated for r in rounds)
+            assert (piles.held is None) == eliminated, (profile.entries, options)
+            seen.add(("irv", writein, eliminated))
+            trie = PrefixTrie(profile, options)
+            for source, moved_to in edits:
+                count = EditCount(trie, source, moved_to)
+                for t in range(profile.entries[source] + 1):
+                    outcome(rcv_winner, count, t)
+            if trie.root is not None:
+                assert trie.root[2].held is not None
+                children = list(_descendants(trie.root))
+                assert all(node[2].held is None for node in children)
+                if children:
+                    seen.add(("trie", writein))
+    assert seen == {("irv", w, e) for w in (False, True) for e in (False, True)} | {
+        ("trie", w) for w in (False, True)
+    }
 
 
 def edited_entries(profile, source, moved_to, t):

@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GATE = {
     Path("src/rcv_forensics/methods.py"): (
         (
-            "_Piles", "_writein_batch", "_piled", "_decide", "rcv_tabulate", "winner_without",
+            "_Piles", "_piled", "_decide", "_irv", "rcv_tabulate", "winner_without",
             "PrefixTrie", "EditCount", "_steady", "_round", "_evaluate", "rcv_winner",
             "plurality_runoff", "_find_majority_cycle", "condorcet_analysis",
         ),
