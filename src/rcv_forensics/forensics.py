@@ -29,8 +29,11 @@ left with none is exhausted), so the profile is piled once
 ``rcv_tabulate``.
 
 ``brute_force_oracle`` re-derives every report by plain enumeration over the
-public profile edits and full tabulation, for small instances only; it exists
-to pin the searches down, so it deliberately shares none of their scan code.
+public profile edits and full tabulation: each edit kind is one list of edits
+for one nested scan, which tabulates every t with ``rcv_tabulate`` and cuts
+the outcomes into runs with ``itertools.groupby``. Its default bounds admit
+small instances only; it exists to pin the searches down, so it deliberately
+shares none of their scan code.
 """
 
 from __future__ import annotations
@@ -378,7 +381,9 @@ def brute_force_oracle(
 
     Enumerates every single-type adjacent shift, removal, and promotion over
     all t, and every losing-candidate subset, using only the public profile
-    edits and the full record-keeping tabulator.
+    edits and the full record-keeping tabulator. Every edit kind is one list
+    of (ballot_type, flag, candidate, modified_type | None) handed to one
+    scan.
     """
     options = options or RcvOptions()
     n_candidates = len(profile.roster.candidates)
@@ -391,8 +396,8 @@ def brute_force_oracle(
             "searches on small instances)"
         )
     original_winner = rcv_tabulate(profile, options).winner
-    roster_ids = profile.roster.ids()
     keys = sorted(profile.entries)
+    losers = [cid for cid in profile.roster.ids() if cid != original_winner]
 
     def outcome_of(edited: PreferenceProfile):
         try:
@@ -400,38 +405,52 @@ def brute_force_oracle(
         except TieError as exc:
             return ("tie", exc.tied)
         except ValidationError:
-            return ("invalid",)
+            return ("invalid", None)
 
-    def runs_and_ties(per_t, qualifies):
-        witnesses_lo_hi = []
-        ties = []
-        idx = 0
-        while idx < len(per_t):
-            t, outcome = per_t[idx]
-            if outcome[0] == "tie":
-                tied = outcome[1]
-                ties.append((t, tied))
-                while idx < len(per_t) and per_t[idx][1] == ("tie", tied):
-                    idx += 1
-                continue
-            if outcome[0] != "win":
-                idx += 1
-                continue
-            winner = outcome[1]
-            if not qualifies(winner):
-                idx += 1
-                continue
-            lo = t
-            hi = t
-            idx += 1
-            while idx < len(per_t) and per_t[idx][1] == ("win", winner):
-                hi = per_t[idx][0]
-                idx += 1
-            witnesses_lo_hi.append((lo, hi, winner))
-        return witnesses_lo_hi, ties
+    def scan(edit_name: str, edits: list, qualifies, witness) -> EditScan:
+        """Tabulate every t of every edit and cut the outcomes into maximal
+        runs of one outcome: a tie run is a boundary at its first t, and a
+        run of a winner that qualifies is a witness (only the first, for a
+        removal). qualifies gets (ballot_type, candidate, winner); witness
+        gets the edit's four fields, the run's first and last t, and the
+        winner."""
+        found, ties = [], []
+        for edit in edits:
+            ranking, flag, candidate, modified = edit
+            per_t = (
+                (t, outcome_of(
+                    profile.remove_ballots(ranking, t, flag) if modified is None
+                    else profile.replace_ballots(ranking, modified, t, flag)
+                ))
+                for t in range(1, profile.entries[(ranking, flag)] + 1)
+            )
+            runs = []
+            for (kind, value), run in itertools.groupby(per_t, key=lambda pair: pair[1]):
+                ts = [t for t, _ in run]
+                if kind == "tie":
+                    ties.append(TieBoundary(edit_name, ranking, flag, candidate, ts[0], value))
+                elif kind == "win" and qualifies(ranking, candidate, value):
+                    runs.append(witness(*edit, ts[0], ts[-1], value))
+            found.extend(runs[:1] if modified is None else runs)
+        return EditScan(tuple(found), tuple(ties))
 
-    # spoilers: every subset of losing candidates
-    losers = [cid for cid in roster_ids if cid != original_winner]
+    def monotonicity(direction: Direction, focals: list[str], edit_name: str, qualifies):
+        step = 1 if direction is Direction.DOWNWARD else -1
+        edits = []
+        for focal in focals:
+            for ranking, flag in keys:
+                if focal in ranking and 0 <= ranking.index(focal) + step < len(ranking):
+                    i = ranking.index(focal)
+                    swapped = list(ranking)
+                    swapped[i], swapped[i + step] = swapped[i + step], swapped[i]
+                    edits.append((ranking, flag, focal, tuple(swapped)))
+        return scan(
+            edit_name, edits, qualifies,
+            lambda ranking, flag, focal, modified, lo, hi, w: MonotonicityWitness(
+                direction, focal, ranking, flag, modified, lo, hi, original_winner, w
+            ),
+        )
+
     spoiler_wits = []
     spoiler_ties = []
     for size in range(1, len(losers) + 1):
@@ -444,104 +463,31 @@ def brute_force_oracle(
             except ValidationError:
                 continue
             if result.winner != original_winner:
-                spoiler_wits.append(
-                    SpoilerWitness(subset, original_winner, result.winner)
-                )
-    spoilers = SpoilerScan(tuple(spoiler_wits), tuple(spoiler_ties))
+                spoiler_wits.append(SpoilerWitness(subset, original_winner, result.winner))
 
-    def monotonicity(direction: Direction) -> EditScan:
-        if direction is Direction.DOWNWARD:
-            focals = [cid for cid in roster_ids if cid != original_winner]
-            edit_name = "shift-down"
-        else:
-            focals = [original_winner]
-            edit_name = "shift-up"
-        wits = []
-        ties = []
-        for focal in focals:
-            for ranking, flag in keys:
-                if focal not in ranking:
-                    continue
-                i = ranking.index(focal)
-                if direction is Direction.DOWNWARD and i == len(ranking) - 1:
-                    continue
-                if direction is Direction.UPWARD and i == 0:
-                    continue
-                j = i + 1 if direction is Direction.DOWNWARD else i - 1
-                modified = list(ranking)
-                modified[i], modified[j] = modified[j], modified[i]
-                modified = tuple(modified)
-                per_t = []
-                for t in range(1, profile.entries[(ranking, flag)] + 1):
-                    edited = profile.replace_ballots(ranking, modified, t, flag)
-                    per_t.append((t, outcome_of(edited)))
-                if direction is Direction.DOWNWARD:
-                    qualifies = lambda w: w == focal
-                else:
-                    qualifies = lambda w: w != focal
-                found, tie_ts = runs_and_ties(per_t, qualifies)
-                wits.extend(
-                    MonotonicityWitness(
-                        direction, focal, ranking, flag, modified, lo, hi,
-                        original_winner, w,
-                    )
-                    for lo, hi, w in found
-                )
-                ties.extend(
-                    TieBoundary(edit_name, ranking, flag, focal, t, tied)
-                    for t, tied in tie_ts
-                )
-        return EditScan(tuple(wits), tuple(ties))
-
-    downward = monotonicity(Direction.DOWNWARD)
-    upward = monotonicity(Direction.UPWARD)
-
-    noshow_wits = []
-    noshow_ties = []
-    for ranking, flag in keys:
-        per_t = []
-        for t in range(1, profile.entries[(ranking, flag)] + 1):
-            per_t.append((t, outcome_of(profile.remove_ballots(ranking, t, flag))))
-        found = None
-        for t, outcome in per_t:
-            if (
-                outcome[0] == "win"
-                and outcome[1] != original_winner
-                and prefers(ranking, outcome[1], original_winner)
-            ):
-                found = NoShowWitness(ranking, flag, t, original_winner, outcome[1])
-                break
-        if found:
-            noshow_wits.append(found)
-        _, tie_ts = runs_and_ties(per_t, lambda w: False)
-        noshow_ties.extend(
-            TieBoundary("remove", ranking, flag, None, t, tied) for t, tied in tie_ts
-        )
-    noshow = EditScan(tuple(noshow_wits), tuple(noshow_ties))
-
-    comp_wits = []
-    comp_ties = []
-    for ranking, flag in keys:
-        if len(ranking) < 2:
-            continue
-        for promoted in ranking[1:]:
-            modified = (promoted,) + tuple(c for c in ranking if c != promoted)
-            per_t = []
-            for t in range(1, profile.entries[(ranking, flag)] + 1):
-                edited = profile.replace_ballots(ranking, modified, t, flag)
-                per_t.append((t, outcome_of(edited)))
-            qualifies = lambda w: w != original_winner and prefers(
-                ranking, w, original_winner
-            )
-            found, tie_ts = runs_and_ties(per_t, qualifies)
-            comp_wits.extend(
-                CompromiseWitness(ranking, flag, promoted, lo, hi, original_winner, w)
-                for lo, hi, w in found
-            )
-            comp_ties.extend(
-                TieBoundary("promote", ranking, flag, promoted, t, tied)
-                for t, tied in tie_ts
-            )
-    compromise = EditScan(tuple(comp_wits), tuple(comp_ties))
-
-    return PathologyReport(spoilers, downward, upward, noshow, compromise)
+    removals = [(ranking, flag, None, None) for ranking, flag in keys]
+    promotions = [
+        (ranking, flag, promoted, (promoted,) + tuple(c for c in ranking if c != promoted))
+        for ranking, flag in keys
+        for promoted in ranking[1:]
+    ]
+    preferred = lambda ranking, _, w: prefers(ranking, w, original_winner)
+    return PathologyReport(
+        SpoilerScan(tuple(spoiler_wits), tuple(spoiler_ties)),
+        monotonicity(Direction.DOWNWARD, losers, "shift-down", lambda _, focal, w: w == focal),
+        monotonicity(
+            Direction.UPWARD, [original_winner], "shift-up", lambda _, focal, w: w != focal
+        ),
+        scan(
+            "remove", removals, preferred,
+            lambda ranking, flag, _, __, lo, hi, w: NoShowWitness(
+                ranking, flag, lo, original_winner, w
+            ),
+        ),
+        scan(
+            "promote", promotions, preferred,
+            lambda ranking, flag, promoted, _, lo, hi, w: CompromiseWitness(
+                ranking, flag, promoted, lo, hi, original_winner, w
+            ),
+        ),
+    )

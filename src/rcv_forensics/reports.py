@@ -305,6 +305,7 @@ def _audit_lines(doc: dict, roster: CandidateRoster) -> list[str]:
         lines.append(f"== {title} ==")
         lines += [_witness_line(w) for w in body["witnesses"]] or [empty]
         lines += [_boundary_line(b) for b in body.get("boundaries", ())]
+        lines += [f"tie subset: remove {{{', '.join(s)}}}" for s in body.get("tie_subsets", ())]
     for claim in doc["discrepancies"]:
         lines += ["== published-figure check ==", _published_line(claim, f"{claim['kind']}: published")]
     return lines

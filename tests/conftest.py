@@ -1,10 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from rcv_forensics import ALAMEDA, fixture_roster, load_builtin_fixture, sanitize_all
 from rcv_forensics.cvr import Candidate, CandidateRoster
 from rcv_forensics.profiles import PreferenceProfile
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +77,12 @@ def make_random_profile(
         key = (ranking, flag)
         entries[key] = entries.get(key, 0) + rng.randint(1, max_count)
     return PreferenceProfile(roster, entries)
+
+
+def generated_cvr(tmp_path: Path, monkeypatch) -> tuple[Path, Path]:
+    """Paths of the benchmark's generated multiround CVR at seed 1 and its roster."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    cvr, roster = tmp_path / "votes.jsonl", tmp_path / "roster.json"
+    inputs.multiround_cvr(1, str(cvr), str(roster))
+    return cvr, roster

@@ -13,6 +13,8 @@ import rcv_forensics.cli as cli
 from rcv_forensics.cli import main
 from rcv_forensics.cvr import emit_cvr, roster_to_json_dict
 
+from conftest import PERFBENCH, generated_cvr
+
 ROSTER_JSON = json.dumps(
     {
         "candidates": [
@@ -26,15 +28,13 @@ ROSTER_JSON = json.dumps(
 )
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
 # argv, sha256 of the text report, sha256 of the JSON report (None where
 # TestAudit.test_all_checks_json_bytes_pinned already pins it); {cvr} and
 # {roster} stand for the benchmark's generated multiround CVR at seed 1
 _REPORT_DIGESTS = [
     (
         "audit --input {cvr} --roster {roster} --checks all --spoiler-max-size 2",
-        "e860a942a6900bf4e9d86bc22c490821626aa04f0c88be2dc286c1768f5b2b90",
+        "e40e4e8135065d1e550632f6b9cc3b2b7fe61edf87177eb2cafb323926fc5583",
         "d9a238e5a9c12912ad9a4e511b3a18b1522997d4a9f1a897852b11cebc291dd3",
     ),
     (
@@ -121,15 +121,28 @@ def test_report_bytes_pinned(capsys, tmp_path, monkeypatch, argv, fmt, digest):
     """Every command's --output report, in both formats, stays byte for byte
     as it is; the text is rendered from the same document as the JSON."""
     if "{cvr}" in argv:
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        import inputs
-        cvr, roster = tmp_path / "votes.jsonl", tmp_path / "roster.json"
-        inputs.multiround_cvr(1, str(cvr), str(roster))
+        cvr, roster = generated_cvr(tmp_path, monkeypatch)
         argv = argv.format(cvr=cvr, roster=roster)
     report = tmp_path / "report"
     code, _, _ = run(capsys, *argv.split(), "--format", fmt, "--output", str(report))
     assert code == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def test_text_audit_lists_spoiler_tie_subsets(capsys, tmp_path, monkeypatch):
+    """The text audit prints a line for each removed subset whose count
+    tied, the subsets its JSON lists as tie_subsets."""
+    cvr, roster = generated_cvr(tmp_path, monkeypatch)
+    argv = (
+        "audit", "--input", str(cvr), "--roster", str(roster),
+        "--checks", "spoiler", "--spoiler-max-size", "2",
+    )
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(out)["checks"]["spoiler"]["tie_subsets"] == [["C", "F"], ["C", "G"]]
+    _, out, _ = run(capsys, *argv)
+    assert [line for line in out.splitlines() if line.startswith("tie subset:")] == [
+        "tie subset: remove {C, F}", "tie subset: remove {C, G}",
+    ]
 
 
 class TestTabulate:

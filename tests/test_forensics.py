@@ -8,12 +8,14 @@ import types
 import pytest
 
 from rcv_forensics import (
+    ALAMEDA,
     Candidate,
     CandidateRoster,
     CompromiseWitness,
     Direction,
     MonotonicityWitness,
     NoShowWitness,
+    OracleBounds,
     OracleBoundsError,
     RcvOptions,
     SpoilerWitness,
@@ -27,6 +29,7 @@ from rcv_forensics import (
     fixture_roster,
     prefers,
     rcv_tabulate,
+    sanitize_all,
     search_compromise,
     search_monotonicity,
     search_noshow,
@@ -34,12 +37,12 @@ from rcv_forensics import (
 )
 import rcv_forensics.forensics as forensics
 from rcv_forensics.cli import main
-from rcv_forensics.cvr import roster_to_json_dict
+from rcv_forensics.cvr import load_roster, parse_cvr, roster_to_json_dict
 import rcv_forensics.methods as methods
 from rcv_forensics.forensics import _shift
 from rcv_forensics.profiles import PreferenceProfile
 
-from conftest import make_random_profile
+from conftest import generated_cvr, make_random_profile
 from test_pile_count import multiround_profile
 
 OPTS = RcvOptions()
@@ -499,6 +502,7 @@ class TestOracle:
             "_scan", "_shift", "_promote", "_entries_of", "PrefixTrie", "EditCount",
             "_evaluate", "_round", "_steady", "rcv_winner", "verify_witness",
             "winner_without", "_piled", "_irv", "_Piles", "_decide",
+            "search_monotonicity", "search_noshow", "search_compromise", "find_spoilers",
         }
         assert names & shared == set()
         assert "rcv_tabulate" in names
@@ -512,6 +516,43 @@ class TestOracle:
             assert report.upward == search_monotonicity(profile, options, Direction.UPWARD)
             assert report.noshow == search_noshow(profile, options)
             assert report.compromise == search_compromise(profile, options)
+
+    @pytest.mark.parametrize("case", ["table1", "synthetic-buggy", "generated"])
+    def test_oracle_equals_searches_at_full_size(self, case, request, tmp_path, monkeypatch):
+        """With its bounds raised, the oracle gives what every search gives
+        on Table 1, on the synthetic fixture in buggy mode, and on the
+        benchmark's generated multi-round CVR at seed 1."""
+        if case == "generated":
+            cvr, roster_path = generated_cvr(tmp_path, monkeypatch)
+            with open(roster_path, encoding="utf-8") as stream:
+                roster = load_roster(stream)
+            with open(cvr, encoding="utf-8") as stream:
+                profile = sanitize_all(parse_cvr(stream, roster), ALAMEDA, roster)[0]
+        else:
+            profile = request.getfixturevalue("table1" if case == "table1" else "synthetic_profile")
+        options = BUGGY if case == "synthetic-buggy" else OPTS
+        candidates = len(profile.roster.candidates)
+        report = brute_force_oracle(profile, options, OracleBounds(candidates, profile.total()))
+        assert report.spoilers == find_spoilers(profile, options, max_subset_size=candidates - 1)
+        assert report.downward == search_monotonicity(profile, options, Direction.DOWNWARD)
+        assert report.upward == search_monotonicity(profile, options, Direction.UPWARD)
+        assert report.noshow == search_noshow(profile, options)
+        assert report.compromise == search_compromise(profile, options)
+
+    def test_removal_keeps_first_witness_run(self):
+        """In buggy mode, removing 4-6 or 9-10 ballots of B>D>C>A elects D,
+        whom they prefer to the original winner C, with other outcomes in
+        between; the oracle, like the no-show search, keeps only t = 4."""
+        profile = PreferenceProfile(
+            CandidateRoster(tuple(Candidate(c, c) for c in "ABCD")),
+            {
+                (("B", "D", "C"), False): 1, (("B", "D", "C", "A"), False): 10,
+                (("C", "A", "B"), False): 5, (("C", "B"), True): 7, (("D",), False): 8,
+            },
+        )
+        report = brute_force_oracle(profile, BUGGY)
+        assert NoShowWitness(("B", "D", "C", "A"), False, 4, "C", "D") in report.noshow.witnesses
+        assert report.noshow == search_noshow(profile, BUGGY)
 
     def test_toy_profile_has_cycle_and_spoiler(self, toy_cycle_profile):
         report = brute_force_oracle(toy_cycle_profile, OPTS)

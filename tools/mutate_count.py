@@ -12,10 +12,11 @@ kill their mutants. Each mutant changes one spot in one of those
 definitions: a comparison flipped (``<`` to ``<=`` or ``>``, ``==`` to
 ``!=``, ``in`` to ``not in``, ``is`` to ``is not``), a ``+=`` turned into
 ``-=`` or back, an ``and`` turned into ``or`` or back, or an integer constant
-moved by one. The mutant is written into a copy of ``src/`` and ``tests/``
-in a temporary directory, and the module's tests run against it; a mutant
-survives when they all pass. Survivors listed in EQUIVALENT with a reason
-are expected. The exit code is 0 when every other mutant is killed.
+moved by one. The mutant is written into a copy of ``src/``, ``tests/`` and
+``perfbench/`` (whose input generators some tests read) in a temporary
+directory, and the module's tests run against it; a mutant survives when
+they all pass. Survivors listed in EQUIVALENT with a reason are expected.
+The exit code is 0 when every other mutant is killed.
 
 Not part of the tier-1 suite: a full run starts one pytest per mutant.
 """
@@ -47,7 +48,7 @@ GATE = {
         ("tests/test_profiles.py", "tests/test_methods.py"),
     ),
     Path("src/rcv_forensics/forensics.py"): (
-        ("_scan", "find_spoilers", "verify_witness"),
+        ("_scan", "find_spoilers", "verify_witness", "brute_force_oracle"),
         ("tests/test_forensics.py",),
     ),
     Path("src/rcv_forensics/sanitize.py"): (
@@ -102,6 +103,26 @@ EQUIVALENT = {
         "size 0 adds only the empty subset, which counts the unedited profile: its "
         "winner is the original one, found without a tie, so it is neither a witness "
         "nor a tie subset"
+    ),
+    "brute_force_oracle: for size in range(1, len(losers) + 1): [col 22: 1->0]": (
+        "size 0 adds only the empty subset, which counts the unedited profile: its "
+        "winner is the original one, found without a tie"
+    ),
+    "brute_force_oracle: for size in range(1, len(losers) + 1): [col 39: 1->2]": (
+        "there is no subset of more than len(losers) losers"
+    ),
+    "brute_force_oracle: for size in range(1, len(losers) + 1): [col 39: 1->0]": (
+        "removing every loser leaves the original winner alone, and the last "
+        "candidate standing wins without a tie"
+    ),
+    "brute_force_oracle: for promoted in ranking[1:] [col 32: 1->0]": (
+        "promoting the first candidate leaves the type as it is, so every t counts "
+        "the unedited profile, whose winner never qualifies and never ties"
+    ),
+    "brute_force_oracle: for t in range(1, profile.entries[(ranking, flag)] + 1) "
+    "[col 31: 1->0]": (
+        "t = 0 counts the unedited profile, whose original winner never qualifies "
+        "and is no tie, so the run it starts or joins gives no witness or boundary"
     ),
     "sanitize_ballot: candidate = slot[0] [col 25: 0->-1]": (
         "the line runs only on a slot of one candidate, where slot[0] is slot[-1]"
@@ -225,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="mutate-count-") as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests", "pyproject.toml"):
+        for part in ("src", "tests", "perfbench", "pyproject.toml"):
             src = ROOT / part
             if src.is_dir():
                 shutil.copytree(src, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
