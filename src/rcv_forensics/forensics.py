@@ -17,8 +17,8 @@ Searches scan only ballot types already present in the profile and only
 single-position (adjacent) shifts.
 The t-scan is linear because the winner as a function of t need not be
 monotone across elimination-order changes. Consecutive t values with the same
-new winner merge into one witness; a t whose count hits an
-elimination tie is never a witness and is reported separately as a boundary.
+new winner merge into one witness, whose qualification is asked once per run,
+not at every t; a t whose count hits an elimination tie is a boundary instead.
 
 ``find_spoilers`` removes subsets of losing candidates by elimination, not
 by rebuilding the profile: a candidate struck from every ranking counts as
@@ -159,43 +159,44 @@ def _scan(
     edit_name: str,
     edits: list[Edit],
     qualifies: Callable[[Edit, str], bool],
-) -> tuple[list[list[list]], tuple[TieBoundary, ...]]:
+    witness: Callable[..., MonotonicityWitness | NoShowWitness | CompromiseWitness],
+) -> EditScan:
     """The t-scan behind every edit search. For each edit and every t in
     1..count(ballot_type), move t ballots of the type to modified_type (or
     delete them when it is None) and count the edited profile with one
     rcv_winner call on the edit's EditCount; the edits share one PrefixTrie.
-    Returns, per edit, the maximal runs [lo, hi, winner] of consecutive t
-    with a constant winner that qualifies for the edit, and the
-    first t of each maximal run of identical elimination ties as a boundary,
-    both in edit order."""
-    all_runs: list[list[list]] = []
+    The outcome at t is the winner, the tied candidates, or None when a
+    removal empties the profile. A run of t with one winner is asked
+    ``qualifies(edit, winner)`` once and, if it qualifies, becomes
+    ``witness(*edit, lo, hi, winner)``; a removal keeps only its first. A run
+    of one tie is a TieBoundary at its first t. Both come in edit order."""
+    witnesses: list = []
     boundaries: list[TieBoundary] = []
     trie = PrefixTrie(profile, options)
     for edit in edits:
         ranking, flag, candidate, modified = edit
         count = EditCount(trie, (ranking, flag), modified)
         runs: list[list] = []
-        previous = None
+        previous = run = None
         for t in range(1, count.source + 1):
             try:
-                outcome = ("win", rcv_winner(count, t))
+                outcome = rcv_winner(count, t)
             except TieError as exc:
-                outcome = ("tie", exc.tied)
+                outcome = exc.tied
             except ValidationError:
-                # removal emptied the profile; no election outcome exists for this t
-                outcome = ("invalid",)
-            if outcome[0] == "win" and qualifies(edit, outcome[1]):
-                if outcome == previous:
-                    runs[-1][1] = t
-                else:
-                    runs.append([t, t, outcome[1]])
-            elif outcome[0] == "tie" and outcome != previous:
-                boundaries.append(
-                    TieBoundary(edit_name, ranking, flag, candidate, t, outcome[1])
-                )
-            previous = outcome
-        all_runs.append(runs)
-    return all_runs, tuple(boundaries)
+                outcome = None  # removal emptied the profile; no election outcome exists
+            if outcome == previous:
+                if run is not None:
+                    run[1] = t
+                continue
+            previous, run = outcome, None
+            if isinstance(outcome, tuple):
+                boundaries.append(TieBoundary(edit_name, ranking, flag, candidate, t, outcome))
+            elif outcome is not None and qualifies(edit, outcome):
+                run = [t, t, outcome]
+                runs.append(run)
+        witnesses += [witness(*edit, *r) for r in (runs[:1] if modified is None else runs)]
+    return EditScan(tuple(witnesses), tuple(boundaries))
 
 
 def _shift(ranking: Ranking, focal: str, direction: Direction) -> Ranking | None:
@@ -235,15 +236,12 @@ def search_monotonicity(
         if (modified := _shift(ranking, focal, direction)) is not None
     ]
 
-    runs, boundaries = _scan(profile, options, edit_name, edits, qualifies)
-    witnesses = tuple(
-        MonotonicityWitness(
+    return _scan(
+        profile, options, edit_name, edits, qualifies,
+        lambda ranking, flag, focal, modified, lo, hi, w: MonotonicityWitness(
             direction, focal, ranking, flag, modified, lo, hi, original_winner, w
-        )
-        for (ranking, flag, focal, modified), edit_runs in zip(edits, runs)
-        for lo, hi, w in edit_runs
+        ),
     )
-    return EditScan(witnesses, boundaries)
 
 
 def search_noshow(profile: PreferenceProfile, options: RcvOptions) -> EditScan:
@@ -251,16 +249,13 @@ def search_noshow(profile: PreferenceProfile, options: RcvOptions) -> EditScan:
     strictly prefers to the original winner is a witness."""
     original_winner = rcv_tabulate(profile, options).winner
     edits = [(ranking, flag, None, None) for ranking, flag in sorted(profile.entries)]
-    runs, boundaries = _scan(
+    return _scan(
         profile, options, "remove", edits,
         lambda edit, w: prefers(edit[0], w, original_winner),
+        lambda ranking, flag, _, __, lo, hi, w: NoShowWitness(
+            ranking, flag, lo, original_winner, w
+        ),
     )
-    witnesses = tuple(
-        NoShowWitness(ranking, flag, edit_runs[0][0], original_winner, edit_runs[0][2])
-        for (ranking, flag, _, _), edit_runs in zip(edits, runs)
-        if edit_runs
-    )
-    return EditScan(witnesses, boundaries)
 
 
 def _promote(ranking: Ranking, candidate: str) -> Ranking:
@@ -277,16 +272,13 @@ def search_compromise(profile: PreferenceProfile, options: RcvOptions) -> EditSc
         for ranking, flag in sorted(profile.entries)
         for promoted in ranking[1:]
     ]
-    runs, boundaries = _scan(
+    return _scan(
         profile, options, "promote", edits,
         lambda edit, w: prefers(edit[0], w, original_winner),
+        lambda ranking, flag, promoted, _, lo, hi, w: CompromiseWitness(
+            ranking, flag, promoted, lo, hi, original_winner, w
+        ),
     )
-    witnesses = tuple(
-        CompromiseWitness(ranking, flag, promoted, lo, hi, original_winner, w)
-        for (ranking, flag, promoted, _), edit_runs in zip(edits, runs)
-        for lo, hi, w in edit_runs
-    )
-    return EditScan(witnesses, boundaries)
 
 
 def find_spoilers(

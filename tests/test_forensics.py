@@ -422,28 +422,31 @@ def test_table1_scan_work_pinned(table1, monkeypatch):
     constant-outcome segment of the last one that did. Those walks decide
     17 / 8 / 24 / 32 rounds (``methods._round``); every other round they
     pass is a repeat of a decided one at the same trie node, taken from its
-    memo. With the spoiler search, as in ``audit --checks all``, they find
-    10 witnesses and 27 tie boundaries."""
-    calls, full, decided = [], [], []
+    memo. A winner's qualification is asked once per run of t with that
+    winner, not at every t: the no-show and compromise searches ask
+    ``forensics.prefers`` 26 and 36 times, and the shifts never do. With the
+    spoiler search, as in ``audit --checks all``, they find 10 witnesses and
+    27 tie boundaries."""
+    calls, full, decided, asked = [], [], [], []
     counted, evaluate, decide = forensics.rcv_winner, methods._evaluate, methods._round
     monkeypatch.setattr(forensics, "rcv_winner", lambda *a: calls.append(1) or counted(*a))
     monkeypatch.setattr(methods, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
     monkeypatch.setattr(methods, "_round", lambda *a: decided.append(1) or decide(*a))
+    monkeypatch.setattr(forensics, "prefers", lambda *a: asked.append(1) or prefers(*a))
     work, witnesses, boundaries = {}, 0, 0
     for name, search in TABLE1_SEARCHES.items():
-        calls.clear()
-        full.clear()
-        decided.clear()
+        for tally in (calls, full, decided, asked):
+            tally.clear()
         scan = search(table1)
-        work[name] = (len(calls), len(full), len(decided))
+        work[name] = (len(calls), len(full), len(decided), len(asked))
         witnesses += len(scan.witnesses)
         boundaries += len(scan.boundaries)
     spoilers = find_spoilers(table1, OPTS)
     witnesses += len(spoilers.witnesses)
     boundaries += len(spoilers.tie_subsets)
     assert work == {
-        "downward": (20376, 22, 17), "upward": (10956, 8, 8),
-        "noshow": (26432, 37, 24), "compromise": (30181, 47, 32),
+        "downward": (20376, 22, 17, 0), "upward": (10956, 8, 8, 0),
+        "noshow": (26432, 37, 24, 26), "compromise": (30181, 47, 32, 36),
     }
     assert (witnesses, boundaries) == (10, 27)
 

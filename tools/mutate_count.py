@@ -48,7 +48,10 @@ GATE = {
         ("tests/test_profiles.py", "tests/test_methods.py"),
     ),
     Path("src/rcv_forensics/forensics.py"): (
-        ("_scan", "find_spoilers", "verify_witness", "brute_force_oracle"),
+        (
+            "_scan", "search_monotonicity", "search_noshow", "search_compromise",
+            "find_spoilers", "verify_witness", "brute_force_oracle",
+        ),
         ("tests/test_forensics.py",),
     ),
     Path("src/rcv_forensics/sanitize.py"): (
