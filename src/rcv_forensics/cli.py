@@ -37,6 +37,7 @@ from .forensics import (
 from .methods import (
     BordaConfig,
     BordaModel,
+    PrefixTrie,
     RcvOptions,
     TiePolicy,
     TieError,
@@ -323,7 +324,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-_ALL_CHECKS = ("condorcet", "spoiler", "monotonicity", "noshow", "compromise")
+_T_SCANS = ("monotonicity", "noshow", "compromise")
+_ALL_CHECKS = ("condorcet", "spoiler", *_T_SCANS)
 
 
 def _shift_max(scan, claim) -> int | None:
@@ -373,18 +375,22 @@ def cmd_audit(args) -> int:
         bodies["spoiler"] = reports.scan_to_dict(
             find_spoilers(profile, options, args.spoiler_max_size)
         )
+    # the t-scans share one trie, so each elimination prefix is counted once per audit
+    trie = PrefixTrie(profile, options) if checks & set(_T_SCANS) else None
     if "monotonicity" in checks:
-        downward = search_monotonicity(profile, options, Direction.DOWNWARD)
-        upward = search_monotonicity(profile, options, Direction.UPWARD)
+        downward = search_monotonicity(profile, options, Direction.DOWNWARD, trie=trie)
+        upward = search_monotonicity(profile, options, Direction.UPWARD, trie=trie)
         bodies["monotonicity"] = {
             "downward": reports.scan_to_dict(downward),
             "upward": reports.scan_to_dict(upward),
         }
         discrepancies = _claims(args, "downward-shift-max", lambda c: _shift_max(downward, c))
     if "noshow" in checks:
-        bodies["noshow"] = reports.scan_to_dict(search_noshow(profile, options))
+        bodies["noshow"] = reports.scan_to_dict(search_noshow(profile, options, trie=trie))
     if "compromise" in checks:
-        bodies["compromise"] = reports.scan_to_dict(search_compromise(profile, options))
+        bodies["compromise"] = reports.scan_to_dict(
+            search_compromise(profile, options, trie=trie)
+        )
     doc = {
         "schema_version": 1,
         "command": "audit",

@@ -6,13 +6,14 @@ The monotonicity, no-show and compromise searches only build their edits
 (move t ballots of one existing type to a modified type, or delete them) and
 hand them to one engine, ``_scan``, which counts every t and cuts the
 outcomes into witness runs and tie boundaries, returned as one ``EditScan``.
-``_scan`` builds one ``methods.PrefixTrie`` per search, so each elimination
-prefix of the profile is counted once for all its edits, and one
-``methods.EditCount`` per edit. ``rcv_winner`` is still called at every t,
-but only a t outside the constant-outcome segment of the last full count
-walks the rounds, and each round it walks is decided once per trie node for
-all the edits whose two rows count for the same candidates there at the
-same t.
+The edits count on one ``methods.PrefixTrie`` of the profile: ``audit``
+builds one and hands it to all four searches as ``trie=``, and a search
+given none builds its own. So each elimination prefix is counted once for
+all the edits of an audit, and ``_scan`` adds one ``methods.EditCount`` per
+edit. ``rcv_winner`` is still called at every t, but only a t outside the
+constant-outcome segment of the last full count walks the rounds, and each
+round it walks is decided once per trie node for all the edits, of any
+search, whose two rows count for the same candidates there at the same t.
 Searches scan only ballot types already present in the profile and only
 single-position (adjacent) shifts.
 The t-scan is linear because the winner as a function of t need not be
@@ -160,19 +161,25 @@ def _scan(
     edits: list[Edit],
     qualifies: Callable[[Edit, str], bool],
     witness: Callable[..., MonotonicityWitness | NoShowWitness | CompromiseWitness],
+    trie: PrefixTrie | None,
 ) -> EditScan:
     """The t-scan behind every edit search. For each edit and every t in
     1..count(ballot_type), move t ballots of the type to modified_type (or
     delete them when it is None) and count the edited profile with one
-    rcv_winner call on the edit's EditCount; the edits share one PrefixTrie.
+    rcv_winner call on the edit's EditCount; the edits share one PrefixTrie,
+    trie when given (it must be built for profile and options), else a new
+    one.
     The outcome at t is the winner, the tied candidates, or None when a
     removal empties the profile. A run of t with one winner is asked
     ``qualifies(edit, winner)`` once and, if it qualifies, becomes
     ``witness(*edit, lo, hi, winner)``; a removal keeps only its first. A run
     of one tie is a TieBoundary at its first t. Both come in edit order."""
+    if trie is None:
+        trie = PrefixTrie(profile, options)
+    elif (trie.profile, trie.options) != (profile, options):
+        raise ValidationError("the prefix trie was built for another profile or options")
     witnesses: list = []
     boundaries: list[TieBoundary] = []
-    trie = PrefixTrie(profile, options)
     for edit in edits:
         ranking, flag, candidate, modified = edit
         count = EditCount(trie, (ranking, flag), modified)
@@ -213,12 +220,18 @@ def _shift(ranking: Ranking, focal: str, direction: Direction) -> Ranking | None
 
 
 def search_monotonicity(
-    profile: PreferenceProfile, options: RcvOptions, direction: Direction
+    profile: PreferenceProfile,
+    options: RcvOptions,
+    direction: Direction,
+    *,
+    trie: PrefixTrie | None = None,
 ) -> EditScan:
     """Downward: shift each losing candidate one position down on each ballot
     type ranking it above last place; a run of t where that candidate wins is
     a witness. Upward: shift the winner one position up where ranked below
-    first; a run of t where the winner loses is a witness."""
+    first; a run of t where the winner loses is a witness. Like every edit
+    search, it counts on trie, a PrefixTrie of profile and options that
+    other searches may share, or on a new one."""
     original_winner = rcv_tabulate(profile, options).winner
     if direction is Direction.DOWNWARD:
         focals = [cid for cid in profile.roster.ids() if cid != original_winner]
@@ -241,10 +254,13 @@ def search_monotonicity(
         lambda ranking, flag, focal, modified, lo, hi, w: MonotonicityWitness(
             direction, focal, ranking, flag, modified, lo, hi, original_winner, w
         ),
+        trie,
     )
 
 
-def search_noshow(profile: PreferenceProfile, options: RcvOptions) -> EditScan:
+def search_noshow(
+    profile: PreferenceProfile, options: RcvOptions, *, trie: PrefixTrie | None = None
+) -> EditScan:
     """Remove t ballots of each type; the minimal t whose new winner the type
     strictly prefers to the original winner is a witness."""
     original_winner = rcv_tabulate(profile, options).winner
@@ -255,6 +271,7 @@ def search_noshow(profile: PreferenceProfile, options: RcvOptions) -> EditScan:
         lambda ranking, flag, _, __, lo, hi, w: NoShowWitness(
             ranking, flag, lo, original_winner, w
         ),
+        trie,
     )
 
 
@@ -262,7 +279,9 @@ def _promote(ranking: Ranking, candidate: str) -> Ranking:
     return (candidate,) + tuple(cid for cid in ranking if cid != candidate)
 
 
-def search_compromise(profile: PreferenceProfile, options: RcvOptions) -> EditScan:
+def search_compromise(
+    profile: PreferenceProfile, options: RcvOptions, *, trie: PrefixTrie | None = None
+) -> EditScan:
     """Move each non-first candidate to first on t ballots of each type; runs
     of t whose new winner the type strictly prefers to the original winner are
     witnesses (one per constant-winner run, count = the run's minimum)."""
@@ -278,6 +297,7 @@ def search_compromise(profile: PreferenceProfile, options: RcvOptions) -> EditSc
         lambda ranking, flag, promoted, _, lo, hi, w: CompromiseWitness(
             ranking, flag, promoted, lo, hi, original_winner, w
         ),
+        trie,
     )
 
 

@@ -349,15 +349,15 @@ class PrefixTrie:
     (see ``_evaluate``) to the ``_round`` decision of that round. A child is
     built from a copy of its parent's piles by walking out the one new
     loser, the first time some count reaches it, and holds no flagged
-    ballots. The memo lives as long as the trie, one search."""
+    ballots. No key names the search, so the nodes and their memos live as
+    long as the trie: one audit's four t-scans share one."""
 
-    __slots__ = ("entries", "total", "tie_policy", "root")
+    __slots__ = ("profile", "options", "total", "root")
 
     def __init__(self, profile: PreferenceProfile, options: RcvOptions):
         piles = _piled(profile, options)
-        self.entries = profile.entries
+        self.profile, self.options = profile, options
         self.total = piles.total
-        self.tie_policy = options.tie_policy
         self.root = (piles.standing()[0], {}, piles, {}) if piles.piles else None
 
     def child(self, node: tuple, loser: str) -> tuple:
@@ -382,7 +382,7 @@ class EditCount:
         self.ranking, self.flagged = source
         self.trie = trie
         self.moved_to = moved_to
-        self.source = trie.entries[source]
+        self.source = trie.profile.entries[source]
         self.segment = (1, 0, None)
 
 
@@ -442,11 +442,14 @@ def _round(
 
 
 def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
-    """Count count's edit at t in full: walk the trie from round 1, and at
-    each node find the candidates the source and destination rows count for
-    (no one, for a flagged row at a node whose piles are held) and take that
-    round's decision from the node's memo, deciding it with ``_round`` on a
-    miss; so a round costs O(candidates) once per distinct key per node.
+    """Count count's edit at t in full: walk the trie from round 1 and take
+    each round's decision from the node's memo, deciding it with ``_round``
+    on a miss; so a round costs O(candidates) once per distinct key per
+    node. The key names the candidates the source and destination rows
+    count for, found once at the root: a child's candidates are its
+    parent's less the loser, so after an elimination only a row that
+    counted for the loser looks again. At a node whose piles are held, a
+    flagged row counts for no one.
     Returns the segment (t, hi, outcome): while the elimination path is
     fixed every tally is affine in t, so hi is the last t' up to which every
     round keeps its decision, and so the outcome."""
@@ -462,23 +465,26 @@ def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
     if removal:  # short of the t that empties the profile
         room = min(room, total - 1)
     ranking, moved_to = count.ranking, count.moved_to or ()
+    source = next((c for c in ranking if c in node[0]), None)
+    dest = next((c for c in moved_to if c in node[0]), None)
     round_no = 1
     while True:
         base, children, piles, memo = node
         key = None
-        if piles.held is None or not count.flagged:
-            source = next((c for c in ranking if c in base), None)
-            dest = next((c for c in moved_to if c in base), None)
-            if source != dest:
-                key = (source, dest, t)
+        if source != dest and (piles.held is None or not count.flagged):
+            key = (source, dest, t)
         decision = memo.get(key)
         if decision is None:
-            decision = memo[key] = _round(base, key, trie.tie_policy, round_no)
+            decision = memo[key] = _round(base, key, trie.options.tie_policy, round_no)
         rise, won, outcome = decision
         room = min(room, rise)
         if won is not False:  # a winner, or the (tied, context) of a tie
             return t, t + room, outcome
         node = children.get(outcome) or trie.child(node, outcome)
+        if source == outcome:
+            source = next((c for c in ranking if c in node[0]), None)
+        if dest == outcome:
+            dest = next((c for c in moved_to if c in node[0]), None)
         round_no += 1
 
 

@@ -9,7 +9,6 @@ so identical runs produce byte-identical output.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from json.encoder import encode_basestring_ascii
 
@@ -89,9 +88,12 @@ def _pairs_text(values: dict) -> str:
 
 def to_jsonable(value):
     """Dataclasses become dicts keyed by field name, tuples lists and enums
-    their values; anything else is returned as it is."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    their values; anything else is returned as it is. The field names are
+    read from the class's ``__dataclass_fields__``, which holds only fields:
+    no dataclass of the package declares a ``ClassVar``."""
+    fields = getattr(type(value), "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: to_jsonable(getattr(value, name)) for name in fields}
     if isinstance(value, tuple):
         return [to_jsonable(item) for item in value]
     if isinstance(value, enum.Enum):

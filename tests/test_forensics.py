@@ -407,10 +407,10 @@ class TestVerifyWitness:
 
 
 TABLE1_SEARCHES = {
-    "downward": lambda p: search_monotonicity(p, OPTS, Direction.DOWNWARD),
-    "upward": lambda p: search_monotonicity(p, OPTS, Direction.UPWARD),
-    "noshow": lambda p: search_noshow(p, OPTS),
-    "compromise": lambda p: search_compromise(p, OPTS),
+    "downward": lambda p, trie=None: search_monotonicity(p, OPTS, Direction.DOWNWARD, trie=trie),
+    "upward": lambda p, trie=None: search_monotonicity(p, OPTS, Direction.UPWARD, trie=trie),
+    "noshow": lambda p, trie=None: search_noshow(p, OPTS, trie=trie),
+    "compromise": lambda p, trie=None: search_compromise(p, OPTS, trie=trie),
 }
 
 
@@ -449,6 +449,60 @@ def test_table1_scan_work_pinned(table1, monkeypatch):
         "noshow": (26432, 37, 24, 26), "compromise": (30181, 47, 32, 36),
     }
     assert (witnesses, boundaries) == (10, 27)
+
+
+@pytest.mark.parametrize(
+    "case, work",
+    [
+        ("table1", (114, 54, 3)),
+        ("synthetic-buggy", (136, 56, 3)),
+        ("generated", (1951, 514, 36)),
+    ],
+    ids=["table1", "synthetic-buggy", "generated"],
+)
+def test_audit_scans_share_one_trie(case, work, tmp_path, monkeypatch):
+    """``audit --checks all`` builds one ``PrefixTrie`` and hands it to the
+    four t-scans, so a round decided or a child built for one search serves
+    the others. On Table 1, on the synthetic fixture in buggy mode and on
+    the benchmark's generated CVR at seed 1, the audit makes 114 / 136 /
+    1,951 full counts (``methods._evaluate``), as a trie per search did,
+    but decides 54 / 56 / 514 rounds (``methods._round``), not 81 / 79 /
+    766, and builds 3 / 3 / 36 trie children, not 11 / 10 / 102."""
+    if case == "generated":
+        cvr, roster = generated_cvr(tmp_path, monkeypatch)
+        source = ["--input", str(cvr), "--roster", str(roster)]
+    elif case == "table1":
+        source = ["--fixture", "oakland-table1"]
+    else:
+        source = ["--fixture", "oakland-full-synthetic", "--buggy-first-round"]
+    tries, full, decided, children = [], [], [], []
+    trie, evaluate, decide = methods.PrefixTrie, methods._evaluate, methods._round
+    build, child = trie.__init__, trie.child
+    monkeypatch.setattr(trie, "__init__", lambda *a: tries.append(1) or build(*a))
+    monkeypatch.setattr(trie, "child", lambda *a: children.append(1) or child(*a))
+    monkeypatch.setattr(methods, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
+    monkeypatch.setattr(methods, "_round", lambda *a: decided.append(1) or decide(*a))
+    argv = ["audit", *source, "--checks", "all", "--output", str(tmp_path / "audit.json")]
+    assert main(argv) == 0
+    assert len(tries) == 1
+    assert (len(full), len(decided), len(children)) == work
+
+
+@pytest.mark.parametrize("other", ["profile", "options"])
+def test_search_refuses_a_trie_built_for_another_count(other, table1):
+    """A trie answers for the profile and options it was built for: a search
+    of Table 1 refuses a trie of another profile or of other options, and
+    takes one of an equal profile."""
+    if other == "profile":
+        trie = methods.PrefixTrie(ONE_BALLOT, OPTS)
+    else:
+        trie = methods.PrefixTrie(table1, LEX)
+    for search in TABLE1_SEARCHES.values():
+        with pytest.raises(ValidationError, match="prefix trie"):
+            search(table1, trie)
+    equal = PreferenceProfile(table1.roster, dict(table1.entries))
+    upward = TABLE1_SEARCHES["upward"]
+    assert upward(table1, methods.PrefixTrie(equal, OPTS)) == upward(table1, None)
 
 
 def test_scans_leave_no_reference_cycles(synthetic_raw, tmp_path):
@@ -537,10 +591,16 @@ class TestOracle:
         candidates = len(profile.roster.candidates)
         report = brute_force_oracle(profile, options, OracleBounds(candidates, profile.total()))
         assert report.spoilers == find_spoilers(profile, options, max_subset_size=candidates - 1)
-        assert report.downward == search_monotonicity(profile, options, Direction.DOWNWARD)
-        assert report.upward == search_monotonicity(profile, options, Direction.UPWARD)
-        assert report.noshow == search_noshow(profile, options)
-        assert report.compromise == search_compromise(profile, options)
+        # each search on its own trie, then the four sharing one, as audit runs them
+        for trie in (None, methods.PrefixTrie(profile, options)):
+            assert report.downward == search_monotonicity(
+                profile, options, Direction.DOWNWARD, trie=trie
+            )
+            assert report.upward == search_monotonicity(
+                profile, options, Direction.UPWARD, trie=trie
+            )
+            assert report.noshow == search_noshow(profile, options, trie=trie)
+            assert report.compromise == search_compromise(profile, options, trie=trie)
 
     def test_removal_keeps_first_witness_run(self):
         """In buggy mode, removing 4-6 or 9-10 ballots of B>D>C>A elects D,

@@ -575,7 +575,8 @@ def test_round_memo_matches_reference_at_full_size(options, monkeypatch):
     many edits share a round's key at a trie node: every rcv_winner answer
     against the reference round loop at that t, and fewer round decisions
     (``_round``) than the full counts walked rounds, so answers came from
-    the node memos."""
+    the node memos. The searches run once with a trie each and once sharing
+    one, as ``audit`` runs them; sharing decides fewer rounds still."""
     profile = multiround_profile(23)
     reference = {}  # (source, moved_to, t) -> (outcome, rounds counted)
 
@@ -601,8 +602,14 @@ def test_round_memo_matches_reference_at_full_size(options, monkeypatch):
     monkeypatch.setattr(forensics, "rcv_winner", checked)
     monkeypatch.setattr(methods, "_evaluate", counted)
     monkeypatch.setattr(methods, "_round", lambda *a: decided.append(1) or decide(*a))
-    for direction in Direction:
-        search_monotonicity(profile, options, direction)
-    search_noshow(profile, options)
-    search_compromise(profile, options)
-    assert len(decided) < sum(reference[key][1] for key in full)
+    rounds_decided = []
+    for trie in (None, PrefixTrie(profile, options)):
+        full.clear()
+        decided.clear()
+        for direction in Direction:
+            search_monotonicity(profile, options, direction, trie=trie)
+        search_noshow(profile, options, trie=trie)
+        search_compromise(profile, options, trie=trie)
+        assert len(decided) < sum(reference[key][1] for key in full)
+        rounds_decided.append(len(decided))
+    assert rounds_decided[1] < rounds_decided[0]
