@@ -64,7 +64,7 @@ from .methods import (
     plurality_runoff,
     rcv_tabulate,
 )
-from .profiles import PairwiseMatrix, PreferenceProfile
+from .profiles import PreferenceProfile
 from .sanitize import (
     ALAMEDA,
     ALASKA,

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cvr import ValidationError
-from .profiles import PairwiseMatrix, PreferenceProfile, Ranking
+from .profiles import PreferenceProfile, Ranking
 
 
 class TieError(Exception):
@@ -576,16 +576,15 @@ def bucklin_topk(profile: PreferenceProfile, k: int) -> tuple[dict[str, int], st
     return scores, _unique(scores, f"bucklin top-{k}")
 
 
-def _find_majority_cycle(
-    candidates: tuple[str, ...], counts: dict[str, dict[str, int]]
-) -> tuple[str, ...] | None:
+def _find_majority_cycle(rows: dict[str, dict[str, int]]) -> tuple[str, ...] | None:
     """The first majority cycle a depth-first search meets, visiting
-    candidates in roster order, rotated to start at its earliest candidate;
-    v beats w when ``counts[v][w] > counts[w][v]``.
+    candidates in row order, rotated to start at its earliest candidate;
+    v beats w when ``rows[v][w] > rows[w][v]``.
 
     The search keeps its own stack of paths, so a cycle through every
     candidate of a large roster needs no recursion.
     """
+    candidates = tuple(rows)
     done: set[str] = set()
     for root in candidates:
         if root in done:
@@ -595,7 +594,7 @@ def _find_majority_cycle(
         while path:
             v = path[-1]
             for w in todo[-1]:
-                if w == v or counts[v][w] <= counts[w][v] or w in done:
+                if w == v or rows[v][w] <= rows[w][v] or w in done:
                     continue
                 if w in on_path:
                     cycle = tuple(path[path.index(w) :])
@@ -612,25 +611,25 @@ def _find_majority_cycle(
     return None
 
 
-def condorcet_analysis(matrix: PairwiseMatrix) -> CondorcetReport:
+def condorcet_analysis(rows: dict[str, dict[str, int]]) -> CondorcetReport:
     """Condorcet winner (if any), a strict-majority cycle (if any), and the
     minimax score of each candidate (worst head-to-head loss margin), all
-    read from the matrix rows. Each unordered pair's margin is read once and
-    settles both directions."""
-    ids, counts = matrix.candidates, matrix.counts
+    read from ``pairwise_matrix`` rows. Each unordered pair's margin is read
+    once and settles both directions."""
+    ids = tuple(rows)
     # the largest margin by which a rival beats x; below 0 when x beats them all
     worst = dict.fromkeys(ids, -math.inf)
     for i, x in enumerate(ids):
-        row = counts[x]
+        row = rows[x]
         for y in ids[i + 1 :]:
-            margin = row[y] - counts[y][x]
+            margin = row[y] - rows[y][x]
             if margin > worst[y]:
                 worst[y] = margin
             if -margin > worst[x]:
                 worst[x] = -margin
     winner = next((x for x in ids if worst[x] < 0), None)
     minimax = {x: max(margin, 0) for x, margin in worst.items()}
-    cycle = None if winner else _find_majority_cycle(ids, counts)
+    cycle = None if winner else _find_majority_cycle(rows)
     return CondorcetReport(winner, cycle, minimax)
 
 

@@ -20,23 +20,6 @@ ProfileKey = tuple[Ranking, bool]
 
 
 @dataclass(frozen=True)
-class PairwiseMatrix:
-    """Head-to-head counts, one row per candidate: ``counts[x][y]`` = n(x, y),
-    the ballots ranking x above y. Rows, and the keys of each row, follow
-    roster order, and a row leaves out its own candidate.
-
-    Unranked candidates sit below every ranked candidate; ballots ranking
-    neither of a pair count for neither side.
-    """
-
-    candidates: tuple[str, ...]
-    counts: dict[str, dict[str, int]]
-
-    def n(self, x: str, y: str) -> int:
-        return self.counts[x][y]
-
-
-@dataclass(frozen=True)
 class PreferenceProfile:
     roster: CandidateRoster
     entries: dict[ProfileKey, int]
@@ -78,19 +61,26 @@ class PreferenceProfile:
                 tally[ranking[0]] += count
         return tally
 
-    def pairwise_matrix(self) -> PairwiseMatrix:
+    def pairwise_matrix(self) -> dict[str, dict[str, int]]:
+        """Head-to-head counts, one row per candidate: ``rows[x][y]`` is the
+        number of ballots ranking x above y. Rows, and the keys of each row,
+        follow roster order, and a row leaves out its own candidate.
+
+        Unranked candidates sit below every ranked candidate; ballots ranking
+        neither of a pair count for neither side.
+        """
         ids = self.roster.ids()
-        counts = {x: dict.fromkeys([y for y in ids if y != x], 0) for x in ids}
+        rows = {x: dict.fromkeys([y for y in ids if y != x], 0) for x in ids}
         for (ranking, _), count in self.entries.items():
             ranked = set(ranking)
             unranked = [y for y in ids if y not in ranked]
             for i, x in enumerate(ranking):
-                row = counts[x]
+                row = rows[x]
                 for y in ranking[i + 1 :]:
                     row[y] += count
                 for y in unranked:
                     row[y] += count
-        return PairwiseMatrix(ids, counts)
+        return rows
 
     def remove_candidates(self, doomed: Iterable[str]) -> "PreferenceProfile":
         """Delete candidates from the roster and every ranking, preserving order.

@@ -23,7 +23,6 @@ from .forensics import (
     SpoilerWitness,
 )
 from .methods import CondorcetReport
-from .profiles import PairwiseMatrix
 
 
 def _encode(value, newline: str) -> str:
@@ -105,10 +104,12 @@ def scores_to_dict(method: str, scores: dict[str, int], winner: str | None, **ex
     return {"method": method, "scores": dict(scores), "winner": winner, **extra}
 
 
-def condorcet_to_dict(matrix: PairwiseMatrix, report: CondorcetReport, best: str | None) -> dict:
+def condorcet_to_dict(
+    rows: dict[str, dict[str, int]], report: CondorcetReport, best: str | None
+) -> dict:
     return {
         "method": "condorcet",
-        "pairwise": matrix.counts,
+        "pairwise": rows,
         **to_jsonable(report),
         "minimax_best": best,
     }

@@ -67,11 +67,11 @@ def test_criterion_1_round_reproduction(table1):
 
 
 def test_criterion_2_pairwise_reproduction(table1):
-    n = table1.pairwise_matrix().n
-    assert n("M", "H") == 11370 and n("H", "M") == 11322
-    assert n("R", "M") == 12352 and n("M", "R") == 11753
-    assert n("H", "R") == 12421 and n("R", "H") == 12165
-    analysis = condorcet_analysis(table1.pairwise_matrix())
+    rows = table1.pairwise_matrix()
+    assert rows["M"]["H"] == 11370 and rows["H"]["M"] == 11322
+    assert rows["R"]["M"] == 12352 and rows["M"]["R"] == 11753
+    assert rows["H"]["R"] == 12421 and rows["R"]["H"] == 12165
+    analysis = condorcet_analysis(rows)
     assert analysis.condorcet_winner is None
     assert analysis.cycle == ("H", "R", "M")
     report("criterion 2: pairwise matrix and majority cycle, exact")

@@ -48,6 +48,21 @@ _REPORT_DIGESTS = [
         None,
     ),
     (
+        "audit --fixture oakland-table1 --checks all --tie-policy lex",
+        "954873f186ea68d2ec98d9e67fb30ce2870c8fe5f7a13e518b83e584c7218518",
+        "1eaacd06b3d11ededaddff071e444a389ce28ce73e9abed8fa4dc561436068f2",
+    ),
+    (
+        "audit --input {cvr} --roster {roster} --checks all --tie-policy lex",
+        "89a68cb732a11c733743ab195ffc432778da16091dad5f8656e00f94a1bd0918",
+        "c990dea2fc4fa452d67e90f5593e8273f4e4d14f3ac96ee61de79cdd810caa3a",
+    ),
+    (
+        "compare --input {cvr} --roster {roster}",
+        "f837e81f4cfac00d867665588c1cec4f7f9416b4f54677d9aa14fe7fdf457ad3",
+        "f1fd2e94cda9cf9b3392c314dad0d1641aa9aed5d577f035f5ecd62f66993982",
+    ),
+    (
         "compare --fixture oakland-full-synthetic",
         "27dc8ec031d8f9d369a266092f115ee21007c711656d6545593180334b763bc9",
         "f093bfe0046866e5d95cd92470da6a2f546bb5ea7c1a8607f13dfec18d302a48",

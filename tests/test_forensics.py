@@ -574,12 +574,13 @@ class TestOracle:
             assert report.noshow == search_noshow(profile, options)
             assert report.compromise == search_compromise(profile, options)
 
-    @pytest.mark.parametrize("case", ["table1", "synthetic-buggy", "generated"])
+    @pytest.mark.parametrize("case", ["table1", "synthetic-buggy", "generated", "generated-lex"])
     def test_oracle_equals_searches_at_full_size(self, case, request, tmp_path, monkeypatch):
         """With its bounds raised, the oracle gives what every search gives
         on Table 1, on the synthetic fixture in buggy mode, and on the
-        benchmark's generated multi-round CVR at seed 1."""
-        if case == "generated":
+        benchmark's generated multi-round CVR at seed 1, there both with
+        ties an error and with ties broken lexicographically."""
+        if case.startswith("generated"):
             cvr, roster_path = generated_cvr(tmp_path, monkeypatch)
             with open(roster_path, encoding="utf-8") as stream:
                 roster = load_roster(stream)
@@ -587,7 +588,7 @@ class TestOracle:
                 profile = sanitize_all(parse_cvr(stream, roster), ALAMEDA, roster)[0]
         else:
             profile = request.getfixturevalue("table1" if case == "table1" else "synthetic_profile")
-        options = BUGGY if case == "synthetic-buggy" else OPTS
+        options = {"synthetic-buggy": BUGGY, "generated-lex": LEX}.get(case, OPTS)
         candidates = len(profile.roster.candidates)
         report = brute_force_oracle(profile, options, OracleBounds(candidates, profile.total()))
         assert report.spoilers == find_spoilers(profile, options, max_subset_size=candidates - 1)

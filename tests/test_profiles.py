@@ -43,20 +43,20 @@ class TestFirstPlaceTally:
 
 class TestPairwise:
     def test_table1_cells(self, table1):
-        n = table1.pairwise_matrix().n
-        assert n("M", "H") == 11370 and n("H", "M") == 11322
-        assert n("R", "M") == 12352 and n("M", "R") == 11753
-        assert n("H", "R") == 12421 and n("R", "H") == 12165
+        rows = table1.pairwise_matrix()
+        assert rows["M"]["H"] == 11370 and rows["H"]["M"] == 11322
+        assert rows["R"]["M"] == 12352 and rows["M"]["R"] == 11753
+        assert rows["H"]["R"] == 12421 and rows["R"]["H"] == 12165
 
     def test_unranked_below_ranked(self):
         profile = PreferenceProfile.from_counts(ABC, {("A", "B"): 1})
-        n = profile.pairwise_matrix().n
-        assert n("A", "B") == n("A", "C") == n("B", "C") == 1
-        assert n("B", "A") == n("C", "A") == n("C", "B") == 0
+        rows = profile.pairwise_matrix()
+        assert rows["A"]["B"] == rows["A"]["C"] == rows["B"]["C"] == 1
+        assert rows["B"]["A"] == rows["C"]["A"] == rows["C"]["B"] == 0
 
     def test_consistency_with_total(self, table1):
         # n(x,y) + n(y,x) + (ballots ranking neither) = total
-        matrix = table1.pairwise_matrix()
+        rows = table1.pairwise_matrix()
         total = table1.total()
         for x, y in [("H", "M"), ("H", "R"), ("M", "R")]:
             neither = sum(
@@ -64,7 +64,7 @@ class TestPairwise:
                 for (ranking, _), count in table1.entries.items()
                 if x not in ranking and y not in ranking
             )
-            assert matrix.n(x, y) + matrix.n(y, x) + neither == total
+            assert rows[x][y] + rows[y][x] + neither == total
 
     def test_matches_definition_on_random_profiles(self):
         """n(x, y) is the summed count of the types that rank x over y, on
@@ -79,12 +79,12 @@ class TestPairwise:
                 reversed_roster = CandidateRoster(tuple(reversed(profile.roster.candidates)))
                 profile = PreferenceProfile(reversed_roster, profile.entries)
             ids = profile.roster.ids()
-            matrix = profile.pairwise_matrix()
-            assert matrix.candidates == ids and list(matrix.counts) == list(ids)
+            rows = profile.pairwise_matrix()
+            assert tuple(rows) == ids
             for x in ids:
-                assert list(matrix.counts[x]) == [y for y in ids if y != x]
-                for y in matrix.counts[x]:
-                    assert matrix.n(x, y) == sum(
+                assert list(rows[x]) == [y for y in ids if y != x]
+                for y in rows[x]:
+                    assert rows[x][y] == sum(
                         count
                         for (ranking, _), count in profile.entries.items()
                         if prefers(ranking, x, y)

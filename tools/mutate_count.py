@@ -16,7 +16,10 @@ moved by one. The mutant is written into a copy of ``src/``, ``tests/`` and
 ``perfbench/`` (whose input generators some tests read) in a temporary
 directory, and the module's tests run against it; a mutant survives when
 they all pass. Survivors listed in EQUIVALENT with a reason are expected.
-The exit code is 0 when every other mutant is killed.
+The exit code is 0 when every other mutant is killed, 1 when one survives,
+and 2 when the gate cannot run: a GATE name that names no top-level
+definition, an EQUIVALENT key of the rows run that no mutant has (``--list``
+prints the current ids), or tests that fail unmutated.
 
 Not part of the tier-1 suite: a full run starts one pytest per mutant.
 """
@@ -147,6 +150,13 @@ _FLIPS = {
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.And: ast.Or, ast.Or: ast.And}
 
 
+def missing_definitions(module: Path, source: str) -> list[str]:
+    """The GATE names of ``module`` that name no top-level def or class of its source."""
+    tree = ast.parse(source)
+    defined = {top.name for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    return [name for name in GATE[module][0] if name not in defined]
+
+
 def _target_nodes(tree: ast.Module, targets: tuple[str, ...]) -> list[tuple[str, ast.AST]]:
     """(qualified name, node) of every node inside the target definitions,
     in a fixed walk order, so that the same index finds the same node in a
@@ -236,16 +246,27 @@ def main(argv: list[str] | None = None) -> int:
         gate = {args.module: GATE[args.module]}
 
     sources = {module: (ROOT / module).read_text(encoding="utf-8") for module in gate}
+    missing = [(m, name) for m in gate for name in missing_definitions(m, sources[m])]
+    for module, name in missing:
+        print(f"GATE names {name}, which is no top-level def or class of {module}")
+    if missing:
+        return 2
     every = [  # (module, tests, id, description, mutated source)
         (module, tests, *m)
         for module, (targets, tests) in gate.items()
         for m in mutants(sources[module], targets)
     ]
+    ids = {key for _, _, key, _, _ in every}
+    names = {name for targets, _ in gate.values() for name in targets}
+    stale = [key for key in EQUIVALENT if key.split(":", 1)[0] in names and key not in ids]
     if args.list:
         for module, _, _, description, _ in every:
             print(f"{module.name} {description}")
         print(f"{len(every)} mutants")
-        return 0
+    for key in stale:
+        print(f"EQUIVALENT key matches no mutant: {key}")
+    if args.list or stale:
+        return 2 if stale else 0
 
     with tempfile.TemporaryDirectory(prefix="mutate-count-") as tmp:
         copy = Path(tmp)
