@@ -441,6 +441,14 @@ def _round(
     return rise, won, outcome
 
 
+def _first(ranking: Ranking, continuing: dict[str, int]) -> str | None:
+    """The first candidate of ranking still in continuing, or None."""
+    for cid in ranking:
+        if cid in continuing:
+            return cid
+    return None
+
+
 def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
     """Count count's edit at t in full: walk the trie from round 1 and take
     each round's decision from the node's memo, deciding it with ``_round``
@@ -464,38 +472,40 @@ def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
     room = count.source - t  # how far past t the segment reaches
     if removal:  # short of the t that empties the profile
         room = min(room, total - 1)
-    ranking, moved_to = count.ranking, count.moved_to or ()
-    source = next((c for c in ranking if c in node[0]), None)
-    dest = next((c for c in moved_to if c in node[0]), None)
+    ranking, moved_to, flagged = count.ranking, count.moved_to or (), count.flagged
+    source = _first(ranking, node[0])
+    dest = _first(moved_to, node[0])
     round_no = 1
     while True:
         base, children, piles, memo = node
         key = None
-        if source != dest and (piles.held is None or not count.flagged):
+        if source != dest and not (flagged and piles.held is not None):
             key = (source, dest, t)
         decision = memo.get(key)
         if decision is None:
             decision = memo[key] = _round(base, key, trie.options.tie_policy, round_no)
         rise, won, outcome = decision
-        room = min(room, rise)
+        if rise < room:
+            room = rise
         if won is not False:  # a winner, or the (tied, context) of a tie
             return t, t + room, outcome
         node = children.get(outcome) or trie.child(node, outcome)
         if source == outcome:
-            source = next((c for c in ranking if c in node[0]), None)
+            source = _first(ranking, node[0])
         if dest == outcome:
-            dest = next((c for c in moved_to if c in node[0]), None)
+            dest = _first(moved_to, node[0])
         round_no += 1
 
 
 def rcv_winner(count: EditCount, t: int) -> str:
     """The winner of count's edit at t, or its TieError. A t inside the
-    segment of the last full count is answered from it; any other t is
-    counted in full, and its segment replaces the last."""
-    if not 0 <= t <= count.source:
-        raise ValidationError(f"edit size {t} is outside 0..{count.source}")
+    segment of the last full count, which lies inside 0..source, is answered
+    from it alone; any other t is checked to be an edit size and counted in
+    full, and its segment replaces the last."""
     lo, hi, outcome = count.segment
     if not lo <= t <= hi:
+        if not 0 <= t <= count.source:
+            raise ValidationError(f"edit size {t} is outside 0..{count.source}")
         lo, hi, outcome = count.segment = _evaluate(count, t)
     if isinstance(outcome, str):
         return outcome

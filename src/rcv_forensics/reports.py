@@ -89,8 +89,12 @@ def to_jsonable(value):
     """Dataclasses become dicts keyed by field name, tuples lists and enums
     their values; anything else is returned as it is. The field names are
     read from the class's ``__dataclass_fields__``, which holds only fields:
-    no dataclass of the package declares a ``ClassVar``."""
-    fields = getattr(type(value), "__dataclass_fields__", None)
+    no dataclass of the package declares a ``ClassVar``. The leaves (str,
+    int, bool, None) are matched first, by exact type: an IntEnum is not one."""
+    cls = type(value)
+    if cls is str or cls is int or cls is bool or value is None:
+        return value
+    fields = getattr(cls, "__dataclass_fields__", None)
     if fields is not None:
         return {name: to_jsonable(getattr(value, name)) for name in fields}
     if isinstance(value, tuple):

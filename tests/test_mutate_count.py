@@ -4,6 +4,7 @@ Running the gate starts one pytest per mutant and stays outside the suite;
 these checks read the tables and the sources only.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -42,3 +43,16 @@ def test_stale_equivalent_key_exits_2(monkeypatch, capsys):
     assert [line for line in out if line.startswith("EQUIVALENT")] == [
         f"EQUIVALENT key matches no mutant: {stale}"
     ]
+
+
+def test_mutant_builds_one_change():
+    """A mutant's source is built on demand, and each build is valid Python
+    differing from the unmutated module and from every other mutant's."""
+    source = (ROOT / "src/rcv_forensics/methods.py").read_text(encoding="utf-8")
+    found = mutate_count.mutants(source, ("_steady",))
+    built = [build() for _, _, build in found]
+    assert len(found) > 5
+    assert ast.unparse(ast.parse(source)) not in built
+    assert len(set(built)) == len(built)
+    for text in built:
+        ast.parse(text)

@@ -24,6 +24,7 @@ import rcv_forensics.forensics as forensics
 import rcv_forensics.methods as methods
 
 from rcv_forensics import (
+    ALAMEDA,
     Direction,
     RcvOptions,
     TiePolicy,
@@ -32,6 +33,7 @@ from rcv_forensics import (
     WriteinPolicy,
     plurality_runoff,
     rcv_tabulate,
+    sanitize_all,
     search_compromise,
     search_monotonicity,
     search_noshow,
@@ -52,10 +54,10 @@ from rcv_forensics.methods import (
     rcv_winner,
     winner_without,
 )
-from rcv_forensics.cvr import Candidate, CandidateRoster
+from rcv_forensics.cvr import Candidate, CandidateRoster, load_roster, parse_cvr
 from rcv_forensics.profiles import PreferenceProfile
 
-from conftest import make_random_profile
+from conftest import generated_cvr, make_random_profile
 
 
 def _top(ranking, eliminated):
@@ -366,17 +368,29 @@ def test_edit_count_matches_reference(seed):
     "t_of", [lambda n: -3, lambda n: -1, lambda n: n + 1, lambda n: 10**9],
     ids=["-3", "-1", "count+1", "1e9"],
 )
-def test_edit_size_outside_source_count_rejected(table1, moved_to, t_of):
+def test_edit_size_outside_source_count_rejected(table1, moved_to, t_of, monkeypatch):
     """t counts ballots of the source type, so it lies in 0..count: a
     negative t would add ballots to a removal and a larger one would count
-    negative ballots. t = 0 is the unedited profile."""
+    negative ballots. t = 0 is the unedited profile. A kept segment never
+    answers a t outside 0..count: once the segment ends at count, such a t
+    is still refused, without a count."""
     source = (("H",), False)
     count = EditCount(PrefixTrie(table1, RcvOptions()), source, moved_to)
     n = table1.entries[source]
-    with pytest.raises(ValidationError, match=rf"edit size -?\d+ is outside 0\.\.{n}"):
+    outside = rf"edit size -?\d+ is outside 0\.\.{n}"
+    with pytest.raises(ValidationError, match=outside):
         rcv_winner(count, t_of(n))
     assert rcv_winner(count, 0) == rcv_tabulate(table1).winner
     assert rcv_winner(count, n) in table1.roster.ids()
+    assert count.segment[1] == n
+
+    def fail(*args):
+        raise AssertionError("counted in full")
+
+    monkeypatch.setattr(methods, "_evaluate", fail)
+    for t in (n + 1, -1, t_of(n)):
+        with pytest.raises(ValidationError, match=outside):
+            rcv_winner(count, t)
 
 
 @pytest.mark.parametrize(
@@ -508,16 +522,28 @@ def test_segment_stops_at_the_edit_size_and_short_of_an_empty_profile(monkeypatc
     assert [rcv_winner(moved, t) for t in (4, 5, 4)] == ["B", "B", "B"]
 
 
-@pytest.mark.parametrize("case", ["table1", "synthetic-buggy"])
-def test_scan_counts_match_reference_at_full_size(case, table1, synthetic_profile, monkeypatch):
+@pytest.mark.parametrize("case", ["table1", "synthetic-buggy", "generated"])
+def test_scan_counts_match_reference_at_full_size(
+    case, table1, synthetic_profile, tmp_path, monkeypatch
+):
     """Every rcv_winner call of the four edit searches on a full fixture,
     answered from the shared trie and the segments, against the reference
     round loop counting the edited profile from scratch at that t; and how
-    many of those calls counted in full (``methods._evaluate``)."""
-    profile, options = {
-        "table1": (table1, RcvOptions()),
-        "synthetic-buggy": (synthetic_profile, RcvOptions(buggy_first_round=True)),
-    }[case]
+    many of those calls counted in full (``methods._evaluate``). The
+    benchmark's generated multi-round CVR at seed 1 is where a count most
+    often looks a row's candidate up again, after an elimination."""
+    if case == "generated":
+        cvr, roster_path = generated_cvr(tmp_path, monkeypatch)
+        with open(roster_path, encoding="utf-8") as stream:
+            roster = load_roster(stream)
+        with open(cvr, encoding="utf-8") as stream:
+            profile = sanitize_all(parse_cvr(stream, roster), ALAMEDA, roster)[0]
+        options = RcvOptions()
+    else:
+        profile, options = {
+            "table1": (table1, RcvOptions()),
+            "synthetic-buggy": (synthetic_profile, RcvOptions(buggy_first_round=True)),
+        }[case]
     calls = []
 
     def checked(count, t):
@@ -535,8 +561,8 @@ def test_scan_counts_match_reference_at_full_size(case, table1, synthetic_profil
         search_monotonicity(profile, options, direction)
     search_noshow(profile, options)
     search_compromise(profile, options)
-    assert len(calls) == {"table1": 87945, "synthetic-buggy": 86234}[case]
-    assert len(full) == {"table1": 114, "synthetic-buggy": 136}[case]
+    assert len(calls) == {"table1": 87945, "synthetic-buggy": 86234, "generated": 3898}[case]
+    assert len(full) == {"table1": 114, "synthetic-buggy": 136, "generated": 1951}[case]
 
 
 MULTIROUND_OPTIONS = [

@@ -1,13 +1,16 @@
 """``reports.dumps`` writes the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` and a line break, for any document of string keys and no
-float that ``json.dumps`` takes, and refuses the rest."""
+float that ``json.dumps`` takes, and refuses the rest; ``reports.to_jsonable``
+turns library records into the values those documents hold."""
 
+import enum
 import json
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rcv_forensics.reports import dumps
+from rcv_forensics.reports import dumps, to_jsonable
 
 
 def reference_dumps(doc) -> str:
@@ -73,3 +76,80 @@ def test_unencodable_document_refused_as_json_dumps(doc):
         reference_dumps(doc)
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+class _Kind(enum.Enum):
+    SHIFT = "shift"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+class _Name(str):
+    pass
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    name: str
+    size: int
+    ok: bool
+    note: object
+
+
+@dataclass(frozen=True)
+class _Node:
+    kind: _Kind
+    level: _Level
+    leaves: tuple
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (True, True), (False, False), (None, None), (0, 0), (-7, -7), ("", ""),
+        (_Kind.SHIFT, "shift"), (_Level.HIGH, 2), (_Name("H"), _Name("H")),
+        ((1, ("a", None)), [1, ["a", None]]),
+        (
+            (
+                _Node(
+                    _Kind.SHIFT,
+                    _Level.HIGH,
+                    (_Leaf("H", 3, True, None), _Leaf("M", 0, False, (1,))),
+                ),
+            ),
+            [
+                {
+                    "kind": "shift",
+                    "level": 2,
+                    "leaves": [
+                        {"name": "H", "size": 3, "ok": True, "note": None},
+                        {"name": "M", "size": 0, "ok": False, "note": [1]},
+                    ],
+                }
+            ],
+        ),
+    ],
+    ids=[
+        "true", "false", "none", "zero", "int", "str", "enum", "int-enum", "str-subclass",
+        "tuple", "records",
+    ],
+)
+def test_to_jsonable_values(value, expected):
+    """Leaves come back as they are (a ``str`` subclass too), enums as their
+    values (an ``IntEnum`` as its plain int), tuples as lists and dataclass
+    records as dicts in field order. Types are compared as well, since
+    ``True == 1`` and ``_Level.HIGH == 2``."""
+    got = to_jsonable(value)
+    assert got == expected
+    assert _shape(got) == _shape(expected)
+
+
+def _shape(value):
+    """value with every leaf replaced by its type, and dict keys kept in order."""
+    if isinstance(value, dict):
+        return [(key, _shape(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return [_shape(item) for item in value]
+    return type(value)

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 # module -> (definitions mutated, tests run against each of their mutants)
@@ -41,7 +43,7 @@ GATE = {
     Path("src/rcv_forensics/methods.py"): (
         (
             "_Piles", "_piled", "_decide", "_irv", "rcv_tabulate", "winner_without",
-            "PrefixTrie", "EditCount", "_steady", "_round", "_evaluate", "rcv_winner",
+            "PrefixTrie", "EditCount", "_steady", "_round", "_first", "_evaluate", "rcv_winner",
             "plurality_runoff", "_find_majority_cycle", "condorcet_analysis",
         ),
         ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
@@ -97,6 +99,9 @@ EQUIVALENT = {
     ),
     "EditCount: self.segment = (1, 0, None) [col 27: 0->-1]": (
         "the initial segment only has to be empty, and (1, -1) is as empty as (1, 0)"
+    ),
+    "_evaluate: if rise < room: [col 11: op0 Lt->LtE]": (
+        "on equality the store writes the value room already holds"
     ),
     "condorcet_analysis: if margin > worst[y]: [col 15: op0 Gt->GtE]": (
         "on equality the store writes the value worst[y] already holds"
@@ -195,8 +200,16 @@ def _apply(node: ast.AST, change: object) -> None:
         node.value = change
 
 
-def mutants(source: str, targets: tuple[str, ...]) -> list[tuple[str, str, str]]:
-    """(id, description, mutated source) of every mutant. The id names the
+def _mutated(source: str, targets: tuple[str, ...], index: int, change: object) -> str:
+    """source with one change made to the index-th target node of a fresh parse."""
+    tree = ast.parse(source)
+    _apply(_target_nodes(tree, targets)[index][1], change)
+    return ast.unparse(tree)
+
+
+def mutants(source: str, targets: tuple[str, ...]) -> list[tuple[str, str, Callable[[], str]]]:
+    """(id, description, build) of every mutant, where build() returns the
+    mutated source: only a mutant that runs is built. The id names the
     definition, the text of the source line, the column and the change, so
     that it survives edits elsewhere in the file."""
     lines = source.splitlines()
@@ -204,13 +217,12 @@ def mutants(source: str, targets: tuple[str, ...]) -> list[tuple[str, str, str]]
     seen: dict[str, int] = {}
     for index, (name, node) in enumerate(_target_nodes(ast.parse(source), targets)):
         for label, change in _mutations(node):
-            tree = ast.parse(source)
-            _apply(_target_nodes(tree, targets)[index][1], change)
             key = f"{name}: {lines[node.lineno - 1].strip()} [col {node.col_offset}: {label}]"
             seen[key] = seen.get(key, 0) + 1
             if seen[key] > 1:  # the same line text appears again in the definition
                 key += f" #{seen[key]}"
-            result.append((key, f"line {node.lineno}: {key}", ast.unparse(tree)))
+            build = functools.partial(_mutated, source, targets, index, change)
+            result.append((key, f"line {node.lineno}: {key}", build))
     return result
 
 
@@ -251,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"GATE names {name}, which is no top-level def or class of {module}")
     if missing:
         return 2
-    every = [  # (module, tests, id, description, mutated source)
+    every = [  # (module, tests, id, description, build)
         (module, tests, *m)
         for module, (targets, tests) in gate.items()
         for m in mutants(sources[module], targets)
@@ -281,8 +293,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"the unmutated tests fail: {last}")
             return 2
         survivors = []
-        for n, (module, tests, key, description, mutated) in enumerate(every, 1):
-            (copy / module).write_text(mutated, encoding="utf-8")
+        for n, (module, tests, key, description, build) in enumerate(every, 1):
+            (copy / module).write_text(build(), encoding="utf-8")
             passed, last = _run_tests(copy, tests)
             (copy / module).write_text(sources[module], encoding="utf-8")
             status = "SURVIVED" if passed else "killed"
