@@ -20,6 +20,7 @@ The t-scan is linear because the winner as a function of t need not be
 monotone across elimination-order changes. Consecutive t values with the same
 new winner merge into one witness, whose qualification is asked once per run,
 not at every t; a t whose count hits an elimination tie is a boundary instead.
+``rcv_winner`` answers a tie or an emptied profile as a value, not an error.
 
 ``find_spoilers`` removes subsets of losing candidates by elimination, not
 by rebuilding the profile: a candidate struck from every ranking counts as
@@ -169,11 +170,12 @@ def _scan(
     rcv_winner call on the edit's EditCount; the edits share one PrefixTrie,
     trie when given (it must be built for profile and options), else a new
     one.
-    The outcome at t is the winner, the tied candidates, or None when a
-    removal empties the profile. A run of t with one winner is asked
-    ``qualifies(edit, winner)`` once and, if it qualifies, becomes
-    ``witness(*edit, lo, hi, winner)``; a removal keeps only its first. A run
-    of one tie is a TieBoundary at its first t. Both come in edit order."""
+    The outcome at t is ``rcv_winner``'s value, never an error: the winner,
+    the tied candidates, or None when a removal empties the profile. A run
+    of t with one winner is asked ``qualifies(edit, winner)`` once and, if
+    it qualifies, becomes ``witness(*edit, lo, hi, winner)``; a removal
+    keeps only its first. A run of one tie is a TieBoundary at its first t.
+    Both come in edit order."""
     if trie is None:
         trie = PrefixTrie(profile, options)
     elif (trie.profile, trie.options) != (profile, options):
@@ -186,12 +188,7 @@ def _scan(
         runs: list[list] = []
         previous = run = None
         for t in range(1, count.source + 1):
-            try:
-                outcome = rcv_winner(count, t)
-            except TieError as exc:
-                outcome = exc.tied
-            except ValidationError:
-                outcome = None  # removal emptied the profile; no election outcome exists
+            outcome = rcv_winner(count, t)
             if outcome == previous:
                 if run is not None:
                     run[1] = t

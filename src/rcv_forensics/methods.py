@@ -11,8 +11,9 @@ IRV and plurality runoff count with ``_Piles``: each entry sits in the pile
 of its top continuing choice, and removing candidates walks only their piles,
 so a tabulation costs O(entries + ballots moved) rather than O(rounds x
 entries). That walk is also the transfer record. ``_irv`` is the one IRV
-round loop and ``_decide`` its round rule; ``_unique`` picks the single
-best-scoring candidate of the other methods or raises ``TieError``.
+round loop and ``_decide`` its round rule, which returns a tie that only
+``_irv`` raises; ``_unique`` picks the single best-scoring candidate of
+the other methods or raises ``TieError``.
 
 The spoiler search strikes subsets of losing candidates from a profile.
 Striking a candidate from every ranking moves each row to its next
@@ -36,10 +37,12 @@ sign: a winner's majority margin, or, in a round not won, every majority
 margin and the gap from each candidate to the lowest tallies. Tallies that
 merely pass each other above the lowest decide nothing and end no segment.
 ``rcv_winner(count, t)`` answers any t inside that constant-outcome segment
-without counting. A round at a prefix depends only on the candidates the
-two rows count for there and on t, so the edits of a search that share
-those (as ballot types with the same top choices do) share the round:
-``_round`` decides it, O(candidates), once per distinct key at each node.
+without counting, as a value (the winner, the ids of a tie, or None for
+no ballots or candidates): the t-scan path raises nothing. A round at a
+prefix depends only on the candidates the two rows count for there and on
+t, so the edits of a search that share those (as ballot types with the
+same top choices do) share the round: ``_round`` decides it,
+O(candidates), once per distinct key at each node.
 """
 
 from __future__ import annotations
@@ -267,19 +270,20 @@ def _piled(
 
 
 def _decide(
-    tallies: dict[str, int], continuing: int, tie_policy: TiePolicy, round_no: int
-) -> tuple[bool, str]:
+    tallies: dict[str, int], continuing: int, tie_policy: TiePolicy
+) -> tuple[bool | None, str | tuple[str, ...]]:
     """One round's rule, as (won, candidate): the leader wins with a strict
     majority of the continuing votes or as the last candidate; otherwise the
-    lowest tally is eliminated, a shared lowest being a TieError under
-    TiePolicy.ERROR and the lexicographically smallest id otherwise."""
+    lowest tally is eliminated, the lexicographically smallest id of a
+    shared lowest under TiePolicy.ELIMINATE_LEX_SMALLEST. Under
+    TiePolicy.ERROR a shared lowest is (None, the tied ids sorted)."""
     leader = max(tallies, key=tallies.__getitem__)
     if 2 * tallies[leader] > continuing or len(tallies) == 1:
         return True, leader
     low = min(tallies.values())
     tied = [cid for cid, n in tallies.items() if n == low]
     if len(tied) > 1 and tie_policy is TiePolicy.ERROR:
-        raise TieError(tied, f"round {round_no} elimination")
+        return None, tuple(sorted(tied))
     return False, min(tied)
 
 
@@ -296,7 +300,9 @@ def _irv(count: _Piles, tie_policy: TiePolicy, rounds: list[RoundRecord] | None 
     while True:
         tallies, pending = count.standing()
         exhausted = count.exhausted
-        won, cid = _decide(tallies, count.total - exhausted - pending, tie_policy, round_no)
+        won, cid = _decide(tallies, count.total - exhausted - pending, tie_policy)
+        if won is None:
+            raise TieError(cid, f"round {round_no} elimination")
         if won:
             if rounds is not None:
                 rounds.append(RoundRecord(round_no, tallies, (), exhausted, pending, ()))
@@ -374,7 +380,7 @@ class EditCount:
     the ranking moved_to (same flag), or are removed when it is None.
 
     segment is (lo, hi, outcome): every t in lo..hi has the outcome of the
-    last full count, a winner or the (tied, context) of its TieError."""
+    last full count, as ``rcv_winner`` returns it."""
 
     __slots__ = ("trie", "ranking", "flagged", "moved_to", "source", "segment")
 
@@ -397,18 +403,18 @@ def _steady(value: int, slope: int) -> float:
 
 
 def _round(
-    base: dict[str, int], key: tuple | None, tie_policy: TiePolicy, round_no: int
-) -> tuple[float, bool | None, object]:
+    base: dict[str, int], key: tuple | None, tie_policy: TiePolicy
+) -> tuple[float, bool | None, str | tuple[str, ...]]:
     """One round of an edit at a prefix whose tallies are base: key is
     (source, destination, t), t ballots leaving the source candidate's
     tally for the destination's (None is no one), or None when no tally
     moves. Returns (rise, won, outcome): won and outcome are ``_decide``'s,
-    or None and the (tied, context) of its TieError, and rise is how far t
-    may grow with every comparison ``_decide`` made keeping its sign, which
-    fixes the decision. A majority winner keeps its majority margin; a
-    round not won keeps every candidate's majority margin and its lowest
-    set, each candidate outside that set staying above the set's members.
-    The other tallies may cross each other: no rule reads their order."""
+    a tie among them, and rise is how far t may grow with every comparison
+    ``_decide`` made keeping its sign, which fixes the decision. A majority
+    winner keeps its majority margin; a round not won keeps every
+    candidate's majority margin and its lowest set, each candidate outside
+    that set staying above the set's members. The other tallies may cross
+    each other: no rule reads their order."""
     tallies, slopes = base, {}
     if key is not None:
         source, dest, t = key
@@ -418,10 +424,7 @@ def _round(
                 slopes[cid] = slope
                 tallies[cid] += slope * t
     continuing = sum(tallies.values())
-    try:
-        won, outcome = _decide(tallies, continuing, tie_policy, round_no)
-    except TieError as exc:  # keep only its fields: the memo outlives the call
-        won, outcome = None, (exc.tied, exc.context)
+    won, outcome = _decide(tallies, continuing, tie_policy)
     if not slopes or len(tallies) == 1:
         return math.inf, won, outcome
     total_slope = sum(slopes.values())
@@ -449,7 +452,7 @@ def _first(ranking: Ranking, continuing: dict[str, int]) -> str | None:
     return None
 
 
-def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
+def _evaluate(count: EditCount, t: int) -> tuple[int, int, str | tuple[str, ...] | None]:
     """Count count's edit at t in full: walk the trie from round 1 and take
     each round's decision from the node's memo, deciding it with ``_round``
     on a miss; so a round costs O(candidates) once per distinct key per
@@ -460,22 +463,20 @@ def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
     flagged row counts for no one.
     Returns the segment (t, hi, outcome): while the elimination path is
     fixed every tally is affine in t, so hi is the last t' up to which every
-    round keeps its decision, and so the outcome."""
+    round keeps its decision, and so the outcome. With no ballots or no
+    candidate left (a ValidationError to ``rcv_tabulate``) it is (t, t, None)."""
     trie = count.trie
     removal = count.moved_to is None
     total = trie.total - t if removal else trie.total
-    if total == 0:
-        raise ValidationError("cannot tabulate an empty profile")
     node = trie.root
-    if node is None:
-        raise ValidationError("no candidates left to tabulate")
+    if total == 0 or node is None:
+        return t, t, None
     room = count.source - t  # how far past t the segment reaches
     if removal:  # short of the t that empties the profile
         room = min(room, total - 1)
     ranking, moved_to, flagged = count.ranking, count.moved_to or (), count.flagged
     source = _first(ranking, node[0])
     dest = _first(moved_to, node[0])
-    round_no = 1
     while True:
         base, children, piles, memo = node
         key = None
@@ -483,33 +484,32 @@ def _evaluate(count: EditCount, t: int) -> tuple[int, int, object]:
             key = (source, dest, t)
         decision = memo.get(key)
         if decision is None:
-            decision = memo[key] = _round(base, key, trie.options.tie_policy, round_no)
+            decision = memo[key] = _round(base, key, trie.options.tie_policy)
         rise, won, outcome = decision
         if rise < room:
             room = rise
-        if won is not False:  # a winner, or the (tied, context) of a tie
+        if won is not False:  # a winner, or the ids of a tie
             return t, t + room, outcome
         node = children.get(outcome) or trie.child(node, outcome)
         if source == outcome:
             source = _first(ranking, node[0])
         if dest == outcome:
             dest = _first(moved_to, node[0])
-        round_no += 1
 
 
-def rcv_winner(count: EditCount, t: int) -> str:
-    """The winner of count's edit at t, or its TieError. A t inside the
-    segment of the last full count, which lies inside 0..source, is answered
-    from it alone; any other t is checked to be an edit size and counted in
-    full, and its segment replaces the last."""
+def rcv_winner(count: EditCount, t: int) -> str | tuple[str, ...] | None:
+    """The outcome of count's edit at t: the winner, the sorted ids of an
+    elimination tie (TiePolicy.ERROR), or None when the edited profile has
+    no ballots or no candidate left. A t inside the segment of the last
+    full count, which lies inside 0..source, is answered from it alone; any
+    other t is checked to be an edit size and counted in full, and its
+    segment replaces the last."""
     lo, hi, outcome = count.segment
     if not lo <= t <= hi:
         if not 0 <= t <= count.source:
             raise ValidationError(f"edit size {t} is outside 0..{count.source}")
         lo, hi, outcome = count.segment = _evaluate(count, t)
-    if isinstance(outcome, str):
-        return outcome
-    raise TieError(*outcome)
+    return outcome
 
 
 def plurality(profile: PreferenceProfile) -> tuple[dict[str, int], str]:

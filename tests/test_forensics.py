@@ -43,7 +43,7 @@ from rcv_forensics.forensics import _shift
 from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import generated_cvr, make_random_profile
-from test_pile_count import multiround_profile
+from test_pile_count import OPTIONS, multiround_profile
 
 OPTS = RcvOptions()
 BUGGY = RcvOptions(buggy_first_round=True)
@@ -540,6 +540,140 @@ def test_scans_leave_no_reference_cycles(synthetic_raw, tmp_path):
                 doc = json.loads(report.read_text())
                 assert doc["checks"]["condorcet"]["cycle"]
                 assert doc["checks"]["monotonicity"]["downward"]["boundaries"]
+
+
+def full_size_case(case, request, tmp_path, monkeypatch):
+    """(profile, options) of Table 1, of the synthetic fixture in buggy mode,
+    or of the benchmark's generated multi-round CVR at seed 1."""
+    if case == "generated":
+        cvr, roster_path = generated_cvr(tmp_path, monkeypatch)
+        with open(roster_path, encoding="utf-8") as stream:
+            roster = load_roster(stream)
+        with open(cvr, encoding="utf-8") as stream:
+            return sanitize_all(parse_cvr(stream, roster), ALAMEDA, roster)[0], OPTS
+    if case == "table1":
+        return request.getfixturevalue("table1"), OPTS
+    return request.getfixturevalue("synthetic_profile"), BUGGY
+
+
+def run_edit_searches(profile, options):
+    """The four edit searches sharing one PrefixTrie, as ``audit`` runs them."""
+    trie = methods.PrefixTrie(profile, options)
+    for direction in Direction:
+        search_monotonicity(profile, options, direction, trie=trie)
+    search_noshow(profile, options, trie=trie)
+    search_compromise(profile, options, trie=trie)
+
+
+@pytest.mark.parametrize("case", ["table1", "synthetic-buggy", "generated"])
+def test_scans_build_no_tie_error(case, request, tmp_path, monkeypatch):
+    """The t-scans answer an elimination tie as a value: the four searches
+    on one shared trie build no TieError, although Table 1, the synthetic
+    fixture in buggy mode and the generated CVR hit 27, 31 and 438 tie
+    boundaries."""
+    profile, options = full_size_case(case, request, tmp_path, monkeypatch)
+    built = []
+    init = TieError.__init__
+    monkeypatch.setattr(TieError, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    run_edit_searches(profile, options)
+    assert built == []
+
+
+def public_record(profile, options, source, moved_to, t):
+    """The public count of one edit at t: ("won", the losers in order, then
+    the winner), ("tie", the tied set of its TieError), or ("invalid", None)
+    for its ValidationError."""
+    ranking, flag = source
+    edited = (
+        profile.remove_ballots(ranking, t, flag) if moved_to is None
+        else profile.replace_ballots(ranking, moved_to, t, flag)
+    )
+    try:
+        result = rcv_tabulate(edited, options)
+    except TieError as exc:
+        return "tie", exc.tied
+    except ValidationError:
+        return "invalid", None
+    return "won", tuple(cid for rnd in result.rounds for cid in rnd.eliminated) + (result.winner,)
+
+
+def certify_scans(profile, options, monkeypatch):
+    """Check every segment of the four edit searches on one shared trie
+    with public counts only. Along one elimination path every tally is
+    affine in t, so the t whose count gives one record (the losers in
+    order, then the winner) form an interval: a segment is certified by
+    that record at both of its ends. A tie or an emptied profile carries no
+    path, so such a segment is checked at every t. The segments of each
+    edit must tile 1..count. Returns the number of segments."""
+    counts, segments = [], {}
+    evaluate, edit_count = methods._evaluate, methods.EditCount
+
+    def spied(count, t):
+        segments.setdefault(count, []).append(evaluate(count, t))
+        return segments[count][-1]
+
+    def built(*args):
+        counts.append(edit_count(*args))
+        return counts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(methods, "_evaluate", spied)
+        patch.setattr(forensics, "EditCount", built)
+        run_edit_searches(profile, options)
+    records = {}
+
+    def record(count, t):
+        key = (count.ranking, count.flagged), count.moved_to, t
+        if key not in records:
+            records[key] = public_record(profile, options, *key)
+        return records[key]
+
+    for count in counts:
+        found = segments[count]
+        assert [lo for lo, _, _ in found] == [1] + [hi + 1 for _, hi, _ in found[:-1]]
+        assert found[-1][1] == count.source
+        for lo, hi, outcome in found:
+            if isinstance(outcome, str):
+                kind, path = record(count, lo)
+                assert (kind, path[-1]) == ("won", outcome), (count.moved_to, lo)
+                assert record(count, hi) == (kind, path), (count.moved_to, lo, hi)
+            else:
+                expected = ("invalid", None) if outcome is None else ("tie", outcome)
+                for t in range(lo, hi + 1):
+                    assert record(count, t) == expected, (count.moved_to, t)
+    return sum(map(len, segments.values()))
+
+
+@pytest.mark.parametrize(
+    "case, n_segments", [("table1", 114), ("synthetic-buggy", 136), ("generated", 1951)]
+)
+def test_scan_segments_certified_at_full_size(case, n_segments, request, tmp_path, monkeypatch):
+    """Every segment the audit's four t-scans count on Table 1, on the
+    synthetic fixture in buggy mode and on the generated CVR, certified by
+    public counts of its edit."""
+    profile, options = full_size_case(case, request, tmp_path, monkeypatch)
+    assert certify_scans(profile, options, monkeypatch) == n_segments
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_scan_segments_certified_on_random_profiles(seed, monkeypatch):
+    """Random profiles with write-ins, flagged types and up to 12 ballots a
+    type, under every option set: both tie policies, buggy mode and both
+    write-in policies. A profile whose own count ties is skipped, since
+    every search starts from its winner."""
+    rng = random.Random(seed)
+    certified, ties = 0, 0
+    while certified < 200:
+        profile = make_random_profile(rng, max_types=8, max_count=12, writein_rate=0.5)
+        options = rng.choice(OPTIONS)
+        try:
+            rcv_tabulate(profile, options)
+        except (TieError, ValidationError):
+            continue
+        certify_scans(profile, options, monkeypatch)
+        certified += 1
+        ties += options.tie_policy is TiePolicy.ERROR
+    assert 50 < ties < 150
 
 
 class TestOracle:
