@@ -12,19 +12,19 @@ candidate, which cleaned ranks no longer show. Each ``ballot_id`` appears once.
 A parse returns a ``RawBallots`` table, not a list of ballots: each line's
 ``ballot_id``, the index of its ``(slots, raw_first_invalid)`` pattern, and the
 distinct patterns. A ``RawBallot`` is built only when the table is indexed or
-iterated; sanitize builds one per pattern, and writes the clean CVR from the
-table's ids and pattern indexes. A parse decodes and validates each distinct
-line tail once. The tail is the text of a line after its leading ``ballot_id``
-string; two lines with one tail are one ballot under two ids, and a repeat
-costs the parse one id and one index. One call keeps a table from each tail it
-has accepted to its pattern. A line that opens otherwise, whose id holds an
-escape, or whose tail is new, gets the full parse, so an error still names the
-first bad line; a tail that states a ``ballot_id`` of its own, which would
-override the one before it, is never reused. The full parse in turn checks each
-distinct rank slot once, and equal slots are one tuple object. These tables
-live only as long as the call, so no roster's validation reaches another parse.
-The writer likewise encodes the tail (``cvr_tail``) apart from the id, so equal
-ballots can share it.
+iterated, which nothing in this package does: sanitize reads the patterns. A
+parse decodes and validates each distinct line tail once. The tail is the text
+of a line after its leading ``ballot_id`` string; two lines with one tail are
+one ballot under two ids, and a repeat costs the parse one id and one index.
+One call keeps a table from each tail it has accepted to its pattern. A line
+that opens otherwise, whose id holds an escape, or whose tail is new, gets the
+full parse, so an error still names the first bad line; a tail that states a
+``ballot_id`` of its own, which would override the one before it, is never
+reused. The full parse in turn checks each distinct rank slot once, and equal
+slots are one tuple object. These tables live only as long as the call, so no
+roster's validation reaches another parse. The writer likewise encodes the tail
+(``cvr_tail``) apart from the id, so equal ballots can share it, and joins each
+id's JSON string with no document built.
 """
 
 from __future__ import annotations
@@ -352,12 +352,14 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> RawBallots:
 
 
 def cvr_tail(slots: Iterable, raw_first_invalid: bool | None) -> str:
-    """What follows the ballot_id in a CVR line: every slot, and the flag
+    """What follows the ballot_id in a CVR line: every slot, ids encoded as in
+    ``cvr_line`` (a TypeError unless a string), and the flag's truth value
     unless it is None. Ballots with equal slots and flag share it."""
-    doc = {"ranks": [list(slot) for slot in slots]}
+    ranks = ["[" + ",".join(map(encode_basestring_ascii, slot)) + "]" for slot in slots]
+    tail = ',"ranks":[' + ",".join(ranks) + "]"
     if raw_first_invalid is not None:
-        doc["raw_first_invalid"] = raw_first_invalid
-    return "," + json.dumps(doc, separators=(",", ":"))[1:] + "\n"
+        tail += ',"raw_first_invalid":' + ("true" if raw_first_invalid else "false")
+    return tail + "}\n"
 
 
 def cvr_line(ballot_id: str, tail: str) -> str:

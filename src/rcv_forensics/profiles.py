@@ -123,7 +123,9 @@ class PreferenceProfile:
         return self._move((tuple(ballot_type), raw_first_invalid), count, None)
 
     def _move(self, src: ProfileKey, count: int, dst: ProfileKey | None) -> "PreferenceProfile":
-        """``count`` ballots of src moved to dst, or deleted when dst is None."""
+        """``count`` ballots of src moved to dst, or deleted when dst is None.
+        An int count leaves every other entry valid, so only dst takes the
+        public checks (as a one-entry profile, which normalizes its key)."""
         if count < 0:
             raise ValidationError("count must be non-negative")
         if count == 0 or src == dst:
@@ -134,13 +136,19 @@ class PreferenceProfile:
                 f"only {available} ballots of type {src[0]} available, "
                 f"cannot {'remove' if dst is None else 'move'} {count}"
             )
+        if dst is not None and isinstance(count, int):
+            (dst,) = PreferenceProfile(self.roster, {dst: count}).entries
         entries = dict(self.entries)
         entries[src] = available - count
         if entries[src] == 0:
             del entries[src]
         if dst is not None:
             entries[dst] = entries.get(dst, 0) + count
-        return PreferenceProfile(self.roster, entries)
+        if not isinstance(count, int):  # every entry takes the checks, in order
+            return PreferenceProfile(self.roster, entries)
+        moved = object.__new__(PreferenceProfile)
+        moved.__dict__.update(roster=self.roster, entries=entries)
+        return moved
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,10 +11,10 @@ Duplicate candidates never terminate a ballot anywhere: a candidate already
 accepted is simply ignored when met again. Every raw ballot sanitizes, in the
 worst case to an empty ranking.
 
-A ballot table (``RawBallots``) is sanitized once per pattern:
-``sanitize_ballots`` gives one clean form per kind, and the statistics, the
-profile and the clean CVR are built from those forms and the table's ``ids``,
-``kinds`` and ``patterns``.
+A ballot table (``RawBallots``) is sanitized once per pattern, by ``_clean``:
+``sanitize_ballots`` gives one ``(ranking, flag)`` profile key per kind, and
+the statistics, the profile and the clean CVR are built from those keys and
+the table's ``ids``, ``kinds`` and ``patterns``, with no ballot object built.
 """
 
 from __future__ import annotations
@@ -81,23 +81,19 @@ class SanitizeStats:
     invalid_first_with_official: int
 
 
-def sanitize_ballot(
-    raw: RawBallot, policy: SanitizePolicy, roster: CandidateRoster
-) -> CleanBallot:
-    """Deterministic left-to-right scan of the raw slots under the policy."""
-    writeins = roster.writein_ids()
+def _clean(
+    slots: tuple, stated: bool | None, policy: SanitizePolicy, writeins: frozenset[str]
+) -> ProfileKey:
+    """The sanitized ranking and flag of raw slots (a deterministic left-to-
+    right scan under the policy); ``stated`` is the CVR's flag, or None."""
+    skip_overvotes = policy.overvote_policy is OvervotePolicy.SKIP
+    two_skips_end = policy.skip_policy is SkipPolicy.TWO_CONSECUTIVE_TERMINATE
     ranking: list[str] = []
     consecutive_skips = 0
-    for slot in raw.slots:
-        is_skip = len(slot) == 0 or (
-            len(slot) > 1 and policy.overvote_policy is OvervotePolicy.SKIP
-        )
-        if is_skip:
+    for slot in slots:
+        if not slot or (skip_overvotes and len(slot) > 1):
             consecutive_skips += 1
-            if (
-                policy.skip_policy is SkipPolicy.TWO_CONSECUTIVE_TERMINATE
-                and consecutive_skips >= 2
-            ):
+            if two_skips_end and consecutive_skips >= 2:
                 break
             continue
         if len(slot) > 1:
@@ -107,48 +103,47 @@ def sanitize_ballot(
         if candidate not in ranking:
             ranking.append(candidate)
     # a stated flag wins; else an empty or absent first slot is invalid: all() of nothing
-    raw_first_invalid = raw.raw_first_invalid
-    if raw_first_invalid is None:
-        raw_first_invalid = all(c in writeins for slot in raw.slots[:1] for c in slot)
-    return CleanBallot(raw.ballot_id, tuple(ranking), raw_first_invalid)
+    if stated is None:
+        stated = all(c in writeins for slot in slots[:1] for c in slot)
+    return tuple(ranking), stated
 
 
-def _skipped_then_ranked(slots: tuple[tuple[str, ...], ...]) -> bool:
-    """A ranked slot somewhere after the first skipped one."""
-    return () in slots and any(slots[slots.index(()) + 1 :])
+def sanitize_ballot(
+    raw: RawBallot, policy: SanitizePolicy, roster: CandidateRoster
+) -> CleanBallot:
+    """One raw ballot's clean form (``_clean``) under its own ``ballot_id``."""
+    writeins = roster.writein_ids()
+    return CleanBallot(raw.ballot_id, *_clean(raw.slots, raw.raw_first_invalid, policy, writeins))
 
 
 def sanitize_ballots(
     table: RawBallots, policy: SanitizePolicy, roster: CandidateRoster
-) -> list[tuple[CleanBallot, int]]:
-    """The clean forms of a ballot table, indexed by kind: the sanitized form
-    of each pattern's first ballot, with the pattern's ballot count.
-
-    A ballot's sanitized ranking and flag depend on nothing but its pattern,
-    so ``sanitize_ballot`` runs once per pattern, and a ballot's clean form is
-    that of its kind under its own ``ballot_id``.
-    """
+) -> list[tuple[ProfileKey, int]]:
+    """The clean forms of a ballot table, indexed by kind: each pattern's
+    sanitized ``(ranking, flag)``, with the pattern's ballot count. These
+    depend on nothing but the pattern, so ``_clean`` runs once per pattern."""
+    writeins = roster.writein_ids()
     counts = Counter(table.kinds)
     return [
-        (sanitize_ballot(table[first], policy, roster), counts[kind])
-        for kind, (_, _, first) in enumerate(table.patterns)
+        (_clean(slots, stated, policy, writeins), counts[kind])
+        for kind, (slots, stated, _) in enumerate(table.patterns)
     ]
 
 
 def sanitize_stats(
-    table: RawBallots, forms: list[tuple[CleanBallot, int]], roster: CandidateRoster
+    table: RawBallots, forms: list[tuple[ProfileKey, int]], roster: CandidateRoster
 ) -> SanitizeStats:
-    """Statistics of a ballot table from its clean forms: each pattern is
-    tested once and counts once for every ballot that has it."""
+    """Statistics of a ballot table from its clean forms (``sanitize_ballots``):
+    each pattern is tested once and counts once for every ballot that has it."""
     officials = set(roster.official_ids())
     total = overvote = skipped = invalid_first = 0
-    for (slots, _, _), (clean, n) in zip(table.patterns, forms):
+    for (slots, _, _), ((ranking, flag), n) in zip(table.patterns, forms):
         total += n
         if any(len(slot) > 1 for slot in slots):
             overvote += n
-        if _skipped_then_ranked(slots):
+        if () in slots and any(slots[slots.index(()) :]):  # ranked after the first skip
             skipped += n
-        if clean.raw_first_invalid and any(c in officials for c in clean.ranking):
+        if flag and any(c in officials for c in ranking):
             invalid_first += n
     return SanitizeStats(total, overvote, skipped, invalid_first)
 
@@ -156,35 +151,29 @@ def sanitize_stats(
 def sanitize_all(
     ballots: Iterable[RawBallot], policy: SanitizePolicy, roster: CandidateRoster
 ) -> tuple[PreferenceProfile, SanitizeStats]:
-    """Sanitize every ballot, aggregate into a profile, and report statistics,
-    without holding the sanitized ballots.
+    """Sanitize every ballot, aggregate into a profile, and report statistics.
 
-    The work is done once per pattern of the ballots' table
-    (``RawBallots.of``) and weighted by the pattern's ballot count; the
-    patterns keep the order of their first ballots, so the profile lists its
-    entries in the order their first ballots appear. No ballot is dropped: the
-    aggregated total always equals the input count.
+    The work is done once per pattern of the ballots' table (``RawBallots.of``)
+    and weighted by its ballot count; the profile lists its entries in the
+    order their first ballots appear. No ballot is dropped: the aggregated
+    total always equals the input count.
     """
     table = RawBallots.of(ballots)
     forms = sanitize_ballots(table, policy, roster)
     counts: dict[ProfileKey, int] = {}
-    for clean, n in forms:
-        key = (clean.ranking, clean.raw_first_invalid)
+    for key, n in forms:
         counts[key] = counts.get(key, 0) + n
     return PreferenceProfile(roster, counts), sanitize_stats(table, forms, roster)
 
 
 def emit_clean_cvr(
-    table: RawBallots, forms: list[tuple[CleanBallot, int]], sink: IO[str]
+    table: RawBallots, forms: list[tuple[ProfileKey, int]], sink: IO[str]
 ) -> None:
     """Write a ballot table's sanitized ballots as CVR lines of singleton
-    slots, with their flag, from each ballot's id and kind: one line tail is
-    encoded per distinct ranking and flag, and no ballot object is built."""
-    encoded: dict[ProfileKey, str] = {}
-    tails = []
-    for form, _ in forms:
-        key = (form.ranking, form.raw_first_invalid)
-        if key not in encoded:
-            encoded[key] = cvr_tail([(c,) for c in form.ranking], form.raw_first_invalid)
-        tails.append(encoded[key])
+    slots, with their flag, from each ballot's id and kind and the clean
+    forms (``sanitize_ballots``): one line tail is encoded per distinct
+    ranking and flag, and no ballot object is built."""
+    keys = [key for key, _ in forms]
+    encoded = {key: cvr_tail([(c,) for c in key[0]], key[1]) for key in dict.fromkeys(keys)}
+    tails = [encoded[key] for key in keys]
     sink.writelines(map(cvr_line, table.ids, map(tails.__getitem__, table.kinds)))

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rcv_forensics import fixture_roster, sanitize as sanitize_module
+from rcv_forensics import (
+    RawBallots, fixture_roster, load_builtin_fixture, parse_cvr, sanitize as sanitize_module,
+)
 import rcv_forensics.cli as cli
 from rcv_forensics.cli import main
 from rcv_forensics.cvr import emit_cvr, roster_to_json_dict
@@ -380,19 +382,21 @@ class TestSanitize:
 
     def test_sanitizes_each_ballot_once(self, capsys, monkeypatch, tmp_path, synthetic_raw):
         """The command sanitizes once per raw pattern, not once per line: six
-        calls for the six distinct ballots of table2, and 22 for the 26,569
-        lines of the synthetic CVR, whose clean CVR keeps its pinned bytes."""
+        ``_clean`` calls for the six distinct ballots of table2, and 22 for the
+        26,569 lines of the synthetic CVR, each on its pattern's slots in
+        pattern order; the clean CVR keeps its pinned bytes."""
         calls = []
-        original = sanitize_module.sanitize_ballot
+        original = sanitize_module._clean
 
         def counted(*args):
-            calls.append(args[0].ballot_id)
+            calls.append(args[0])
             return original(*args)
 
-        monkeypatch.setattr(sanitize_module, "sanitize_ballot", counted)
+        monkeypatch.setattr(sanitize_module, "_clean", counted)
         code, _, _ = run(capsys, "sanitize", "--fixture", "table2-examples")
         assert code == 0
-        assert len(calls) == 6
+        table2 = RawBallots.of(load_builtin_fixture("table2-examples"))
+        assert calls == [slots for slots, _, _ in table2.patterns] and len(calls) == 6
         roster, cvr = tmp_path / "roster.json", tmp_path / "votes.jsonl"
         roster.write_text(json.dumps(roster_to_json_dict(fixture_roster("oakland-full-synthetic"))))
         with open(cvr, "w", encoding="utf-8") as sink:
@@ -405,6 +409,9 @@ class TestSanitize:
         )
         assert code == 0
         assert len(calls) == 22 and len(cvr.read_text(encoding="utf-8").splitlines()) == 26569
+        with open(cvr, encoding="utf-8") as stream:
+            table = parse_cvr(stream, fixture_roster("oakland-full-synthetic"))
+        assert calls == [slots for slots, _, _ in table.patterns]
         assert (
             hashlib.sha256(cleaned.read_bytes()).hexdigest()
             == "f62c3eb94ed586a76fc4f6d4776ccf78bd8d62d423cbcfffde26d3c32048cbc0"

@@ -223,6 +223,48 @@ def test_cvr_line_id_bytes_match_json_dumps(ballot_id):
     assert cvr_line(ballot_id, tail) == '{"ballot_id":' + json.dumps(ballot_id) + tail
 
 
+def json_dumps_tail(slots, raw_first_invalid) -> str:
+    """The ``cvr_tail`` that encoded a whole document with ``json.dumps``.
+    It is the only copy and exists to check ``cvr_tail``'s bytes."""
+    doc = {"ranks": [list(slot) for slot in slots]}
+    if raw_first_invalid is not None:
+        doc["raw_first_invalid"] = raw_first_invalid
+    return "," + json.dumps(doc, separators=(",", ":"))[1:] + "\n"
+
+
+# any code point, lone surrogates among them, with JSON's escapes drawn often
+ANY_ID = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\x00\x1f\x7f\ud800\udfff'))
+)
+
+
+@given(st.lists(st.lists(ANY_ID, max_size=4), max_size=6), st.sampled_from([None, True, False]))
+@example([], None)
+@example([], True)
+@example([[]], False)
+@example([[], ["H"], []], None)
+@example([['q"uote', "back\\slash\\"], ["ctl\t\n\r\x00\x1f\x7f"]], True)
+@example([["Jos\u00e9 \u5019\u9009", "\U0001f5f3", "\ud800", "\udfff x"]], False)
+def test_cvr_tail_bytes_match_json_dumps(slots, flag):
+    """The writer's tail has the bytes of ``json.dumps`` of the document it
+    stands for, escapes and all, with every slot and the flag unless None."""
+    assert cvr_tail(slots, flag) == json_dumps_tail(slots, flag)
+
+
+def test_writer_refuses_an_id_that_is_not_a_string():
+    """A hand-built ballot whose slot holds an id that is not a string, which
+    ``json.dumps`` wrote as a JSON number, is a TypeError for the writer; the
+    parse refuses such a line anyway."""
+    ballot = RawBallot("b", ((5,), ("H",)))
+    with pytest.raises(TypeError):
+        emit_cvr([ballot], io.StringIO())
+    with pytest.raises(TypeError):
+        cvr_tail([("H", 5)], None)
+    line = '{"ballot_id":"b","ranks":[[5],["H"]]}\n'
+    with pytest.raises(ParseError, match="each rank slot must be an array of candidate ids"):
+        parse_cvr(io.StringIO(line), fixture_roster("oakland-full-synthetic"))
+
+
 def reference_parse_cvr(source, roster) -> list[RawBallot]:
     """The per-line parse that ``parse_cvr`` replaced: every line is decoded
     and its ranks validated and canonicalized anew, with no table of tails.

@@ -302,3 +302,63 @@ def test_rcv_invariant_under_reaggregation(table1):
     random.Random(3).shuffle(shuffled_items)
     rebuilt = PreferenceProfile(table1.roster, dict(shuffled_items))
     assert rcv_tabulate(rebuilt) == rcv_tabulate(table1)
+
+
+def reference_move(profile, src, count, dst):
+    """An edit as the public constructor makes it: the moved counts, then
+    every entry checked and normalized again. It is the only copy and exists
+    to check ``PreferenceProfile._move``, which checks only dst."""
+    if count < 0:
+        raise ValidationError("count must be non-negative")
+    if count == 0 or src == dst:
+        return profile
+    available = profile.entries.get(src, 0)
+    if count > available:
+        raise ValidationError(
+            f"only {available} ballots of type {src[0]} available, "
+            f"cannot {'remove' if dst is None else 'move'} {count}"
+        )
+    entries = dict(profile.entries)
+    entries[src] = available - count
+    if entries[src] == 0:
+        del entries[src]
+    if dst is not None:
+        entries[dst] = entries.get(dst, 0) + count
+    return PreferenceProfile(profile.roster, entries)
+
+
+def edit_outcome(edit):
+    """An edit's entries in order, with the types of each flag and count, or
+    the text of the error it raises."""
+    try:
+        moved = edit()
+    except ValidationError as exc:
+        return str(exc)
+    return [(r, f, type(f), n, type(n)) for (r, f), n in moved.entries.items()], moved.roster
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edits_match_the_public_constructor(seed):
+    """Both public edits give the entries (in order, with their types) or the
+    error text that the public constructor gives on the edited entries: for
+    int, float and bool counts, flags that are not bools, and destinations
+    that are new, unknown, repeat a candidate or precede the source."""
+    rng = random.Random(seed)
+    for _ in range(500):
+        profile = make_random_profile(rng, flag_rate=0.5)
+        keys = list(profile.entries)
+        ranking, flag = rng.choice(keys + [(("A", "B"), True)])
+        to = rng.choice(
+            [r for r, _ in keys]
+            + [tuple(reversed(ranking)), (), ("A", "A"), ("Z",), tuple(rng.sample("ABC", 2))]
+        )
+        flag = rng.choice([flag, flag, int(flag), None, not flag])
+        t = rng.randint(0, profile.entries.get((ranking, bool(flag)), 1) + 1)
+        count = rng.choice([t, t, t, float(t), t + 0.5, True, -1])
+        src = (ranking, flag)
+        assert edit_outcome(lambda: profile.replace_ballots(ranking, to, count, flag)) == (
+            edit_outcome(lambda: reference_move(profile, src, count, (to, flag)))
+        )
+        assert edit_outcome(lambda: profile.remove_ballots(ranking, count, flag)) == (
+            edit_outcome(lambda: reference_move(profile, src, count, None))
+        )

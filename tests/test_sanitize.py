@@ -276,7 +276,7 @@ def test_pattern_table_matches_per_ballot_fold(policy):
             forms = sanitize_ballots(table, policy, OAKLAND)
             assert sanitize_stats(table, forms, OAKLAND) == expected[1]
             cleaned = [
-                CleanBallot(ballot_id, forms[kind][0].ranking, forms[kind][0].raw_first_invalid)
+                CleanBallot(ballot_id, *forms[kind][0])
                 for ballot_id, kind in zip(table.ids, table.kinds)
             ]
             assert cleaned == [sanitize_ballot(b, policy, OAKLAND) for b in ballots]
@@ -306,13 +306,13 @@ def test_sanitize_command_writes_per_ballot_bytes(name, tmp_path):
 
 def test_sanitizes_each_raw_pattern_once(synthetic_raw, monkeypatch):
     calls = []
-    original = sanitize_module.sanitize_ballot
+    original = sanitize_module._clean
 
     def counted(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(sanitize_module, "sanitize_ballot", counted)
+    monkeypatch.setattr(sanitize_module, "_clean", counted)
     profile, _ = sanitize_all(synthetic_raw, ALAMEDA, OAKLAND)
     patterns = {(b.slots, b.raw_first_invalid) for b in synthetic_raw}
     assert len(calls) == len(patterns) < len(synthetic_raw) == profile.total()
@@ -346,15 +346,21 @@ def counting(monkeypatch, module, name):
 def test_synthetic_cvr_work_pinned(synthetic_raw, monkeypatch):
     """The parse of the synthetic CVR builds no ballot object, one pattern
     per distinct (slots, flag), and its sanitize runs once per pattern: 22
-    ``sanitize_ballot`` calls for 26,569 ballots, each on the first ballot
-    of its pattern."""
+    ``_clean`` calls for 26,569 ballots, each on its pattern's slots and
+    stated flag, in pattern order. Neither sanitize nor the clean CVR's
+    writer builds a ``RawBallot`` or a ``CleanBallot``."""
     sink = io.StringIO()
     emit_cvr(synthetic_raw, sink)
     built = counting(monkeypatch, cvr_module, "_parsed_ballot")
+    clean_built = counting(monkeypatch, sanitize_module, "CleanBallot")
     table = parse_cvr(io.StringIO(sink.getvalue()), OAKLAND)
-    assert len(built) == 0 and len(table) == 26569 == len(table.ids) == len(table.kinds)
-    sanitized = counting(monkeypatch, sanitize_module, "sanitize_ballot")
+    assert len(table) == 26569 == len(table.ids) == len(table.kinds)
+    forms = sanitize_ballots(table, ALAMEDA, OAKLAND)
+    sanitized = counting(monkeypatch, sanitize_module, "_clean")
     profile, stats = sanitize_all(table, ALAMEDA, OAKLAND)
-    assert len(sanitized) == len(table.patterns) == len(built) == 22
-    assert [raw.ballot_id for raw, *_ in sanitized] == [table.ids[p[2]] for p in table.patterns]
+    emit_clean_cvr(table, forms, io.StringIO())
+    assert len(sanitized) == len(table.patterns) == 22
+    assert all(args[0] is slots for args, (slots, _, _) in zip(sanitized, table.patterns))
+    assert [args[1] for args in sanitized] == [stated for _, stated, _ in table.patterns]
+    assert len(built) == len(clean_built) == 0
     assert profile.total() == stats.total == 26569

@@ -61,7 +61,7 @@ GATE = {
     ),
     Path("src/rcv_forensics/sanitize.py"): (
         (
-            "sanitize_ballot", "sanitize_ballots", "sanitize_stats", "sanitize_all",
+            "_clean", "sanitize_ballot", "sanitize_ballots", "sanitize_stats", "sanitize_all",
             "emit_clean_cvr",
         ),
         ("tests/test_sanitize.py", "tests/test_cvr.py"),
@@ -135,7 +135,7 @@ EQUIVALENT = {
         "t = 0 counts the unedited profile, whose original winner never qualifies "
         "and is no tie, so the run it starts or joins gives no witness or boundary"
     ),
-    "sanitize_ballot: candidate = slot[0] [col 25: 0->-1]": (
+    "_clean: candidate = slot[0] [col 25: 0->-1]": (
         "the line runs only on a slot of one candidate, where slot[0] is slot[-1]"
     ),
 }
