@@ -20,11 +20,14 @@ One call keeps a table from each tail it has accepted to its pattern. A line
 that opens otherwise, whose id holds an escape, or whose tail is new, gets the
 full parse, so an error still names the first bad line; a tail that states a
 ``ballot_id`` of its own, which would override the one before it, is never
-reused. The full parse in turn checks each distinct rank slot once, and equal
-slots are one tuple object. These tables live only as long as the call, so no
-roster's validation reaches another parse. The writer likewise encodes the tail
-(``cvr_tail``) apart from the id, so equal ballots can share it, and joins each
-id's JSON string with no document built.
+reused. The full parse decodes the line with the scanner that ``json.loads``
+calls (``_decode_line``) and leaves any line the scanner cannot take whole to
+``json.loads``, so every decode error is ``json.loads``'s own. It in turn
+checks each distinct rank slot once, and equal slots are one tuple object.
+These tables live only as long as the call, so no roster's validation reaches
+another parse. The writer likewise encodes the tail (``cvr_tail``) apart from
+the id, so equal ballots can share it, and joins each id's JSON string with no
+document built.
 """
 
 from __future__ import annotations
@@ -254,13 +257,32 @@ def _slots(
     return tuple(slots)
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str) -> object:
+    """``json.loads(line)``, value and error alike. A line that opens with its
+    value and has nothing but JSON whitespace after it is decoded by the
+    scanner ``json.loads`` calls, without its wrapper; any other line (one
+    that opens with whitespace or a BOM, say, or has extra data) is left to
+    ``json.loads``, so every error is its own."""
+    try:
+        doc, end = _scan_once(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):
+        return json.loads(line)
+    return doc
+
+
 def _parse_line(
     line_no: int, line: str, roster: CandidateRoster, seen: dict
 ) -> tuple[str, tuple[tuple[str, ...], ...], bool | None]:
     """A line's ballot_id, canonical slots and stated flag, or the
-    ParseError that names what is wrong with it."""
+    ParseError that names what is wrong with it. The line is decoded by
+    ``_decode_line``, whose errors are those of ``json.loads``."""
     try:
-        doc = json.loads(line)
+        doc = _decode_line(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {line_no}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -309,7 +331,9 @@ def parse_cvr(source: IO[str], roster: CandidateRoster) -> RawBallots:
     validated once per call, and a line that repeats it adds only its id and
     its pattern's index to the table; a line with a new tail, or with no
     leading ballot_id of plain text (an id with an escape, say), gets the
-    full parse, so an error names the first bad line.
+    full parse, so an error names the first bad line. That parse decodes the
+    line with ``json.loads``'s own scanner (``_decode_line``), and its errors
+    are those of ``json.loads``.
     Within that parse each distinct rank slot is checked once per call
     (``_slots``), and equal slots are one tuple. A tail is checked for an id
     of its own (``_states_id``) when it is first seen again; only a tail

@@ -555,23 +555,22 @@ def borda(
     pessimistic ones in every configuration.
     """
     n = config.n_points
-    ids = profile.roster.ids()
-    scores = {cid: 0 for cid in ids}
+    optimistic = config.model is BordaModel.OPTIMISTIC
+    scores = dict.fromkeys(profile.roster.ids(), 0)
+    # every candidate's unranked points, summed once; a ranked one has its share taken back
+    unranked_total = 0
     for (ranking, _), count in profile.entries.items():
         k = len(ranking)
         if k > n:
             raise ValidationError(
                 f"ballot ranks {k} candidates but the point scale covers only {n}"
             )
+        unranked = max(n - k - 1, 0) * count if optimistic else 0
+        unranked_total += unranked
         for i, cid in enumerate(ranking):
-            scores[cid] += (n - 1 - i) * count
-        if config.model is BordaModel.OPTIMISTIC and k < len(ids):
-            unranked_points = max(n - k - 1, 0)
-            if unranked_points:
-                ranked = set(ranking)
-                for cid in ids:
-                    if cid not in ranked:
-                        scores[cid] += unranked_points * count
+            scores[cid] += (n - 1 - i) * count - unranked
+    for cid in scores:
+        scores[cid] += unranked_total
     return scores, _unique(scores, f"borda ({config.model.value})")
 
 

@@ -25,16 +25,21 @@ class PreferenceProfile:
     entries: dict[ProfileKey, int]
 
     def __post_init__(self) -> None:
+        """Check each entry (a positive int count, then no candidate ranked
+        twice, then every candidate on the roster, tested as one set
+        comparison against the roster's ids) and normalize its key."""
+        known = self.roster._index.keys()
         normalized: dict[ProfileKey, int] = {}
         for (ranking, flag), count in self.entries.items():
             ranking = tuple(ranking)
             if not isinstance(count, int) or count <= 0:
                 raise ValidationError(f"entry count for {ranking} must be a positive integer")
-            if len(set(ranking)) != len(ranking):
+            ranked = set(ranking)
+            if len(ranked) != len(ranking):
                 raise ValidationError(f"ranking {ranking} contains a duplicate candidate")
-            for cid in ranking:
-                if cid not in self.roster:
-                    raise ValidationError(f"ranking references unknown candidate {cid!r}")
+            if not known >= ranked:
+                unknown = next(cid for cid in ranking if cid not in known)
+                raise ValidationError(f"ranking references unknown candidate {unknown!r}")
             normalized[(ranking, bool(flag))] = normalized.get((ranking, bool(flag)), 0) + count
         object.__setattr__(self, "entries", normalized)
 

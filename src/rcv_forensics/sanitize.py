@@ -104,7 +104,7 @@ def _clean(
             ranking.append(candidate)
     # a stated flag wins; else an empty or absent first slot is invalid: all() of nothing
     if stated is None:
-        stated = all(c in writeins for slot in slots[:1] for c in slot)
+        stated = not slots or all(map(writeins.__contains__, slots[0]))
     return tuple(ranking), stated
 
 
@@ -134,16 +134,19 @@ def sanitize_stats(
     table: RawBallots, forms: list[tuple[ProfileKey, int]], roster: CandidateRoster
 ) -> SanitizeStats:
     """Statistics of a ballot table from its clean forms (``sanitize_ballots``):
-    each pattern is tested once and counts once for every ballot that has it."""
+    each pattern is tested once and counts once for every ballot that has it.
+    A pattern has an overvote when its longest slot holds two or more ids, and
+    counts as an invalid first rank followed by an official when its flag is
+    set and its ranking meets the roster's officials."""
     officials = set(roster.official_ids())
     total = overvote = skipped = invalid_first = 0
     for (slots, _, _), ((ranking, flag), n) in zip(table.patterns, forms):
         total += n
-        if any(len(slot) > 1 for slot in slots):
+        if max(map(len, slots), default=0) > 1:
             overvote += n
         if () in slots and any(slots[slots.index(()) :]):  # ranked after the first skip
             skipped += n
-        if flag and any(c in officials for c in ranking):
+        if flag and not officials.isdisjoint(ranking):
             invalid_first += n
     return SanitizeStats(total, overvote, skipped, invalid_first)
 

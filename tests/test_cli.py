@@ -838,6 +838,19 @@ class TestNonUtf8Input:
         assert code == 3
         assert err == "error: CVR is not UTF-8 text: invalid start byte\n"
 
+    def test_cvr_opening_with_a_bom(self, capsys, tmp_path):
+        """A BOM is not stripped: the first line is refused with the error
+        ``json.loads`` gives it."""
+        roster = tmp_path / "roster.json"
+        roster.write_text(ROSTER_JSON)
+        cvr = tmp_path / "votes.jsonl"
+        cvr.write_bytes(b'\xef\xbb\xbf{"ballot_id":"1","ranks":[["A"]]}\n')
+        code, out, err = run(
+            capsys, "tabulate", "--input", str(cvr), "--roster", str(roster), "--method", "rcv"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+
     def test_roster(self, capsys, tmp_path):
         roster = tmp_path / "roster.json"
         roster.write_bytes(b'{"candidates":[{"id":"A","name":"\xff"}]}')

@@ -21,6 +21,7 @@ from rcv_forensics import (
     parse_cvr,
     sanitize_ballot,
 )
+from rcv_forensics import cvr
 from rcv_forensics.cvr import _PLAIN_ID, cvr_line, cvr_tail
 
 OAKLAND_ROSTER_JSON = json.dumps(
@@ -263,6 +264,83 @@ def test_writer_refuses_an_id_that_is_not_a_string():
     line = '{"ballot_id":"b","ranks":[[5],["H"]]}\n'
     with pytest.raises(ParseError, match="each rank slot must be an array of candidate ids"):
         parse_cvr(io.StringIO(line), fixture_roster("oakland-full-synthetic"))
+
+
+def decode_outcome(decode, line):
+    """What a decode of one line gives: the value (as its repr, so that NaN
+    equals NaN), or the type of the exception with its ``msg`` and ``pos``."""
+    try:
+        return repr(decode(line))
+    except Exception as exc:  # every exception, so that a wrong type shows
+        return type(exc), getattr(exc, "msg", None), getattr(exc, "pos", None)
+
+
+# a valid CVR line with its newline taken off, in the writer's compact form or json.dumps's
+CVR_BODIES = st.builds(
+    lambda ballot_id, slots, flag, spaced: (
+        cvr_line(ballot_id, cvr_tail(slots, flag))[:-1]
+        if not spaced
+        else json.dumps({"ballot_id": ballot_id, "ranks": slots, "raw_first_invalid": flag})
+    ),
+    ANY_ID,
+    st.lists(st.lists(ANY_ID, max_size=3), max_size=4),
+    st.sampled_from([None, True, False]),
+    st.booleans(),
+)
+LINE_BODIES = st.one_of(
+    CVR_BODIES,
+    CVR_BODIES.flatmap(lambda body: st.integers(0, len(body)).map(lambda cut: body[:cut])),
+    st.sampled_from([
+        "NaN", "Infinity", "-Infinity", '{"ballot_id":NaN,"ranks":[[Infinity]]}',
+        '"\\ud800"', '{"ballot_id":"\\udfff","ranks":[["\\ud800x"]]}', "[]", "{}", "1", "",
+    ]),
+    st.text(max_size=30),
+)
+# JSON whitespace, and characters that look like it but are not
+LINE_OPENINGS = st.sampled_from(
+    ["", "", " ", "\t", "\n", "\r", " \t\r\n", "\ufeff", "\ufeff ", "\x0b"]
+)
+LINE_ENDINGS = st.sampled_from([
+    "", "\n", "\n", " \t\r\n", "\r\n", "\x0b", "\x0c", "\xa0", "\u2028", "\n\x0b", " \u2028\n",
+    " 1", "{}", '"x"\n', "\n{}\n", " NaN", "]", "}",
+])
+
+
+@given(LINE_OPENINGS, LINE_BODIES, LINE_ENDINGS)
+@example("", '{"ballot_id":"b","ranks":[["H"]]}', "\n")
+@example(" \t", '{"ballot_id":"b","ranks":[["H"]]}', "\n")
+@example("\ufeff", '{"ballot_id":"b","ranks":[["H"]]}', "\n")
+@example("", '{"ballot_id":"b","ranks":[["H"]]}', " \t\r\n")
+@example("", '{"ballot_id":"b","ranks":[["H"]]}', "\x0b")
+@example("", '{"ballot_id":"b","ranks":[["H"]]}', "\x0c\n")
+@example("", '{"ballot_id":"b","ranks":[["H"]]}', "\xa0\n")
+@example("", '{"ballot_id":"b","ranks":[["H"]]}', "\u2028")
+@example("", '{"ballot_id":"b","ranks":[["H"]]}', '{"ballot_id":"c","ranks":[]}\n')
+@example("", "NaN", "\n")
+@example("", "-Infinity", "")
+@example("", '{"ballot_id":"\\ud800","ranks":[["\\udfff"]]}', "\n")
+@example("", '{"ballot_id":"b","ranks":[["H"]', "\n")
+@example("", "", "\n")
+@example("", "[" * 100_000, "\n")
+def test_line_decoder_matches_json_loads(opening, body, ending):
+    """The parse's line decoder gives what ``json.loads`` gives on any line:
+    an equal value, or an exception of the same type with the same ``msg``
+    and ``pos``; leading whitespace, a BOM, trailing characters that are or
+    only look like JSON whitespace, a second value, constants and lone
+    surrogates among them."""
+    line = opening + body + ending
+    assert decode_outcome(cvr._decode_line, line) == decode_outcome(json.loads, line)
+
+
+@pytest.mark.parametrize("line", ["[" * 100_000, '{"ballot_id":"b","ranks":' + "[" * 100_000])
+def test_deep_line_raises_recursion_error_as_json_loads_does(line):
+    """A line nested past the recursion limit raises ``RecursionError`` from
+    the decoder, as from ``json.loads``, and the parse turns it into a
+    ParseError naming the line."""
+    with pytest.raises(RecursionError):
+        cvr._decode_line(line + "\n")
+    with pytest.raises(ParseError, match=r"^line 2: nested too deeply to parse$"):
+        parse_cvr(io.StringIO('{"ballot_id":"a","ranks":[]}\n' + line + "\n"), MEMO_ROSTER)
 
 
 def reference_parse_cvr(source, roster) -> list[RawBallot]:
@@ -567,14 +645,20 @@ def test_equal_slots_share_one_tuple(form):
 
 def counted_parse(text, monkeypatch):
     """What a parse with MEMO_ROSTER gives (see ``outcome``), and the texts
-    it decoded."""
+    it decoded: each text handed to the line decoder (``_decode_line``) or to
+    ``json.loads`` (which ``_states_id`` calls), in order."""
     decoded = []
-    loads = json.loads
+    decode_line, loads = cvr._decode_line, json.loads
+
+    def counting_decode_line(line):
+        decoded.append(line)
+        return decode_line(line)
 
     def counting_loads(text, *args, **kwargs):
         decoded.append(text)
         return loads(text, *args, **kwargs)
 
+    monkeypatch.setattr(cvr, "_decode_line", counting_decode_line)
     monkeypatch.setattr(json, "loads", counting_loads)
     try:
         return outcome(parse_cvr, text), decoded

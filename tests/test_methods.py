@@ -227,6 +227,80 @@ def _scores_only(profile, model, n):
         return scores, None
 
 
+def reference_borda_scores(profile, config):
+    """The scores as ``borda`` summed them with a loop over the roster for
+    each entry's unranked candidates. It is the only copy and exists to check
+    ``borda``'s one accumulator of unranked points."""
+    n = config.n_points
+    ids = profile.roster.ids()
+    scores = {cid: 0 for cid in ids}
+    for (ranking, _), count in profile.entries.items():
+        k = len(ranking)
+        if k > n:
+            raise ValidationError(
+                f"ballot ranks {k} candidates but the point scale covers only {n}"
+            )
+        for i, cid in enumerate(ranking):
+            scores[cid] += (n - 1 - i) * count
+        if config.model is BordaModel.OPTIMISTIC and k < len(ids):
+            unranked_points = max(n - k - 1, 0)
+            if unranked_points:
+                ranked = set(ranking)
+                for cid in ids:
+                    if cid not in ranked:
+                        scores[cid] += unranked_points * count
+    return scores
+
+
+def borda_outcome(score, profile, config):
+    """The scores in order and the winner or the tied candidates, or the
+    error text, of one Borda count made by ``score``."""
+    try:
+        scores = score(profile, config)
+    except ValidationError as exc:
+        return str(exc)
+    try:
+        return list(scores.items()), methods._unique(scores, "borda")
+    except TieError as exc:
+        return list(scores.items()), exc.tied
+
+
+@pytest.mark.parametrize("model", list(BordaModel))
+def test_borda_matches_per_entry_reference(model, monkeypatch):
+    """``borda`` gives the reference's scores, in roster order, and so its
+    winner or tie, or its error, with a point scale below, equal to and
+    above the roster size, on profiles with empty and full rankings."""
+    passed = []  # the scores each count hands to _unique, ties included
+    unique = methods._unique
+    monkeypatch.setattr(
+        methods, "_unique", lambda scores, context: passed.append(scores) or unique(scores, context)
+    )
+
+    def borda_scores(profile, config):
+        passed.clear()
+        try:
+            borda(profile, config)
+        except TieError:
+            pass
+        (scores,) = passed
+        return scores
+
+    rng = random.Random(29)
+    for _ in range(1000):
+        profile = make_random_profile(rng, max_count=9, flag_rate=0.3, writein_rate=0.3)
+        ids = profile.roster.ids()
+        entries = dict(profile.entries)
+        for ranking in ((), tuple(rng.sample(ids, len(ids)))):
+            if rng.random() < 0.5:
+                key = (ranking, rng.random() < 0.5)
+                entries[key] = entries.get(key, 0) + rng.randint(1, 9)
+        profile = PreferenceProfile(profile.roster, entries)
+        config = BordaConfig(model, max(2, len(ids) + rng.randint(-2, 2)))
+        assert borda_outcome(borda_scores, profile, config) == (
+            borda_outcome(reference_borda_scores, profile, config)
+        )
+
+
 class TestBucklin:
     def test_table1_top2(self, table1):
         scores, winner = bucklin_topk(table1, 2)

@@ -11,6 +11,7 @@ from rcv_forensics.profiles import PreferenceProfile
 from conftest import make_random_profile
 
 ABC = CandidateRoster(tuple(Candidate(c, c) for c in "ABC"))
+ZAA, ZAZ, AYA = ("Z", "A", "A"), ("Z", "A", "Z"), ("A", "Y", "A")
 
 
 class TestTotals:
@@ -204,6 +205,37 @@ class TestEqualityAndValidation:
     def test_unknown_candidate_rejected(self):
         with pytest.raises(ValidationError):
             PreferenceProfile(ABC, {(("Z",), False): 1})
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # a bad count is named first, even on a ranking that repeats and names unknowns
+            ({(("Z", "A", "A"), False): 0}, f"entry count for {ZAA} must be a positive integer"),
+            ({(("Z", "A", "A"), False): -2}, f"entry count for {ZAA} must be a positive integer"),
+            ({(("Z", "A", "A"), False): 1.0}, f"entry count for {ZAA} must be a positive integer"),
+            # a repeat is named before an unknown id
+            ({(("Z", "A", "Z"), False): 1}, f"ranking {ZAZ} contains a duplicate candidate"),
+            ({(("A", "Y", "A"), True): 3}, f"ranking {AYA} contains a duplicate candidate"),
+            # of several unknown ids, the first in ranking order is named
+            ({(("A", "Y", "X"), False): 1}, "ranking references unknown candidate 'Y'"),
+            (
+                {(("B",) + tuple(f"u{i}" for i in range(20, 0, -1)), False): 1},
+                "ranking references unknown candidate 'u20'",
+            ),
+            # entries are checked one at a time, in order
+            ({(("Z",), False): 1, (("A",), False): 0}, "ranking references unknown candidate 'Z'"),
+            (
+                {(("A",), False): 1, (("B", "B"), False): 0},
+                "entry count for ('B', 'B') must be a positive integer",
+            ),
+        ],
+    )
+    def test_error_order(self, entries, message):
+        """Each entry's checks run in a fixed order (count, then repeats,
+        then roster membership), and the error names what it refuses."""
+        with pytest.raises(ValidationError) as info:
+            PreferenceProfile(ABC, entries)
+        assert str(info.value) == message
 
 
 class TestSerialization:

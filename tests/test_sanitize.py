@@ -202,21 +202,26 @@ def test_aggregation_conserves_ballots(ballot_slots, policy):
 
 def reference_sanitize_all(ballots, policy, roster):
     """The per-ballot fold that ``sanitize_all`` replaced: every ballot is
-    sanitized, tested and counted on its own. The only copy; it exists to
-    check the clean forms per pattern kind."""
+    sanitized, tested and counted on its own, and a flag the ballot does not
+    state is read from its first slot here. The only copy; it exists to
+    check the clean forms per pattern kind and their statistics."""
     officials = set(roster.official_ids())
+    writeins = roster.writein_ids()
     counts = {}
     total = overvote = skipped = invalid_first = 0
     for raw in ballots:
         clean = sanitize_ballot(raw, policy, roster)
-        key = (clean.ranking, clean.raw_first_invalid)
+        flag = raw.raw_first_invalid
+        if flag is None:  # an absent or empty first slot, or one of write-ins only
+            flag = all(c in writeins for slot in raw.slots[:1] for c in slot)
+        key = (clean.ranking, flag)
         counts[key] = counts.get(key, 0) + 1
         total += 1
         if any(len(slot) > 1 for slot in raw.slots):
             overvote += 1
         if () in raw.slots and any(raw.slots[raw.slots.index(()) + 1 :]):
             skipped += 1
-        if clean.raw_first_invalid and any(c in officials for c in clean.ranking):
+        if flag and any(c in officials for c in clean.ranking):
             invalid_first += 1
     return list(counts.items()), SanitizeStats(total, overvote, skipped, invalid_first)
 

@@ -44,7 +44,7 @@ GATE = {
         (
             "_Piles", "_piled", "_decide", "_irv", "rcv_tabulate", "winner_without",
             "PrefixTrie", "EditCount", "_steady", "_round", "_first", "_evaluate", "rcv_winner",
-            "plurality_runoff", "_find_majority_cycle", "condorcet_analysis",
+            "plurality_runoff", "borda", "_find_majority_cycle", "condorcet_analysis",
         ),
         ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
     ),
@@ -68,8 +68,8 @@ GATE = {
     ),
     Path("src/rcv_forensics/cvr.py"): (
         (
-            "_parsed_ballot", "RawBallots", "_slots", "_parse_line", "_states_id", "parse_cvr",
-            "cvr_tail", "cvr_line", "_decode_roster",
+            "_parsed_ballot", "RawBallots", "_slots", "_decode_line", "_parse_line", "_states_id",
+            "parse_cvr", "cvr_tail", "cvr_line", "_decode_roster",
         ),
         ("tests/test_cvr.py",),
     ),
@@ -137,6 +137,12 @@ EQUIVALENT = {
     ),
     "_clean: candidate = slot[0] [col 25: 0->-1]": (
         "the line runs only on a slot of one candidate, where slot[0] is slot[-1]"
+    ),
+    "sanitize_stats: if max(map(len, slots), default=0) > 1: [col 40: 0->1]": (
+        "the default is read only for a pattern of no slots, and 1, like 0, is not above 1"
+    ),
+    "sanitize_stats: if max(map(len, slots), default=0) > 1: [col 40: 0->-1]": (
+        "the default is read only for a pattern of no slots, and -1, like 0, is not above 1"
     ),
 }
 
