@@ -11,9 +11,9 @@ candidate, which cleaned ranks no longer show. Each ``ballot_id`` appears once.
 
 A parse returns a ``RawBallots`` table, not a list of ballots: each line's
 ``ballot_id``, the index of its ``(slots, raw_first_invalid)`` pattern, and the
-distinct patterns. A ``RawBallot`` is built only when the table is indexed or
-iterated, which nothing in this package does: sanitize reads the patterns. A
-parse decodes and validates each distinct line tail once. The tail is the text
+distinct patterns. A ``RawBallot`` is built only when the table is iterated,
+which nothing in this package does: sanitize reads the patterns. A parse
+decodes and validates each distinct line tail once. The tail is the text
 of a line after its leading ``ballot_id`` string; two lines with one tail are
 one ballot under two ids, and a repeat costs the parse one id and one index.
 One call keeps a table from each tail it has accepted to its pattern. A line
@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import operator
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice, pairwise
 from json.encoder import encode_basestring_ascii
@@ -176,13 +175,12 @@ def _parsed_ballot(
     return ballot
 
 
-class RawBallots(Sequence[RawBallot]):
+class RawBallots:
     """Raw ballots as a table: ``ids`` holds each ballot's ``ballot_id`` and
     ``kinds`` the index of its pattern, both in ballot order; ``patterns``
-    holds each distinct ``(slots, raw_first_invalid, first)``, where first is
-    the position of its first ballot, in order of first appearance. A
-    ``RawBallot`` is built only when one is asked for, and ballots of one
-    pattern share its slots tuple."""
+    holds each distinct ``(slots, raw_first_invalid)`` in order of first
+    appearance. A ``RawBallot`` is built only when the table is iterated,
+    and ballots of one pattern share its slots tuple."""
 
     __slots__ = ("ids", "kinds", "patterns")
 
@@ -205,10 +203,11 @@ class RawBallots(Sequence[RawBallot]):
         self, index: dict, ballot_id: str, slots: tuple, raw_first_invalid: bool | None
     ) -> int:
         """Append a ballot and return its kind; ``index`` maps each pattern
-        of the table, as ``(slots, raw_first_invalid)``, to its kind."""
-        kind = index.setdefault((slots, raw_first_invalid), len(self.patterns))
+        of the table to its kind."""
+        pattern = (slots, raw_first_invalid)
+        kind = index.setdefault(pattern, len(self.patterns))
         if kind == len(self.patterns):
-            self.patterns.append((slots, raw_first_invalid, len(self.ids)))
+            self.patterns.append(pattern)
         self.ids.append(ballot_id)
         self.kinds.append(kind)
         return kind
@@ -216,15 +215,10 @@ class RawBallots(Sequence[RawBallot]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, position: int) -> RawBallot:
-        slots, raw_first_invalid, _ = self.patterns[self.kinds[position]]
-        return _parsed_ballot(self.ids[position], slots, raw_first_invalid)
-
     def __iter__(self):
         patterns = self.patterns
         for ballot_id, kind in zip(self.ids, self.kinds):
-            slots, raw_first_invalid, _ = patterns[kind]
-            yield _parsed_ballot(ballot_id, slots, raw_first_invalid)
+            yield _parsed_ballot(ballot_id, *patterns[kind])
 
 
 def _slots(
@@ -322,8 +316,7 @@ def _states_id(tail: str) -> bool:
 
 def parse_cvr(source: IO[str], roster: CandidateRoster) -> RawBallots:
     """Parse a newline-delimited CVR stream into a table of raw ballots, in
-    file order; a ``RawBallot`` is built only when the table is indexed or
-    iterated.
+    file order; a ``RawBallot`` is built only when the table is iterated.
 
     Blank lines are skipped; the table's length equals the non-blank line
     count. A repeated ballot_id is a ParseError naming both ballots by

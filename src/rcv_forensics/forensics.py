@@ -317,8 +317,6 @@ def find_spoilers(
             except TieError:
                 tie_subsets.append(subset)
                 continue
-            except ValidationError:
-                continue  # nothing left to tabulate
             if winner != original_winner:
                 witnesses.append(SpoilerWitness(subset, original_winner, winner))
     return SpoilerScan(tuple(witnesses), tuple(tie_subsets))

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cvr import ValidationError
-from .profiles import PreferenceProfile, Ranking
+from .profiles import PreferenceProfile, ProfileKey, Ranking
 
 
 class TieError(Exception):
@@ -140,34 +140,28 @@ class CondorcetReport:
     minimax_scores: dict[str, int]
 
 
-Entry = tuple[Ranking, bool, int]
-
-
-def _entries_of(profile: PreferenceProfile) -> list[Entry]:
-    return sorted((r, f, c) for (r, f), c in profile.entries.items())
-
-
 class _Piles:
-    """Every entry row in the pile of its top continuing choice, with each
-    pile's vote total kept as rows move; a candidate continues while it has
-    a pile. The rows are the caller's and are never mutated. held is each
-    pile's total of flagged ballots exactly while round 1's flagged ballots
-    are pending (buggy mode), else None: the walks before round 1 (the
-    write-in batch, a spoiler strike) carry it with their rows, and round
-    1's elimination drops it."""
+    """Every profile entry, as a (ranking, flagged, count) row, in the pile
+    of its top continuing choice, with each pile's vote total kept as rows
+    move; a candidate continues while it has a pile. Rows are never mutated
+    and keep the entries' own order, which no output reads: tallies follow
+    the roster and transfer records are sorted. held is each pile's total
+    of flagged ballots exactly while round 1's flagged ballots are pending
+    (buggy mode), else None: the walks before round 1 (the write-in batch,
+    a spoiler strike) carry it with their rows, and round 1's elimination
+    drops it."""
 
     __slots__ = ("piles", "votes", "held", "exhausted", "total")
 
-    def __init__(self, ids: Sequence[str], entries: Iterable[Entry], track_held: bool):
+    def __init__(self, ids: Sequence[str], entries: dict[ProfileKey, int], track_held: bool):
         self.piles = piles = {cid: [] for cid in ids}
         self.votes = votes = dict.fromkeys(ids, 0)
         self.held = held = dict.fromkeys(ids, 0) if track_held else None
         exhausted = 0
-        for row in entries:
-            ranking, flagged, count = row
+        for (ranking, flagged), count in entries.items():
             if ranking:
                 top = ranking[0]
-                piles[top].append(row)
+                piles[top].append((ranking, flagged, count))
                 votes[top] += count
                 if flagged and held is not None:
                     held[top] += count
@@ -258,7 +252,7 @@ def _piled(
     flagged totals held in buggy mode. When rounds is a list, the batch
     walk is appended to it as round 0."""
     roster = profile.roster
-    piles = _Piles(roster.ids(), _entries_of(profile), options.buggy_first_round)
+    piles = _Piles(roster.ids(), profile.entries, options.buggy_first_round)
     if options.writein_policy is WriteinPolicy.ELIMINATE_FIRST:
         batch = tuple(sorted(roster.writein_ids(), key=roster.index))
         if batch:
@@ -526,7 +520,7 @@ def plurality_runoff(profile: PreferenceProfile) -> TabulationResult:
     if total == 0:
         raise ValidationError("cannot tabulate an empty profile")
     ids = profile.roster.ids()
-    count = _Piles(ids, _entries_of(profile), track_held=False)
+    count = _Piles(ids, profile.entries, track_held=False)
     tallies, exhausted = dict(count.votes), count.exhausted
     receiving = [cid for cid in ids if tallies[cid] > 0]
     if len(receiving) < 2:

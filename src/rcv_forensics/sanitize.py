@@ -126,7 +126,7 @@ def sanitize_ballots(
     counts = Counter(table.kinds)
     return [
         (_clean(slots, stated, policy, writeins), counts[kind])
-        for kind, (slots, stated, _) in enumerate(table.patterns)
+        for kind, (slots, stated) in enumerate(table.patterns)
     ]
 
 
@@ -140,7 +140,7 @@ def sanitize_stats(
     set and its ranking meets the roster's officials."""
     officials = set(roster.official_ids())
     total = overvote = skipped = invalid_first = 0
-    for (slots, _, _), ((ranking, flag), n) in zip(table.patterns, forms):
+    for (slots, _), ((ranking, flag), n) in zip(table.patterns, forms):
         total += n
         if max(map(len, slots), default=0) > 1:
             overvote += n

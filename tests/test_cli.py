@@ -396,7 +396,7 @@ class TestSanitize:
         code, _, _ = run(capsys, "sanitize", "--fixture", "table2-examples")
         assert code == 0
         table2 = RawBallots.of(load_builtin_fixture("table2-examples"))
-        assert calls == [slots for slots, _, _ in table2.patterns] and len(calls) == 6
+        assert calls == [slots for slots, _ in table2.patterns] and len(calls) == 6
         roster, cvr = tmp_path / "roster.json", tmp_path / "votes.jsonl"
         roster.write_text(json.dumps(roster_to_json_dict(fixture_roster("oakland-full-synthetic"))))
         with open(cvr, "w", encoding="utf-8") as sink:
@@ -411,7 +411,7 @@ class TestSanitize:
         assert len(calls) == 22 and len(cvr.read_text(encoding="utf-8").splitlines()) == 26569
         with open(cvr, encoding="utf-8") as stream:
             table = parse_cvr(stream, fixture_roster("oakland-full-synthetic"))
-        assert calls == [slots for slots, _, _ in table.patterns]
+        assert calls == [slots for slots, _ in table.patterns]
         assert (
             hashlib.sha256(cleaned.read_bytes()).hexdigest()
             == "f62c3eb94ed586a76fc4f6d4776ccf78bd8d62d423cbcfffde26d3c32048cbc0"

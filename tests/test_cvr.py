@@ -469,12 +469,12 @@ def random_cvr(rng):
 
 def check_table(table):
     """A parse's table is the table of its own ballots: the same ids, kinds
-    and patterns as ``RawBallots.of`` gives for them, and the same ballot at
-    each position whether it is iterated or indexed."""
+    and patterns as ``RawBallots.of`` gives for them, and the same ballots
+    each time it is iterated."""
     ballots = list(table)
     again = RawBallots.of(ballots)
     assert (table.ids, table.kinds, table.patterns) == (again.ids, again.kinds, again.patterns)
-    assert [table[n] for n in range(len(table))] == ballots
+    assert list(table) == ballots
     assert RawBallots.of(table) is table
 
 

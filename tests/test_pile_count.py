@@ -21,6 +21,7 @@ checks it from both callers.
 
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -35,6 +36,7 @@ from rcv_forensics import (
     TieError,
     ValidationError,
     WriteinPolicy,
+    find_spoilers,
     plurality_runoff,
     rcv_tabulate,
     sanitize_all,
@@ -48,7 +50,6 @@ from rcv_forensics.methods import (
     RoundRecord,
     TabulationResult,
     TransferRecord,
-    _entries_of,
     _decide,
     _irv,
     _piled,
@@ -62,6 +63,11 @@ from rcv_forensics.cvr import Candidate, CandidateRoster, load_roster, parse_cvr
 from rcv_forensics.profiles import PreferenceProfile
 
 from conftest import generated_cvr, make_random_profile
+
+
+def _entries_of(profile):
+    """The profile's entries as sorted (ranking, flagged, count) rows."""
+    return sorted((r, f, c) for (r, f), c in profile.entries.items())
 
 
 def _top(ranking, eliminated):
@@ -283,6 +289,44 @@ def test_winner_without_matches_reference(seed):
                 )
                 got = outcome(winner_without, piles, removed, options.tie_policy)
                 assert got == expected, (removed, options)
+
+
+def _counts_of(profile, options):
+    """Every count of a profile that reads its entries: the recorded IRV
+    count, the plurality runoff, the spoiler search over every subset size,
+    and the four t-scans on one PrefixTrie of this profile. Each is its
+    value or its error, by repr."""
+    trie = PrefixTrie(profile, options)
+    calls = [
+        (rcv_tabulate, profile, options),
+        (plurality_runoff, profile),
+        (find_spoilers, profile, options, len(profile.roster.ids())),
+        *((partial(search_monotonicity, trie=trie), profile, options, d) for d in Direction),
+        (partial(search_noshow, trie=trie), profile, options),
+        (partial(search_compromise, trie=trie), profile, options),
+    ]
+    return [repr(outcome(*call)) for call in calls]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_counts_ignore_entry_order(seed):
+    """Piles take their rows in the order of the profile's entries, so
+    every count must read the same from a twin profile holding the same
+    entries in a shuffled order: records, transfers, winners, witnesses,
+    boundaries and errors alike. The twin compares equal to the profile, so
+    each gets its own trie."""
+    rng = random.Random(seed)
+    reordered = 0
+    for _ in range(150):
+        profile = random_case(rng)
+        for options in OPTIONS:
+            items = list(profile.entries.items())
+            rng.shuffle(items)
+            twin = PreferenceProfile(profile.roster, dict(items))
+            assert twin == profile
+            reordered += list(twin.entries) != list(profile.entries)
+            assert _counts_of(twin, options) == _counts_of(profile, options), options
+    assert reordered > 500
 
 
 def _descendants(node):

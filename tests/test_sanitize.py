@@ -365,7 +365,7 @@ def test_synthetic_cvr_work_pinned(synthetic_raw, monkeypatch):
     profile, stats = sanitize_all(table, ALAMEDA, OAKLAND)
     emit_clean_cvr(table, forms, io.StringIO())
     assert len(sanitized) == len(table.patterns) == 22
-    assert all(args[0] is slots for args, (slots, _, _) in zip(sanitized, table.patterns))
-    assert [args[1] for args in sanitized] == [stated for _, stated, _ in table.patterns]
+    assert all(args[0] is slots for args, (slots, _) in zip(sanitized, table.patterns))
+    assert [args[1] for args in sanitized] == [stated for _, stated in table.patterns]
     assert len(built) == len(clean_built) == 0
     assert profile.total() == stats.total == 26569
