@@ -37,7 +37,6 @@ from .forensics import (
 from .methods import (
     BordaConfig,
     BordaModel,
-    PrefixTrie,
     RcvOptions,
     TiePolicy,
     TieError,
@@ -61,6 +60,7 @@ from .sanitize import (
     sanitize_ballots,
     sanitize_stats,
 )
+from .scan import PrefixTrie
 
 EXIT_OK = 0
 EXIT_USAGE = 2

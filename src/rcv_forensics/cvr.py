@@ -58,7 +58,7 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateRoster:
-    """Ordered candidate list; ids and names are unique.
+    """Ordered candidate list; ids are non-empty, and ids and names are unique.
 
     Presence of at least one official (non-write-in) candidate is enforced at
     roster load, not here, so that candidate-removal edits can produce
@@ -69,6 +69,8 @@ class CandidateRoster:
 
     def __post_init__(self) -> None:
         index = {c.id: i for i, c in enumerate(self.candidates)}
+        if "" in index:
+            raise ValidationError("empty candidate id in roster")
         if len(index) != len(self.candidates):
             raise ValidationError("duplicate candidate id in roster")
         if len({c.name for c in self.candidates}) != len(self.candidates):

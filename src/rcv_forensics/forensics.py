@@ -6,10 +6,10 @@ The monotonicity, no-show and compromise searches only build their edits
 (move t ballots of one existing type to a modified type, or delete them) and
 hand them to one engine, ``_scan``, which counts every t and cuts the
 outcomes into witness runs and tie boundaries, returned as one ``EditScan``.
-The edits count on one ``methods.PrefixTrie`` of the profile: ``audit``
+The edits count on one ``scan.PrefixTrie`` of the profile: ``audit``
 builds one and hands it to all four searches as ``trie=``, and a search
 given none builds its own. So each elimination prefix is counted once for
-all the edits of an audit, and ``_scan`` adds one ``methods.EditCount`` per
+all the edits of an audit, and ``_scan`` adds one ``scan.EditCount`` per
 edit. ``rcv_winner`` is still called at every t, but only a t outside the
 constant-outcome segment of the last full count walks the rounds, and each
 round it walks is decided once per trie node for all the edits, of any
@@ -46,10 +46,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cvr import ValidationError
-from .methods import (
-    EditCount, PrefixTrie, RcvOptions, TieError, _piled, rcv_tabulate, rcv_winner, winner_without,
-)
+from .methods import RcvOptions, TieError, _piled, rcv_tabulate, winner_without
 from .profiles import PreferenceProfile, Ranking
+from .scan import EditCount, PrefixTrie, rcv_winner
 
 
 class Direction(enum.Enum):

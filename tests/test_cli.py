@@ -257,6 +257,14 @@ class TestTabulate:
         code, _, _ = run(capsys, "tabulate", "--method", "rcv")
         assert code == 2
 
+    def test_input_without_roster_usage_error(self, capsys, tmp_path):
+        cvr = tmp_path / "cvr.jsonl"
+        cvr.write_text('{"ballot_id":"b1","ranks":[["A"]]}\n')
+        code, out, err = run(capsys, "tabulate", "--input", str(cvr), "--method", "rcv")
+        assert code == 2
+        assert out == ""
+        assert err == "error: tabulate: --roster is required with --input\n"
+
     def test_unknown_fixture_is_data_error(self, capsys):
         code, _, err = run(capsys, "tabulate", "--fixture", "oakland-table1x", "--method", "rcv")
         assert code == 2  # argparse rejects the unknown choice
@@ -748,6 +756,32 @@ def test_module_entry_point_subprocess():
     )
     assert completed.returncode == 0
     assert json.loads(completed.stdout)["winner"] == "H"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["--fixture oakland-table1", "--fixture oakland-full-synthetic --buggy-first-round"],
+)
+def test_audit_bytes_do_not_follow_the_hash_seed(source):
+    """String hashes, and so the order of sets of ids, change with
+    PYTHONHASHSEED from one process to the next; the report must not."""
+    import subprocess
+    import sys
+
+    import rcv_forensics
+
+    src = str(Path(rcv_forensics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "rcv_forensics.cli", "audit", *source.split(),
+            "--checks", "all", "--format", "json"]
+    reports = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        completed = subprocess.run(argv, capture_output=True, env=env)
+        assert completed.returncode == 0, completed.stderr
+        reports.append(completed.stdout)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["findings"]
 
 
 class TestConfigFile:

@@ -9,6 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from rcv_forensics import (
     ALAMEDA,
+    Candidate,
+    CandidateRoster,
     ParseError,
     RawBallot,
     RawBallots,
@@ -59,6 +61,18 @@ class TestLoadRoster:
         doc = '{"candidates":[{"id":"H","name":"a"},{"id":"H","name":"b"}]}'
         with pytest.raises(ValidationError):
             load_roster(io.StringIO(doc))
+
+    def test_duplicate_name_rejected(self):
+        doc = '{"candidates":[{"id":"H","name":"a"},{"id":"M","name":"a"}]}'
+        with pytest.raises(ValidationError, match="^duplicate candidate name in roster$"):
+            load_roster(io.StringIO(doc))
+
+    def test_roster_built_in_code_refuses_an_empty_id(self):
+        """An id '' would be dropped from transfer records as if it were the
+        exhausted key None, so a roster refuses it however it is built."""
+        candidates = (Candidate("", "Blank"), Candidate("A", "Ann"), Candidate("B", "Bo"))
+        with pytest.raises(ValidationError, match="^empty candidate id in roster$"):
+            CandidateRoster(candidates)
 
     def test_malformed_document_has_line_context(self):
         with pytest.raises(ParseError, match="line"):

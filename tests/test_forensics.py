@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ import types
 
 import pytest
 
+import rcv_forensics
 from rcv_forensics import (
     ALAMEDA,
     Candidate,
@@ -39,6 +41,7 @@ import rcv_forensics.forensics as forensics
 from rcv_forensics.cli import main
 from rcv_forensics.cvr import load_roster, parse_cvr, roster_to_json_dict
 import rcv_forensics.methods as methods
+import rcv_forensics.scan as scan_module
 from rcv_forensics.forensics import _shift
 from rcv_forensics.profiles import PreferenceProfile
 
@@ -349,6 +352,10 @@ class TestVerifyWitness:
                 CompromiseWitness(("R", "M", "H"), False, "R", 10, 10, "H", "M"),
                 OPTS,
             )
+        off_ballot = CompromiseWitness(("M", "H"), False, "R", 10, 10, "H", "M")
+        message = "^promoted candidate is not ranked on the ballot type$"
+        with pytest.raises(ValidationError, match=message):
+            verify_witness(table1, off_ballot, OPTS)
 
     @pytest.mark.parametrize(
         "witness",
@@ -418,9 +425,9 @@ def test_table1_scan_work_pinned(table1, monkeypatch):
     """The t-scans count Table 1 once per t through ``forensics.rcv_winner``:
     20,376 / 10,956 / 26,432 / 30,181 calls for the downward, upward,
     no-show and compromise searches. Of those, 22 / 8 / 37 / 47 walk the
-    rounds (``methods._evaluate``); every other call falls inside the
+    rounds (``scan._evaluate``); every other call falls inside the
     constant-outcome segment of the last one that did. Those walks decide
-    17 / 8 / 24 / 32 rounds (``methods._round``); every other round they
+    17 / 8 / 24 / 32 rounds (``scan._round``); every other round they
     pass is a repeat of a decided one at the same trie node, taken from its
     memo. A winner's qualification is asked once per run of t with that
     winner, not at every t: the no-show and compromise searches ask
@@ -428,10 +435,10 @@ def test_table1_scan_work_pinned(table1, monkeypatch):
     spoiler search, as in ``audit --checks all``, they find 10 witnesses and
     27 tie boundaries."""
     calls, full, decided, asked = [], [], [], []
-    counted, evaluate, decide = forensics.rcv_winner, methods._evaluate, methods._round
+    counted, evaluate, decide = forensics.rcv_winner, scan_module._evaluate, scan_module._round
     monkeypatch.setattr(forensics, "rcv_winner", lambda *a: calls.append(1) or counted(*a))
-    monkeypatch.setattr(methods, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
-    monkeypatch.setattr(methods, "_round", lambda *a: decided.append(1) or decide(*a))
+    monkeypatch.setattr(scan_module, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
+    monkeypatch.setattr(scan_module, "_round", lambda *a: decided.append(1) or decide(*a))
     monkeypatch.setattr(forensics, "prefers", lambda *a: asked.append(1) or prefers(*a))
     work, witnesses, boundaries = {}, 0, 0
     for name, search in TABLE1_SEARCHES.items():
@@ -465,8 +472,8 @@ def test_audit_scans_share_one_trie(case, work, tmp_path, monkeypatch):
     four t-scans, so a round decided or a child built for one search serves
     the others. On Table 1, on the synthetic fixture in buggy mode and on
     the benchmark's generated CVR at seed 1, the audit makes 114 / 136 /
-    1,951 full counts (``methods._evaluate``), as a trie per search did,
-    but decides 54 / 56 / 514 rounds (``methods._round``), not 81 / 79 /
+    1,951 full counts (``scan._evaluate``), as a trie per search did,
+    but decides 54 / 56 / 514 rounds (``scan._round``), not 81 / 79 /
     766, and builds 3 / 3 / 36 trie children, not 11 / 10 / 102."""
     if case == "generated":
         cvr, roster = generated_cvr(tmp_path, monkeypatch)
@@ -476,12 +483,12 @@ def test_audit_scans_share_one_trie(case, work, tmp_path, monkeypatch):
     else:
         source = ["--fixture", "oakland-full-synthetic", "--buggy-first-round"]
     tries, full, decided, children = [], [], [], []
-    trie, evaluate, decide = methods.PrefixTrie, methods._evaluate, methods._round
+    trie, evaluate, decide = scan_module.PrefixTrie, scan_module._evaluate, scan_module._round
     build, child = trie.__init__, trie.child
     monkeypatch.setattr(trie, "__init__", lambda *a: tries.append(1) or build(*a))
     monkeypatch.setattr(trie, "child", lambda *a: children.append(1) or child(*a))
-    monkeypatch.setattr(methods, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
-    monkeypatch.setattr(methods, "_round", lambda *a: decided.append(1) or decide(*a))
+    monkeypatch.setattr(scan_module, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
+    monkeypatch.setattr(scan_module, "_round", lambda *a: decided.append(1) or decide(*a))
     argv = ["audit", *source, "--checks", "all", "--output", str(tmp_path / "audit.json")]
     assert main(argv) == 0
     assert len(tries) == 1
@@ -494,15 +501,15 @@ def test_search_refuses_a_trie_built_for_another_count(other, table1):
     of Table 1 refuses a trie of another profile or of other options, and
     takes one of an equal profile."""
     if other == "profile":
-        trie = methods.PrefixTrie(ONE_BALLOT, OPTS)
+        trie = scan_module.PrefixTrie(ONE_BALLOT, OPTS)
     else:
-        trie = methods.PrefixTrie(table1, LEX)
+        trie = scan_module.PrefixTrie(table1, LEX)
     for search in TABLE1_SEARCHES.values():
         with pytest.raises(ValidationError, match="prefix trie"):
             search(table1, trie)
     equal = PreferenceProfile(table1.roster, dict(table1.entries))
     upward = TABLE1_SEARCHES["upward"]
-    assert upward(table1, methods.PrefixTrie(equal, OPTS)) == upward(table1, None)
+    assert upward(table1, scan_module.PrefixTrie(equal, OPTS)) == upward(table1, None)
 
 
 def test_scans_leave_no_reference_cycles(synthetic_raw, tmp_path):
@@ -558,7 +565,7 @@ def full_size_case(case, request, tmp_path, monkeypatch):
 
 def run_edit_searches(profile, options):
     """The four edit searches sharing one PrefixTrie, as ``audit`` runs them."""
-    trie = methods.PrefixTrie(profile, options)
+    trie = scan_module.PrefixTrie(profile, options)
     for direction in Direction:
         search_monotonicity(profile, options, direction, trie=trie)
     search_noshow(profile, options, trie=trie)
@@ -606,7 +613,7 @@ def certify_scans(profile, options, monkeypatch):
     path, so such a segment is checked at every t. The segments of each
     edit must tile 1..count. Returns the number of segments."""
     counts, segments = [], {}
-    evaluate, edit_count = methods._evaluate, methods.EditCount
+    evaluate, edit_count = scan_module._evaluate, scan_module.EditCount
 
     def spied(count, t):
         segments.setdefault(count, []).append(evaluate(count, t))
@@ -617,7 +624,7 @@ def certify_scans(profile, options, monkeypatch):
         return counts[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(methods, "_evaluate", spied)
+        patch.setattr(scan_module, "_evaluate", spied)
         patch.setattr(forensics, "EditCount", built)
         run_edit_searches(profile, options)
     records = {}
@@ -682,21 +689,39 @@ class TestOracle:
             brute_force_oracle(table1, OPTS)
 
     def test_oracle_shares_no_scan_code(self):
-        """The oracle checks the searches, so it must not call their code."""
+        """The oracle checks the searches, so it must not call their code:
+        no definition of the scan engine, no function of the searches but
+        ``prefers``, and no definition of the count that the package does
+        not export. The set is read from the modules, so a helper is banned
+        as soon as it is written. The one rule the oracle shares with both
+        engines is the round rule ``methods._decide``: its ``rcv_tabulate``
+        reaches it through ``_irv``, and the trie's ``_round`` calls it."""
         names = set()
         codes = [brute_force_oracle.__code__]
         while codes:
             code = codes.pop()
             names.update(code.co_names)
             codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        shared = {
-            "_scan", "_shift", "_promote", "_entries_of", "PrefixTrie", "EditCount",
-            "_evaluate", "_round", "_steady", "rcv_winner", "verify_witness",
-            "winner_without", "_piled", "_irv", "_Piles", "_decide",
-            "search_monotonicity", "search_noshow", "search_compromise", "find_spoilers",
-        }
+
+        def defined(module, kind):
+            return {
+                name for name, value in vars(module).items()
+                if kind(value) and value.__module__ == module.__name__
+            }
+
+        def definition(value):
+            return inspect.isfunction(value) or inspect.isclass(value)
+
+        shared = (
+            defined(scan_module, definition)
+            | (defined(forensics, inspect.isfunction) - {"brute_force_oracle", "prefers"})
+            | (defined(methods, definition) - set(vars(rcv_forensics)))
+        )
+        assert {"_first", "_scan", "_irv", "_decide", "winner_without"} <= shared
         assert names & shared == set()
         assert "rcv_tabulate" in names
+        assert "_decide" in methods._irv.__code__.co_names
+        assert "_decide" in scan_module._round.__code__.co_names
 
     def test_toy_profile_oracle_equals_searches(self, toy_cycle_profile):
         for profile, options in ((toy_cycle_profile, OPTS), (ONE_BALLOT, LEX)):
@@ -727,7 +752,7 @@ class TestOracle:
         report = brute_force_oracle(profile, options, OracleBounds(candidates, profile.total()))
         assert report.spoilers == find_spoilers(profile, options, max_subset_size=candidates - 1)
         # each search on its own trie, then the four sharing one, as audit runs them
-        for trie in (None, methods.PrefixTrie(profile, options)):
+        for trie in (None, scan_module.PrefixTrie(profile, options)):
             assert report.downward == search_monotonicity(
                 profile, options, Direction.DOWNWARD, trie=trie
             )

@@ -131,6 +131,10 @@ class TestPlurality:
         with pytest.raises(TieError):
             plurality(profile_of({("A",): 5, ("B",): 5}))
 
+    def test_empty_profile_rejected(self):
+        with pytest.raises(ValidationError, match="^cannot tabulate an empty profile$"):
+            plurality(PreferenceProfile(ABC, {}))
+
 
 class TestPluralityRunoff:
     def test_table1(self, table1):

@@ -34,7 +34,7 @@ def test_missing_definition_exits_2(monkeypatch, capsys):
 def test_stale_equivalent_key_exits_2(monkeypatch, capsys):
     """A key naming a definition of the rows run that no mutant has is
     listed; a key naming a definition outside them is not."""
-    module = Path("src/rcv_forensics/methods.py")
+    module = Path("src/rcv_forensics/scan.py")
     monkeypatch.setitem(mutate_count.GATE, module, (("_steady",), ()))
     stale = "_steady: no such line [col 0: 1->2]"
     monkeypatch.setitem(mutate_count.EQUIVALENT, stale, "stale")
@@ -48,7 +48,7 @@ def test_stale_equivalent_key_exits_2(monkeypatch, capsys):
 def test_mutant_builds_one_change():
     """A mutant's source is built on demand, and each build is valid Python
     differing from the unmutated module and from every other mutant's."""
-    source = (ROOT / "src/rcv_forensics/methods.py").read_text(encoding="utf-8")
+    source = (ROOT / "src/rcv_forensics/scan.py").read_text(encoding="utf-8")
     found = mutate_count.mutants(source, ("_steady",))
     built = [build() for _, _, build in found]
     assert len(found) > 5

@@ -5,7 +5,7 @@ round: ``_count`` counts each round anew and ``_transfers`` walks the
 entries again to record where removed candidates' ballots go. They are the
 only copy of that algorithm and exist to check ``methods.rcv_tabulate`` and
 ``methods.plurality_runoff``, which re-route only the removed candidates'
-piles, ``methods.rcv_winner``, which counts a t-scan edit from a trie of
+piles, ``scan.rcv_winner``, which counts a t-scan edit from a trie of
 memoized round tallies shared by every edit of a profile, and answers a t
 inside a known constant-outcome segment without counting, and
 ``methods.winner_without``, which counts a profile with candidates struck
@@ -26,7 +26,7 @@ from functools import partial
 import pytest
 
 import rcv_forensics.forensics as forensics
-import rcv_forensics.methods as methods
+import rcv_forensics.scan as scan_module
 
 from rcv_forensics import (
     ALAMEDA,
@@ -45,20 +45,16 @@ from rcv_forensics import (
     search_noshow,
 )
 from rcv_forensics.methods import (
-    EditCount,
-    PrefixTrie,
     RoundRecord,
     TabulationResult,
     TransferRecord,
     _decide,
     _irv,
     _piled,
-    _round,
-    _steady,
     _unique,
-    rcv_winner,
     winner_without,
 )
+from rcv_forensics.scan import EditCount, PrefixTrie, _round, _steady, rcv_winner
 from rcv_forensics.cvr import Candidate, CandidateRoster, load_roster, parse_cvr
 from rcv_forensics.profiles import PreferenceProfile
 
@@ -291,6 +287,62 @@ def test_winner_without_matches_reference(seed):
                 assert got == expected, (removed, options)
 
 
+def check_ledger(result):
+    """Every ballot of a recorded count is accounted for. Each round's
+    tallies, exhausted and pending sum to the total. Each transfer's ``to``
+    and exhausted sum to the loser's tally, or, for the None-source record
+    of buggy round 1, to the pending ballots that rejoin the count. The next
+    round's tallies and exhausted are this round's plus the transfers, less
+    the ballots it sets pending, which only buggy round 1 does, as one
+    total. Returns the number of rounds checked."""
+    rounds = result.rounds
+    for rnd in rounds:
+        assert sum(rnd.tallies.values()) + rnd.exhausted + rnd.pending == result.total_ballots
+    assert rounds[-1].eliminated == rounds[-1].transfers == ()
+    for rnd, nxt in zip(rounds, rounds[1:]):
+        assert tuple(t.source for t in rnd.transfers if t.source is not None) == rnd.eliminated
+        assert set(nxt.tallies) == set(rnd.tallies) - set(rnd.eliminated)
+        arrived = dict.fromkeys(nxt.tallies, 0)
+        for transfer in rnd.transfers:
+            left = rnd.pending if transfer.source is None else rnd.tallies[transfer.source]
+            assert sum(transfer.to.values()) + transfer.exhausted == left, transfer
+            assert set(transfer.to) <= set(arrived), transfer
+            for cid, n in transfer.to.items():
+                arrived[cid] += n
+        assert nxt.exhausted == rnd.exhausted + sum(t.exhausted for t in rnd.transfers)
+        set_pending = {cid: rnd.tallies[cid] + n - nxt.tallies[cid] for cid, n in arrived.items()}
+        assert min(set_pending.values(), default=0) >= 0, (rnd, nxt)
+        assert sum(set_pending.values()) == nxt.pending, (rnd, nxt)
+    return len(rounds)
+
+
+@pytest.mark.parametrize("fixture", ["table1", "synthetic_profile"])
+def test_full_counts_account_for_every_ballot(fixture, request):
+    """The ledger of both full fixtures, counted plain and buggy, and of
+    their plurality runoffs."""
+    profile = request.getfixturevalue(fixture)
+    for buggy in (False, True):
+        check_ledger(rcv_tabulate(profile, RcvOptions(buggy_first_round=buggy)))
+    check_ledger(plurality_runoff(profile))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_random_counts_account_for_every_ballot(seed):
+    """The ledger of every count of random profiles with write-ins and
+    flagged types under every option set, and of their plurality runoffs;
+    a count that ties or has nothing to count records nothing."""
+    rng = random.Random(seed)
+    rounds = 0
+    for _ in range(500):
+        profile = make_random_profile(rng, writein_rate=0.5)
+        counts = [(rcv_tabulate, profile, options) for options in OPTIONS]
+        for call in (*counts, (plurality_runoff, profile)):
+            result = outcome(*call)
+            if result[0] == "ok":
+                rounds += check_ledger(result[1])
+    assert rounds > 5000
+
+
 def _counts_of(profile, options):
     """Every count of a profile that reads its entries: the recorded IRV
     count, the plurality runoff, the spoiler search over every subset size,
@@ -449,7 +501,7 @@ def test_edit_size_outside_source_count_rejected(table1, moved_to, t_of, monkeyp
     def fail(*args):
         raise AssertionError("counted in full")
 
-    monkeypatch.setattr(methods, "_evaluate", fail)
+    monkeypatch.setattr(scan_module, "_evaluate", fail)
     for t in (n + 1, -1, t_of(n)):
         with pytest.raises(ValidationError, match=outside):
             rcv_winner(count, t)
@@ -578,7 +630,7 @@ def test_segment_stops_at_the_edit_size_and_short_of_an_empty_profile(monkeypatc
     assert moved.segment == (0, 2, "A")
     assert rcv_winner(moved, 4) == "B"
     assert moved.segment == (4, 5, "B")
-    monkeypatch.setattr(methods, "_evaluate", None)
+    monkeypatch.setattr(scan_module, "_evaluate", None)
     assert [rcv_winner(moved, t) for t in (4, 5, 4)] == ["B", "B", "B"]
 
 
@@ -589,7 +641,7 @@ def test_scan_counts_match_reference_at_full_size(
     """Every rcv_winner call of the four edit searches on a full fixture,
     answered from the shared trie and the segments, against the reference
     round loop counting the edited profile from scratch at that t; and how
-    many of those calls counted in full (``methods._evaluate``). The
+    many of those calls counted in full (``scan._evaluate``). The
     benchmark's generated multi-round CVR at seed 1 is where a count most
     often looks a row's candidate up again, after an elimination."""
     if case == "generated":
@@ -614,9 +666,9 @@ def test_scan_counts_match_reference_at_full_size(
         return rcv_winner(count, t)
 
     full = []
-    evaluate = methods._evaluate
+    evaluate = scan_module._evaluate
     monkeypatch.setattr(forensics, "rcv_winner", checked)
-    monkeypatch.setattr(methods, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
+    monkeypatch.setattr(scan_module, "_evaluate", lambda *a: full.append(1) or evaluate(*a))
     for direction in Direction:
         search_monotonicity(profile, options, direction)
     search_noshow(profile, options)
@@ -679,15 +731,15 @@ def test_round_memo_matches_reference_at_full_size(options, monkeypatch):
         return rcv_winner(count, t)
 
     full, decided = [], []
-    evaluate, decide = methods._evaluate, methods._round
+    evaluate, decide = scan_module._evaluate, scan_module._round
 
     def counted(count, t):
         full.append(((count.ranking, count.flagged), count.moved_to, t))
         return evaluate(count, t)
 
     monkeypatch.setattr(forensics, "rcv_winner", checked)
-    monkeypatch.setattr(methods, "_evaluate", counted)
-    monkeypatch.setattr(methods, "_round", lambda *a: decided.append(1) or decide(*a))
+    monkeypatch.setattr(scan_module, "_evaluate", counted)
+    monkeypatch.setattr(scan_module, "_round", lambda *a: decided.append(1) or decide(*a))
     rounds_decided = []
     for trie in (None, PrefixTrie(profile, options)):
         full.clear()

@@ -43,9 +43,12 @@ GATE = {
     Path("src/rcv_forensics/methods.py"): (
         (
             "_Piles", "_piled", "_decide", "_irv", "rcv_tabulate", "winner_without",
-            "PrefixTrie", "EditCount", "_steady", "_round", "_first", "_evaluate", "rcv_winner",
             "plurality_runoff", "borda", "_find_majority_cycle", "condorcet_analysis",
         ),
+        ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
+    ),
+    Path("src/rcv_forensics/scan.py"): (
+        ("PrefixTrie", "EditCount", "_steady", "_round", "_first", "_evaluate", "rcv_winner"),
         ("tests/test_methods.py", "tests/test_pile_count.py", "tests/test_forensics.py"),
     ),
     Path("src/rcv_forensics/profiles.py"): (
