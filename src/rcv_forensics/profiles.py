@@ -72,19 +72,22 @@ class PreferenceProfile:
         follow roster order, and a row leaves out its own candidate.
 
         Unranked candidates sit below every ranked candidate; ballots ranking
-        neither of a pair count for neither side.
+        neither of a pair count for neither side. So row x starts at the number
+        of ballots ranking x (one tally pass), and each entry takes its count
+        off ``rows[x][y]`` for each y it ranks above x: the work is Σk² over
+        entries of ranking length k, not Σk·(n-1) for a roster of n.
         """
         ids = self.roster.ids()
-        rows = {x: dict.fromkeys([y for y in ids if y != x], 0) for x in ids}
+        ranked = dict.fromkeys(ids, 0)
         for (ranking, _), count in self.entries.items():
-            ranked = set(ranking)
-            unranked = [y for y in ids if y not in ranked]
+            for x in ranking:
+                ranked[x] += count
+        rows = {x: dict.fromkeys([y for y in ids if y != x], ranked[x]) for x in ids}
+        for (ranking, _), count in self.entries.items():
             for i, x in enumerate(ranking):
                 row = rows[x]
-                for y in ranking[i + 1 :]:
-                    row[y] += count
-                for y in unranked:
-                    row[y] += count
+                for y in ranking[:i]:
+                    row[y] -= count
         return rows
 
     def remove_candidates(self, doomed: Iterable[str]) -> "PreferenceProfile":

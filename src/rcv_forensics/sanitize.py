@@ -81,13 +81,18 @@ class SanitizeStats:
     invalid_first_with_official: int
 
 
+def _rules(policy: SanitizePolicy) -> tuple[bool, bool]:
+    """Whether a policy skips an overvote, and whether two skips in a row end a ballot."""
+    skip_overvotes = policy.overvote_policy is OvervotePolicy.SKIP
+    return skip_overvotes, policy.skip_policy is SkipPolicy.TWO_CONSECUTIVE_TERMINATE
+
+
 def _clean(
-    slots: tuple, stated: bool | None, policy: SanitizePolicy, writeins: frozenset[str]
+    slots: tuple, stated: bool | None, skip_overvotes: bool, two_skips_end: bool,
+    writeins: frozenset[str],
 ) -> ProfileKey:
     """The sanitized ranking and flag of raw slots (a deterministic left-to-
-    right scan under the policy); ``stated`` is the CVR's flag, or None."""
-    skip_overvotes = policy.overvote_policy is OvervotePolicy.SKIP
-    two_skips_end = policy.skip_policy is SkipPolicy.TWO_CONSECUTIVE_TERMINATE
+    right scan under a policy's ``_rules``); ``stated`` is the CVR's flag, or None."""
     ranking: list[str] = []
     consecutive_skips = 0
     for slot in slots:
@@ -102,9 +107,9 @@ def _clean(
         candidate = slot[0]
         if candidate not in ranking:
             ranking.append(candidate)
-    # a stated flag wins; else an empty or absent first slot is invalid: all() of nothing
+    # a stated flag wins; else an empty or absent first slot is invalid: a superset of nothing
     if stated is None:
-        stated = not slots or all(map(writeins.__contains__, slots[0]))
+        stated = not slots or writeins.issuperset(slots[0])
     return tuple(ranking), stated
 
 
@@ -112,20 +117,21 @@ def sanitize_ballot(
     raw: RawBallot, policy: SanitizePolicy, roster: CandidateRoster
 ) -> CleanBallot:
     """One raw ballot's clean form (``_clean``) under its own ``ballot_id``."""
-    writeins = roster.writein_ids()
-    return CleanBallot(raw.ballot_id, *_clean(raw.slots, raw.raw_first_invalid, policy, writeins))
+    key = _clean(raw.slots, raw.raw_first_invalid, *_rules(policy), roster.writein_ids())
+    return CleanBallot(raw.ballot_id, *key)
 
 
 def sanitize_ballots(
     table: RawBallots, policy: SanitizePolicy, roster: CandidateRoster
 ) -> list[tuple[ProfileKey, int]]:
     """The clean forms of a ballot table, indexed by kind: each pattern's
-    sanitized ``(ranking, flag)``, with the pattern's ballot count. These
-    depend on nothing but the pattern, so ``_clean`` runs once per pattern."""
+    sanitized ``(ranking, flag)``, with its ballot count. ``_clean`` runs once
+    per pattern, under the policy's ``_rules`` read once for the table."""
+    skip_overvotes, two_skips_end = _rules(policy)
     writeins = roster.writein_ids()
     counts = Counter(table.kinds)
     return [
-        (_clean(slots, stated, policy, writeins), counts[kind])
+        (_clean(slots, stated, skip_overvotes, two_skips_end, writeins), counts[kind])
         for kind, (slots, stated) in enumerate(table.patterns)
     ]
 
@@ -135,20 +141,21 @@ def sanitize_stats(
 ) -> SanitizeStats:
     """Statistics of a ballot table from its clean forms (``sanitize_ballots``):
     each pattern is tested once and counts once for every ballot that has it.
-    A pattern has an overvote when its longest slot holds two or more ids, and
+    A pattern has an overvote when it has a slot of two or more ids, and
     counts as an invalid first rank followed by an official when its flag is
     set and its ranking meets the roster's officials."""
     officials = set(roster.official_ids())
-    total = overvote = skipped = invalid_first = 0
+    overvote = skipped = invalid_first = 0
     for (slots, _), ((ranking, flag), n) in zip(table.patterns, forms):
-        total += n
-        if max(map(len, slots), default=0) > 1:
-            overvote += n
+        for slot in slots:
+            if len(slot) > 1:
+                overvote += n
+                break
         if () in slots and any(slots[slots.index(()) :]):  # ranked after the first skip
             skipped += n
         if flag and not officials.isdisjoint(ranking):
             invalid_first += n
-    return SanitizeStats(total, overvote, skipped, invalid_first)
+    return SanitizeStats(len(table), overvote, skipped, invalid_first)
 
 
 def sanitize_all(

@@ -45,6 +45,16 @@ def test_stale_equivalent_key_exits_2(monkeypatch, capsys):
     ]
 
 
+def test_real_tables_list_cleanly(capsys):
+    """``--list`` on the real GATE and EQUIVALENT exits 0: every GATE name
+    is defined and every EQUIVALENT key still names a mutant, so an edit
+    that retires a listed mutant shows here and not only in a full run."""
+    code = mutate_count.main(["--list"])
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith(("GATE names", "EQUIVALENT key"))] == []
+    assert code == 0
+
+
 def test_mutant_builds_one_change():
     """A mutant's source is built on demand, and each build is valid Python
     differing from the unmutated module and from every other mutant's."""

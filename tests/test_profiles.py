@@ -69,16 +69,12 @@ class TestPairwise:
 
     def test_matches_definition_on_random_profiles(self):
         """n(x, y) is the summed count of the types that rank x over y, on
-        random profiles with partial rankings, write-ins and flags. Each row
-        holds the roster less its own candidate, in roster order, which is
-        the order the text report prints; half the rosters are reversed, so
-        an order that is only sorted shows."""
-        rng = random.Random(23)
-        for trial in range(300):
-            profile = make_random_profile(rng, max_candidates=4, writein_rate=0.3)
-            if trial % 2:
-                reversed_roster = CandidateRoster(tuple(reversed(profile.roster.candidates)))
-                profile = PreferenceProfile(reversed_roster, profile.entries)
+        random profiles with partial rankings, write-ins and flags, from 2 to
+        40 candidates (see ``pairwise_profiles``). Each row holds the roster
+        less its own candidate, in roster order, which is the order the text
+        report prints; half the small rosters are reversed and the long ones
+        shuffled, so an order that is only sorted shows."""
+        for profile in pairwise_profiles():
             ids = profile.roster.ids()
             rows = profile.pairwise_matrix()
             assert tuple(rows) == ids
@@ -90,6 +86,36 @@ class TestPairwise:
                         for (ranking, _), count in profile.entries.items()
                         if prefers(ranking, x, y)
                     )
+
+
+def pairwise_profiles():
+    """300 profiles of 2 to 5 candidates; 40 of 8 to 40 candidates ranking at
+    most three each, where most pairs set a ranked candidate over an unranked
+    one, and 40 ranking up to the whole roster; and the three-ballot cycle
+    of ``tests/test_cli.py::test_long_majority_cycle_exits_cleanly`` (the
+    order c0 > c1 > ..., turned right by one and left by one) at 3, 8 and
+    40 candidates."""
+    rng = random.Random(23)
+    for trial in range(300):
+        profile = make_random_profile(rng, max_candidates=4, writein_rate=0.3)
+        if trial % 2:
+            reversed_roster = CandidateRoster(tuple(reversed(profile.roster.candidates)))
+            profile = PreferenceProfile(reversed_roster, profile.entries)
+        yield profile
+    for max_rank in (3, None):
+        for _ in range(40):
+            ids = [f"c{i}" for i in range(rng.randint(8, 40))]
+            rng.shuffle(ids)
+            entries = {}
+            for _ in range(rng.randint(1, 12)):
+                ranking = tuple(rng.sample(ids, rng.randint(0, max_rank or len(ids))))
+                entries[(ranking, rng.random() < 0.25)] = rng.randint(1, 8)
+            yield PreferenceProfile(CandidateRoster(tuple(Candidate(c, c) for c in ids)), entries)
+    for n in (3, 8, 40):
+        ids = [f"c{i}" for i in range(n)]
+        orders = (ids, ids[-1:] + ids[:-1], ids[1:] + ids[:1])
+        roster = CandidateRoster(tuple(Candidate(c, c) for c in ids))
+        yield PreferenceProfile(roster, {(tuple(order), False): 1 for order in orders})
 
 
 class TestRemoveCandidates:

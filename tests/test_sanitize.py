@@ -256,8 +256,15 @@ def reference_clean_cvr(ballots, policy, roster) -> str:
     return "".join(lines)
 
 
+# the three presets and the fourth pair of rules, which the CLI reaches through
+# --skip-policy two-consecutive-terminate --overvote-policy skip
 POLICIES = pytest.mark.parametrize(
-    "policy", [ALAMEDA, MINNEAPOLIS, ALASKA], ids=["alameda", "minneapolis", "alaska"]
+    "policy",
+    [
+        ALAMEDA, MINNEAPOLIS, ALASKA,
+        SanitizePolicy(SkipPolicy.TWO_CONSECUTIVE_TERMINATE, OvervotePolicy.SKIP),
+    ],
+    ids=["alameda", "minneapolis", "alaska", "two-consecutive-terminate-skip"],
 )
 
 

@@ -64,8 +64,8 @@ GATE = {
     ),
     Path("src/rcv_forensics/sanitize.py"): (
         (
-            "_clean", "sanitize_ballot", "sanitize_ballots", "sanitize_stats", "sanitize_all",
-            "emit_clean_cvr",
+            "_rules", "_clean", "sanitize_ballot", "sanitize_ballots", "sanitize_stats",
+            "sanitize_all", "emit_clean_cvr",
         ),
         ("tests/test_sanitize.py", "tests/test_cvr.py"),
     ),
@@ -140,12 +140,6 @@ EQUIVALENT = {
     ),
     "_clean: candidate = slot[0] [col 25: 0->-1]": (
         "the line runs only on a slot of one candidate, where slot[0] is slot[-1]"
-    ),
-    "sanitize_stats: if max(map(len, slots), default=0) > 1: [col 40: 0->1]": (
-        "the default is read only for a pattern of no slots, and 1, like 0, is not above 1"
-    ),
-    "sanitize_stats: if max(map(len, slots), default=0) > 1: [col 40: 0->-1]": (
-        "the default is read only for a pattern of no slots, and -1, like 0, is not above 1"
     ),
 }
 
